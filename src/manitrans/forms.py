@@ -64,6 +64,21 @@ class MetricSignature:
     eigen_summary: tuple
 
 
+def projection_one_norm(n, proj):
+    """Vectorized 1-norm of a projection on n x n matrices: one if it is
+    marked by utils.coordinate_projection, else measured on all n^2 basis
+    matrices."""
+    if getattr(proj, "coordinate", False):
+        return 1.0
+    best = 0.0
+    e = np.zeros((n, n))
+    for idx in range(n * n):
+        e.flat[idx] = 1.0
+        best = max(best, float(np.sum(np.abs(proj(e)))))
+        e.flat[idx] = 0.0
+    return best
+
+
 def trace_form(a, b):
     """Tr(ab), the cyclic-invariant bilinear form."""
     a = check_square(a, "a")

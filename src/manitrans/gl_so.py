@@ -2,8 +2,9 @@
 special orthogonal group (top-block skew subalgebra).
 
 Both are specializations of the group machinery; the explicit formulas
-here avoid closure-based projections and use the transpose as the inverse
-on SO(n).  They are cross-checked against the generic path in the tests.
+here use the transpose as the inverse on SO(n), and P_a comes from the
+shared builder group_core.p_a_operator.  They are cross-checked against the
+generic path in the tests.
 """
 from dataclasses import dataclass
 
@@ -12,15 +13,15 @@ import numpy as np
 from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams
-from .group_core import EXHAUSTIVE_NORM_CAP
-from .utils import asym, hcat, lie
+from .group_core import p_a_operator
+from .utils import asym, check_all_finite, coordinate_projection, hcat
 
 ORTHOGONALITY_TOL = 1e-10
 
 
 def gl_split(n):
     """gl(n) with the antisymmetric matrices as the subalgebra."""
-    return AlgebraSplit(n=n, proj_g=lambda m: m, proj_a=asym)
+    return AlgebraSplit(n=n, proj_g=coordinate_projection(lambda m: m), proj_a=asym)
 
 
 def so_split(n, d):
@@ -29,11 +30,13 @@ def so_split(n, d):
     proj_k projects onto the bottom (n-d) x (n-d) block, the vertical
     algebra of the Stiefel quotient.
     """
+    @coordinate_projection
     def proj_a(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
         out[:d, :d] = asym(m[:d, :d])
         return out
 
+    @coordinate_projection
     def proj_k(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
         out[d:, d:] = asym(m[d:, d:])
@@ -90,52 +93,29 @@ def gl_metric(geom, g, h):
     return float(np.sum(g * h.T) + (1.0 + geom.beta) * np.sum(gs * hs))
 
 
-def _gl_velocity(x, xi):
-    return np.linalg.solve(x, xi)
+def _gl_factors(geom, a, t):
+    bet = geom.beta
+    left = expaction.matrix_exponential(
+        0.5 * t * ((1.0 - bet) * a + (1.0 + bet) * a.T))
+    return left, expaction.matrix_exponential(t * (1.0 + bet) * asym(a))
 
 
 def gl_geodesic(geom, x, xi, t):
     """Geodesic on GL+(n): two exponential factors in a = X^{-1} xi."""
-    a = _gl_velocity(x, xi)
-    bet = geom.beta
-    left = expaction.matrix_exponential(
-        0.5 * t * ((1.0 - bet) * a + (1.0 + bet) * a.T))
-    right = expaction.matrix_exponential(t * (1.0 + bet) * asym(a))
+    left, right = _gl_factors(geom, np.linalg.solve(x, xi), t)
     return x @ left @ right
 
 
 def gl_transport_operator(geom, a):
     """P_a on gl(n): b -> ([b,a] + (1+beta)*([a_skew,b] - [b_skew,a]))/2."""
-    bet = geom.beta
-    a_skew = asym(a)
-
-    def apply(b):
-        return 0.5 * (lie(b, a) + (1.0 + bet) * (lie(a_skew, b) - lie(asym(b), a)))
-
-    def apply_adjoint(b):
-        bat = lie(b, a.T)
-        return 0.5 * (bat + (1.0 + bet) * (lie(-a_skew, b) - asym(bat)))
-
-    n = a.shape[0]
-    handle = expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=0.0, domain_shape=(n, n))
-    if n * n <= EXHAUSTIVE_NORM_CAP:
-        bound = expaction.one_norm_estimate_exhaustive(handle)
-    else:
-        bound = 2.0 * (2.0 + abs(1.0 + bet)) * float(np.sum(np.abs(a)))
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=bound, domain_shape=(n, n))
+    return p_a_operator(a, geom.beta, geom.split.proj_a)
 
 
 def gl_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the GL+(n) geodesic driven by xi."""
-    a = _gl_velocity(x, xi)
-    bet = geom.beta
-    left = expaction.matrix_exponential(
-        0.5 * t * ((1.0 - bet) * a + (1.0 + bet) * a.T))
-    right = expaction.matrix_exponential(t * (1.0 + bet) * asym(a))
+    check_all_finite(x=x, xi=xi, eta=eta)
+    a = np.linalg.solve(x, xi)
+    left, right = _gl_factors(geom, a, t)
     w = expaction.expa(gl_transport_operator(geom, a), np.linalg.solve(x, eta), t)
     return x @ left @ w @ right
 
@@ -195,38 +175,12 @@ def so_geodesic_velocity(geom, x, xi, t):
 
 def so_transport_operator(geom, a):
     """P_a for the SO(n) split at beta = -2*alpha."""
-    d = geom.d
-    bet = -2.0 * geom.alpha
-    a_a = np.zeros_like(a)
-    a_a[:d, :d] = a[:d, :d]
-
-    def proj_a(b):
-        out = np.zeros_like(b)
-        out[:d, :d] = asym(b[:d, :d])
-        return out
-
-    def apply(b):
-        return 0.5 * (lie(b, a) + (1.0 + bet) * (lie(a_a, b) - lie(proj_a(b), a)))
-
-    def apply_adjoint(b):
-        bat = lie(b, a.T)
-        return 0.5 * (bat + (1.0 + bet) * (lie(a_a.T, b) - proj_a(bat)))
-
-    n = a.shape[0]
-    handle = expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=0.0, domain_shape=(n, n))
-    if n * n <= EXHAUSTIVE_NORM_CAP:
-        bound = expaction.one_norm_estimate_exhaustive(handle)
-    else:
-        bound = 2.0 * (2.0 + abs(1.0 + bet)) * float(np.sum(np.abs(a)))
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=bound, domain_shape=(n, n))
+    return p_a_operator(a, -2.0 * geom.alpha, geom.split.proj_a)
 
 
 def so_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the SO(n) geodesic driven by xi."""
+    check_all_finite(x=x, xi=xi, eta=eta)
     x = _check_so_point(x)
     a = _so_velocity(geom, x, xi)
     b = x.T @ eta

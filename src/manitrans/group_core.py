@@ -4,10 +4,18 @@ matrix group with a transposable algebra split.
 All formulas are phrased in the group-relative velocity a = X^{-1} xi.  The
 transport factor in the middle is an exponential action of the operator
 
-    P_a : b -> ((b a - a b) + (1+beta)([a_a, b] - [b_a, a])) / 2
+    P_a : b -> (pi_m[b, a] + (1+beta)([a_a, b] - [b_a, a])) / 2
 
 which is antisymmetric for the deformed metric form, so transported vectors
-keep their metric norms.
+keep their metric norms.  pi_m is the identity on a group and the
+horizontal projection on a quotient; `p_a_operator` builds P_a for both.
+
+Its 1-norm bound is analytic and costs O(n^2).  With C_x(b) = [b, x],
+P_a = (pi_m C_a - (1+beta) C_{a_a} - (1+beta) C_a pi_a) / 2.  C_x sends
+E_ij to row j of x put in row i minus column i of x put in column j, so
+||C_x||_1 <= c(x) = ||x||_1 + ||x||_inf and
+||P_a||_1 <= (nu_m c(a) + |1+beta| (c(a_a) + nu_a c(a))) / 2, where nu is
+the vectorized 1-norm of a projection (forms.projection_one_norm).
 """
 import warnings
 from dataclasses import dataclass, field
@@ -17,12 +25,12 @@ import numpy as np
 
 from . import expaction
 from .errors import ValidationError
-from .forms import AlgebraSplit, MetricParams, beta_form, classify_metric_signature
-from .utils import lie
+from .forms import (AlgebraSplit, MetricParams, beta_form,
+                    classify_metric_signature, projection_one_norm)
+from .utils import check_all_finite, coordinate_projection, lie
 
 TANGENCY_RTOL = 1e-9
 CONDITION_WARN = 1e12
-EXHAUSTIVE_NORM_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,8 @@ class GroupGeometry:
     """A group metric: an algebra split plus deformation parameters.
 
     The metric signature classification is exact but scans a dense basis of
-    the ambient space, so it is computed lazily; small test instances access
-    it through the `signature` property.
+    the ambient space, so it is computed lazily through the `signature`
+    property; `proj_a_norm`, which the transport bound needs, is cached too.
     """
     split: AlgebraSplit
     params: MetricParams
@@ -39,6 +47,10 @@ class GroupGeometry:
     @cached_property
     def signature(self):
         return classify_metric_signature(self.split, self.params)
+
+    @cached_property
+    def proj_a_norm(self):
+        return projection_one_norm(self.split.n, self.split.proj_a)
 
     @property
     def beta(self):
@@ -55,9 +67,10 @@ class GroupTangent:
 
 
 def to_algebra(geom, x, xi, validate=True):
-    """Group-relative velocity a = X^{-1} xi, by linear solve.
+    """Group-relative velocity a = X^{-1} xi, by linear solve; xi may stack
+    vectors at x along a leading axis, which share one condition check.
 
-    Raises if the result is not in the Lie algebra; warns on an
+    Raises if a result is not in the Lie algebra; warns on an
     ill-conditioned base point.  validate=False skips the membership check
     (the ODE oracle probes slightly off-manifold states).
     """
@@ -68,10 +81,11 @@ def to_algebra(geom, x, xi, validate=True):
             RuntimeWarning)
     a = np.linalg.solve(x, xi)
     if validate:
-        res = np.linalg.norm(a - geom.split.proj_g(a))
-        if res > TANGENCY_RTOL * max(1.0, np.linalg.norm(a)):
-            raise ValidationError(
-                f"vector is not tangent: algebra residual {res:.3e}")
+        for v in a.reshape(-1, *a.shape[-2:]):
+            res = np.linalg.norm(v - geom.split.proj_g(v))
+            if res > TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
+                raise ValidationError(
+                    f"vector is not tangent: algebra residual {res:.3e}")
     return a
 
 
@@ -81,14 +95,13 @@ def group_tangent(geom, x, xi):
 
 def metric(geom, x, xi, eta):
     """Left-invariant metric value <xi, eta> at x."""
-    return beta_form(to_algebra(geom, x, xi), to_algebra(geom, x, eta),
-                     geom.split, geom.params)
+    a, b = to_algebra(geom, x, np.stack([xi, eta]))
+    return beta_form(a, b, geom.split, geom.params)
 
 
 def christoffel(geom, x, xi, eta, validate=True):
     """Christoffel function of the Levi-Civita connection at x."""
-    a = to_algebra(geom, x, xi, validate=validate)
-    b = to_algebra(geom, x, eta, validate=validate)
+    a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=validate)
     bet = geom.beta
     aa = geom.split.proj_a(a)
     ba = geom.split.proj_a(b)
@@ -97,74 +110,87 @@ def christoffel(geom, x, xi, eta, validate=True):
     return x @ inner
 
 
-def geodesic(geom, x, xi, t):
-    """Geodesic through x with initial velocity xi, evaluated at time t."""
-    a = to_algebra(geom, x, xi)
+def geodesic_factors(geom, a, t):
+    """exp(t (a - (1+beta) a_a)) and exp(t (1+beta) a_a): the geodesic from
+    X with velocity X a is X times their product."""
     aa = geom.split.proj_a(a)
     bet = geom.beta
-    left = expaction.matrix_exponential(t * (a - (1.0 + bet) * aa))
-    right = expaction.matrix_exponential(t * (1.0 + bet) * aa)
+    return (expaction.matrix_exponential(t * (a - (1.0 + bet) * aa)),
+            expaction.matrix_exponential(t * (1.0 + bet) * aa))
+
+
+def geodesic(geom, x, xi, t):
+    """Geodesic through x with initial velocity xi, evaluated at time t."""
+    left, right = geodesic_factors(geom, to_algebra(geom, x, xi), t)
     return x @ left @ right
 
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
     a = to_algebra(geom, x, xi)
-    aa = geom.split.proj_a(a)
-    bet = geom.beta
-    left = expaction.matrix_exponential(t * (a - (1.0 + bet) * aa))
-    right = expaction.matrix_exponential(t * (1.0 + bet) * aa)
+    left, right = geodesic_factors(geom, a, t)
     gamma = x @ left @ right
     # gamma^{-1} dgamma = right^{-1} a right, so dgamma = X left a right
     dgamma = x @ left @ a @ right
     return gamma, dgamma
 
 
-def transport_operator(geom, a):
-    """The operator P_a with its Frobenius adjoint and a 1-norm bound.
+def p_a_operator(a, beta, proj_a, proj_m=None, nu_a=None, nu_m=None):
+    """P_a with its Frobenius adjoint and the analytic 1-norm bound.
 
-    The 1-norm bound is exhaustive for small sizes.  Beyond the exhaustive
-    cap it is the conservative triangle-inequality bound
-    2*(2 + |1+beta|)*sum|a_ij|: each of the three brackets has vectorized
-    1-norm at most 2*sum|a_ij| and the subalgebra projections are
-    norm-nonincreasing.
+    proj_m is the horizontal projection of a quotient (None on a group).
+    nu_a and nu_m, the vectorized 1-norms of proj_a and proj_m, default to
+    forms.projection_one_norm: free for coordinate projections, a basis
+    scan otherwise.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    aa = proj_a(a)
+    at, aat = a.T, aa.T
+    c = 1.0 + beta
+    proj_m = proj_m or coordinate_projection(lambda m: m)
+    nu_a = projection_one_norm(n, proj_a) if nu_a is None else nu_a
+    nu_m = projection_one_norm(n, proj_m) if nu_m is None else nu_m
+
+    def apply(b):
+        return 0.5 * (proj_m(lie(b, a)) + c * (lie(aa, b) - lie(proj_a(b), a)))
+
+    def apply_adjoint(b):
+        # adjoint of b -> proj_m([b, a]) is b -> [proj_m(b), a^T]
+        return 0.5 * (lie(proj_m(b), at)
+                      + c * (lie(aat, b) - proj_a(lie(b, at))))
+
+    ca = _bracket_norm(a)
+    bound = 0.5 * (nu_m * ca + abs(c) * (_bracket_norm(aa) + nu_a * ca))
+    return expaction.LinearOperatorHandle(
+        apply=apply, apply_adjoint=apply_adjoint,
+        one_norm_upper_bound=bound, domain_shape=(n, n))
+
+
+def _bracket_norm(x):
+    """c(x) = ||x||_1 + ||x||_inf, which bounds the 1-norm of b -> [b, x]."""
+    return float(np.linalg.norm(x, 1) + np.linalg.norm(x, np.inf))
+
+
+def transport_operator(geom, a):
+    """P_a for the geometry's split, by p_a_operator.
+
+    Its 1-norm bound ||P_a||_1 <= (c(a) + |1+beta| (c(a_a) + nu_a c(a))) / 2
+    takes O(n^2) work and no operator applies; nu_a, the 1-norm of proj_a,
+    is one for the coordinate splits and cached per geometry otherwise.
     """
     a = np.asarray(a, dtype=float)
     split = geom.split
     if not np.allclose(a, split.proj_g(a),
                        atol=TANGENCY_RTOL * max(1.0, np.linalg.norm(a))):
         raise ValidationError("operator coefficient is not in the Lie algebra")
-    bet = geom.beta
-    aa = split.proj_a(a)
-    aat = aa.T
-
-    def apply(b):
-        return 0.5 * (lie(b, a) + (1.0 + bet) * (lie(aa, b) - lie(split.proj_a(b), a)))
-
-    def apply_adjoint(b):
-        bat = lie(b, a.T)
-        return 0.5 * (bat + (1.0 + bet) * (lie(aat, b) - split.proj_a(bat)))
-
-    n = a.shape[0]
-    probe = expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=0.0, domain_shape=(n, n))
-    if n * n <= EXHAUSTIVE_NORM_CAP:
-        bound = expaction.one_norm_estimate_exhaustive(probe)
-    else:
-        bound = 2.0 * (2.0 + abs(1.0 + bet)) * float(np.sum(np.abs(a)))
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=bound, domain_shape=(n, n))
+    return p_a_operator(a, geom.beta, split.proj_a, nu_a=geom.proj_a_norm)
 
 
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
-    a = to_algebra(geom, x, xi)
-    w0 = to_algebra(geom, x, eta)
-    aa = geom.split.proj_a(a)
-    bet = geom.beta
-    left = expaction.matrix_exponential(t * (a - (1.0 + bet) * aa))
-    right = expaction.matrix_exponential(t * (1.0 + bet) * aa)
+    check_all_finite(x=x, xi=xi, eta=eta)
+    a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
+    left, right = geodesic_factors(geom, a, t)
     w = expaction.expa(transport_operator(geom, a), w0, t)
     return x @ left @ w @ right

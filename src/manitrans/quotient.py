@@ -4,12 +4,15 @@ When the vertical algebra sits inside the commutant of the subalgebra (or
 beta = -1), the transport factor is a constant-coefficient exponential
 action of the horizontal operator
 
-    P_a : b -> ([b, a]_m + (1+beta)([a_a, b] - [b_a, a])) / 2 .
+    P_a : b -> ([b, a]_m + (1+beta)([a_a, b] - [b_a, a])) / 2 ,
+
+built by group_core.p_a_operator with the horizontal projection.
 
 Otherwise the middle factor solves a linear ODE with variable coefficients,
 integrated adaptively.
 """
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,10 +20,10 @@ import scipy.integrate
 
 from . import expaction, group_core
 from .errors import NumericalError, ValidationError
-from .forms import MetricParams, derive_split_components
+from .forms import MetricParams, derive_split_components, projection_one_norm
 from .gl_so import so_split
-from .group_core import EXHAUSTIVE_NORM_CAP, GroupGeometry, to_algebra
-from .utils import asym, lie
+from .group_core import GroupGeometry, p_a_operator, to_algebra
+from .utils import asym, check_all_finite, coordinate_projection, lie
 
 HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
@@ -36,6 +39,15 @@ class QuotientGeometry:
 
     def proj_m(self, m):
         return self.geom.split.proj_g(m) - self.proj_k(m)
+
+    @cached_property
+    def proj_m_norm(self):
+        """1-norm of proj_m, once per geometry; one when proj_g and proj_k
+        are both coordinate projections."""
+        split = self.geom.split
+        if all(getattr(p, "coordinate", False) for p in (split.proj_g, self.proj_k)):
+            return 1.0
+        return projection_one_norm(split.n, self.proj_m)
 
 
 def make_quotient_geometry(geom, proj_k, validate=True, seed=0):
@@ -113,8 +125,7 @@ def _check_horizontal(q, a, name):
 
 def horizontal_christoffel(q, x, xi, eta, validate=True):
     """Group Christoffel minus the vertical correction X [a, b]_k / 2."""
-    a = to_algebra(q.geom, x, xi, validate=validate)
-    b = to_algebra(q.geom, x, eta, validate=validate)
+    a, b = to_algebra(q.geom, x, np.stack([xi, eta]), validate=validate)
     if validate:
         _check_horizontal(q, a, "xi")
         _check_horizontal(q, b, "eta")
@@ -125,30 +136,8 @@ def horizontal_christoffel(q, x, xi, eta, validate=True):
 def horizontal_transport_operator(q, a):
     """The constant-coefficient operator of the simplified transport."""
     geom = q.geom
-    split = geom.split
-    bet = geom.beta
-    aa = split.proj_a(a)
-
-    def apply(b):
-        return 0.5 * (q.proj_m(lie(b, a))
-                      + (1.0 + bet) * (lie(aa, b) - lie(split.proj_a(b), a)))
-
-    def apply_adjoint(b):
-        # adjoint of b -> proj_m([b, a]) is b -> [proj_m(b), a^T]
-        return 0.5 * (lie(q.proj_m(b), a.T)
-                      + (1.0 + bet) * (lie(aa.T, b) - split.proj_a(lie(b, a.T))))
-
-    n = a.shape[0]
-    handle = expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=0.0, domain_shape=(n, n))
-    if n * n <= EXHAUSTIVE_NORM_CAP:
-        bound = expaction.one_norm_estimate_exhaustive(handle)
-    else:
-        bound = (2.0 * (2.0 + abs(1.0 + bet)) + 1.0) * float(np.sum(np.abs(a)))
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=bound, domain_shape=(n, n))
+    return p_a_operator(a, geom.beta, geom.split.proj_a, q.proj_m,
+                        nu_a=geom.proj_a_norm, nu_m=q.proj_m_norm)
 
 
 def _solve_w_ode(q, a, w0, t, rtol=ODE_TOL, atol=ODE_TOL):
@@ -180,20 +169,17 @@ def quotient_transport(q, x, xi, eta, t, rtol=ODE_TOL, atol=ODE_TOL):
     """Parallel transport of a horizontal vector along the horizontal
     geodesic, closed form when the simplified condition holds."""
     geom = q.geom
-    a = to_algebra(geom, x, xi)
-    w0 = to_algebra(geom, x, eta)
+    check_all_finite(x=x, xi=xi, eta=eta)
+    a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     _check_horizontal(q, a, "xi")
     _check_horizontal(q, w0, "eta")
-    bet = geom.beta
-    aa = geom.split.proj_a(a)
     if q.simplified_ok:
         w = expaction.expa(horizontal_transport_operator(q, a), w0, t)
     elif t == 0.0:
         w = w0
     else:
         w = _solve_w_ode(q, a, w0, t, rtol=rtol, atol=atol)
-    left = expaction.matrix_exponential(t * (a - (1.0 + bet) * aa))
-    right = expaction.matrix_exponential(t * (1.0 + bet) * aa)
+    left, right = group_core.geodesic_factors(geom, a, t)
     return x @ left @ w @ right
 
 
@@ -212,6 +198,7 @@ def flag_quotient(n, d_list, alpha, validate=True):
     split = so_split(n, d)
     offsets = np.concatenate([[0], np.cumsum(list(d_list) + [n - d])])
 
+    @coordinate_projection
     def proj_k(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
         for lo, hi in zip(offsets[:-1], offsets[1:]):

@@ -4,11 +4,21 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
+def coordinate_projection(proj):
+    """Mark proj as keeping, for each index pair (i, j), both of m_ij and
+    m_ji, neither, or their symmetric or antisymmetric part.  Its 1-norm,
+    and that of the difference of two nested such projections, is one."""
+    proj.coordinate = True
+    return proj
+
+
+@coordinate_projection
 def sym(m):
     """Symmetric part (m + m^T)/2."""
     return 0.5 * (m + m.T)
 
 
+@coordinate_projection
 def asym(m):
     """Antisymmetric part (m - m^T)/2."""
     return 0.5 * (m - m.T)
@@ -45,6 +55,11 @@ def check_finite(m, name="matrix"):
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} has non-finite entries")
     return m
+
+
+def check_all_finite(**named):
+    for name, m in named.items():
+        check_finite(m, name)
 
 
 def check_same_shape(a, b, names=("a", "b")):

@@ -35,3 +35,11 @@ def random_glp(rng, n, spread=0.4):
 def rel_err(got, want):
     scale = max(1.0, float(np.linalg.norm(want)))
     return float(np.linalg.norm(got - want)) / scale
+
+
+def poisoned(name, value=np.nan, **arrays):
+    """The keyword arrays, with one non-finite entry put into `name`."""
+    out = dict(arrays)
+    out[name] = np.array(out[name], dtype=float)
+    out[name][0, -1] = value
+    return out

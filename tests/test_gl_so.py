@@ -13,7 +13,8 @@ from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   geodesic_velocity, transport)
 from manitrans.utils import asym, sym
 
-from helpers import random_glp, random_so, random_so_tangent, rel_err
+from helpers import (poisoned, random_glp, random_so, random_so_tangent,
+                     rel_err)
 
 
 def group_of(geom):
@@ -117,6 +118,26 @@ class TestGLTransport:
         moved = gl_transport(geom, x, xi, eta, t)
         after = gl_metric(geom, *(np.linalg.solve(gam, moved),) * 2)
         assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
+    def test_so_transport(self, rng, arg):
+        geom = SOGeometry(n=5, d=2, alpha=0.8)
+        x = random_so(rng, 5)
+        args = poisoned(arg, x=x, xi=random_so_tangent(rng, x),
+                        eta=random_so_tangent(rng, x))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            so_transport(geom, t=1.0, **args)
+
+    @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
+    def test_gl_transport(self, rng, arg):
+        geom = GLGeometry(n=4, beta=0.7)
+        x = random_glp(rng, 4)
+        args = poisoned(arg, np.inf, x=x, xi=x @ rng.standard_normal((4, 4)),
+                        eta=x @ rng.standard_normal((4, 4)))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            gl_transport(geom, t=1.0, **args)
 
 
 class TestSOGeometry:

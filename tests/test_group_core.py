@@ -1,19 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from manitrans import oracle
 from manitrans.errors import ValidationError
-from manitrans.expaction import dense_operator_matrix
-from manitrans.forms import MetricParams, beta_form
-from manitrans.gl_so import gl_split, so_split
+from manitrans.expaction import (dense_operator_matrix,
+                                 one_norm_estimate_exhaustive,
+                                 select_taylor_params)
+from manitrans.forms import AlgebraSplit, MetricParams, beta_form
+from manitrans.gl_so import (GLGeometry, SOGeometry, gl_metric, gl_split,
+                             gl_transport_operator, so_metric, so_split,
+                             so_transport_operator)
 from manitrans.group_core import (
     GroupGeometry, christoffel, geodesic, geodesic_velocity, group_tangent,
     metric, to_algebra, transport, transport_operator)
+from manitrans.quotient import horizontal_transport_operator, stiefel_quotient
 from manitrans.utils import asym, lie
 
-from helpers import random_glp, random_so, random_so_tangent, rel_err
+from helpers import (poisoned, random_glp, random_so, random_so_tangent,
+                     rel_err)
+from test_forms import block_split
 
 
 def gl_geom(n, beta):
@@ -196,7 +205,81 @@ class TestTransportOperator:
             transport_operator(geom, np.eye(4))
 
 
+def sl_split(n):
+    """gl(n) with the traceless matrices as the subalgebra: proj_a is not a
+    coordinate projection, and its 1-norm 2(n-1)/n exceeds one for n > 2."""
+    eye = np.eye(n)
+    return AlgebraSplit(n=n, proj_g=lambda m: np.asarray(m, dtype=float),
+                        proj_a=lambda m: m - np.trace(m) / n * eye)
+
+
+def bound_case(kind, n, beta, rng):
+    """A P_a operator of the given split kind, size and beta."""
+    params = MetricParams(1.0, beta)
+    if kind == "gl":
+        return gl_transport_operator(GLGeometry(n, beta),
+                                     rng.standard_normal((n, n)))
+    if kind == "quotient":
+        q = stiefel_quotient(n, int(rng.integers(1, n)), -0.5 * beta,
+                             validate=False)
+        return horizontal_transport_operator(
+            q, q.proj_m(asym(rng.standard_normal((n, n)))))
+    split = {"so": lambda: so_split(n, int(rng.integers(1, n))),
+             "block": lambda: block_split(n, int(rng.integers(1, n))),
+             "sl": lambda: sl_split(n)}[kind]()
+    geom = GroupGeometry(split=split, params=params)
+    if kind == "sl" and n > 2:
+        assert geom.proj_a_norm > 1.0
+    return transport_operator(geom, split.proj_g(rng.standard_normal((n, n))))
+
+
+class TestPaBound:
+    @pytest.mark.parametrize("beta", [-1.0, 0.5, -1.6, 3.0])
+    @pytest.mark.parametrize("kind", ["gl", "so", "quotient", "block", "sl"])
+    @given(n=st.sampled_from([2, 3, 4, 5, 6, 21]), seed=st.integers(0, 10_000))
+    @example(n=21, seed=0)
+    def test_dominates_exhaustive_norm(self, kind, beta, n, seed):
+        # n = 21 has 441 entries, above the exhaustive checker's default cap
+        op = bound_case(kind, n, beta, np.random.default_rng(seed))
+        exact = one_norm_estimate_exhaustive(op, cap=n * n)
+        assert op.one_norm_upper_bound >= exact - 1e-12 * max(1.0, exact)
+
+    def test_tight_enough_for_few_scalings(self):
+        # unit-metric-norm velocities at t = 5; the triangle bound
+        # 2(2 + |1+beta|) sum|a_ij| would need s = 115 on SO(40,10)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            so = SOGeometry(n=40, d=10, alpha=0.8)
+            a = asym(rng.standard_normal((40, 40)))
+            a /= np.sqrt(so_metric(so, a, a))
+            for op in (so_transport_operator(so, a), transport_operator(
+                    GroupGeometry(split=so.split, params=so.params), a)):
+                assert select_taylor_params(5.0 * op.one_norm_upper_bound).s <= 2
+            gl = GLGeometry(n=32, beta=0.5)
+            g = rng.standard_normal((32, 32))
+            op = gl_transport_operator(gl, g / np.sqrt(gl_metric(gl, g, g)))
+            assert select_taylor_params(5.0 * op.one_norm_upper_bound).s <= 3
+
+
 class TestTransport:
+    @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
+    def test_rejects_nonfinite(self, rng, arg):
+        geom = so_geom(5, 2, 0.8)
+        x = random_so(rng, 5)
+        args = poisoned(arg, x=x, xi=random_so_tangent(rng, x),
+                        eta=random_so_tangent(rng, x))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            transport(geom, t=1.0, **args)
+
+    def test_condition_warning_once_per_call(self, rng):
+        geom = gl_geom(2, 0.7)
+        x = np.diag([1.0, 1e-13])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transport(geom, x, x @ rng.standard_normal((2, 2)),
+                      x @ rng.standard_normal((2, 2)), 0.5)
+        assert sum("condition number" in str(w.message) for w in caught) == 1
+
     def test_time_zero(self, rng):
         geom = so_geom(5, 2, 0.8)
         x = random_so(rng, 5)

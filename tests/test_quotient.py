@@ -16,7 +16,7 @@ from manitrans.stiefel import (StiefelMetricParams, horizontal_lift,
                                project_tangent, stiefel_transport)
 from manitrans.utils import asym, lie
 
-from helpers import random_so, rel_err
+from helpers import poisoned, random_so, rel_err
 
 
 def horizontal_vector(rng, q, x):
@@ -142,6 +142,15 @@ class TestPOperator:
 
 
 class TestQuotientTransport:
+    @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
+    def test_rejects_nonfinite(self, rng, arg):
+        q = stiefel_quotient(6, 2, 0.8)
+        x = random_so(rng, 6)
+        args = poisoned(arg, x=x, xi=horizontal_vector(rng, q, x),
+                        eta=horizontal_vector(rng, q, x))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            quotient_transport(q, t=1.0, **args)
+
     def test_time_zero(self, rng):
         q = stiefel_quotient(6, 2, 0.8)
         x = random_so(rng, 6)
