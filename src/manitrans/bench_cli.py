@@ -55,6 +55,17 @@ class BenchConfig:
             raise ConfigError("num_vectors must be at least 1")
 
 
+class _Unplanned:
+    """For geometries without a transport plan: the plan is the velocity
+    and each timed call is the full transport."""
+
+    def make_plan(self, y, xi):
+        return xi
+
+    def transport_with_plan(self, plan, y, eta, t):
+        return self.transport(y, plan, eta, t)
+
+
 class _StiefelAdapter:
     """Bench adapter: point/tangent sampling, transport, metric, checks."""
 
@@ -119,10 +130,7 @@ class _FlagAdapter(_StiefelAdapter):
         return fg.flag_horizontal_project(self.sig, y, rng.standard_normal(y.shape))
 
     def make_plan(self, y, xi):
-        return (y, xi)
-
-    def transport_with_plan(self, plan, y, eta, t):
-        return fg.flag_transport_canonical(self.sig, y, plan[1], eta, t)
+        return fg.flag_transport_plan(self.sig, y, xi)
 
     def transport(self, y, xi, eta, t):
         return fg.flag_transport_canonical(self.sig, y, xi, eta, t)
@@ -133,18 +141,16 @@ class _FlagAdapter(_StiefelAdapter):
 
     def tangency_residual(self, point, delta):
         coeff = point.T @ delta
-        res = np.linalg.norm(sym(coeff))
-        offs = self.sig.offsets
-        for lo, hi in zip(offs[:-1], offs[1:]):
-            res = max(res, np.linalg.norm(asym(coeff)[lo:hi, lo:hi]))
-        return float(res)
+        return float(max(np.linalg.norm(sym(coeff)),
+                         np.linalg.norm(asym(coeff)[self.sig.block_mask])))
 
     def describe(self):
         return {"n": self.n, "d": "+".join(str(x) for x in self.sig.d_list),
                 "alpha": self.alpha, "beta": ""}
 
 
-class _GrassmannAdapter(_StiefelAdapter):
+class _GrassmannAdapter(_Unplanned, _FlagAdapter):
+    """Gr(n, d) as the one-block flag, with its closed-form transport."""
 
     name = "grassmann"
 
@@ -160,27 +166,14 @@ class _GrassmannAdapter(_StiefelAdapter):
         w = rng.standard_normal(y.shape)
         return w - y @ (y.T @ w)
 
-    def make_plan(self, y, xi):
-        return (y, xi)
-
-    def transport_with_plan(self, plan, y, eta, t):
-        return fg.grassmann_transport(y, plan[1], eta, t)
-
     def transport(self, y, xi, eta, t):
         return fg.grassmann_transport(y, xi, eta, t)
-
-    def christoffel(self, y, xi, eta):
-        return fg.flag_christoffel(self.sig, y, xi, eta, self.params,
-                                   validate=False)
 
     def tangency_residual(self, point, delta):
         return float(np.linalg.norm(point.T @ delta))
 
-    def describe(self):
-        return {"n": self.n, "d": self.d, "alpha": self.alpha, "beta": ""}
 
-
-class _SOAdapter:
+class _SOAdapter(_Unplanned):
 
     name = "so"
 
@@ -211,12 +204,6 @@ class _SOAdapter:
     def geodesic_velocity(self, x, xi, t):
         return gl_so.so_geodesic_velocity(self.geom, x, xi, t)
 
-    def make_plan(self, x, xi):
-        return (x, xi)
-
-    def transport_with_plan(self, plan, x, eta, t):
-        return gl_so.so_transport(self.geom, x, plan[1], eta, t)
-
     def transport(self, x, xi, eta, t):
         return gl_so.so_transport(self.geom, x, xi, eta, t)
 
@@ -231,7 +218,7 @@ class _SOAdapter:
         return {"n": self.n, "d": self.d, "alpha": self.alpha, "beta": ""}
 
 
-class _GLAdapter:
+class _GLAdapter(_Unplanned):
 
     name = "gl"
 
@@ -263,12 +250,6 @@ class _GLAdapter:
 
     def geodesic_velocity(self, x, xi, t):
         return group_core.geodesic_velocity(self.group_geom, x, xi, t)
-
-    def make_plan(self, x, xi):
-        return (x, xi)
-
-    def transport_with_plan(self, plan, x, eta, t):
-        return gl_so.gl_transport(self.geom, x, plan[1], eta, t)
 
     def transport(self, x, xi, eta, t):
         return gl_so.gl_transport(self.geom, x, xi, eta, t)

@@ -3,20 +3,19 @@ the closed-form Grassmann transport.
 
 Horizontal vectors of the flag quotient are Stiefel tangents whose
 Y-coefficient is antisymmetric with zero flag diagonal blocks.  For the
-canonical metric the transport reduces to the Stiefel pattern with the
-operator's top block additionally cleared on the flag diagonal.
+canonical metric the transport is the Stiefel one: flag_transport_plan
+returns a Stiefel transport plan at alpha = 1/2 whose operator has its top
+block masked on the flag diagonal, and stiefel.transport_with_plan runs it.
 """
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import expaction
+from . import stiefel
 from .errors import DimensionError, ValidationError
 from .stiefel import (
-    StiefelMetricParams, check_point, decompose_tangent, hcat,
-    p_bal_norm_bound, stiefel_geodesic)
-from .utils import sym
+    StiefelMetricParams, check_point, decompose_tangent, stiefel_geodesic)
+from .utils import check_operand, sym
 
 HORIZONTAL_TOL = 1e-9
 CANONICAL_ALPHA = 0.5
@@ -42,14 +41,11 @@ class FlagSignature:
     def offsets(self):
         return tuple(np.concatenate([[0], np.cumsum(self.d_list)]).astype(int))
 
-
-def zero_flag_blocks(sig, m):
-    """Zero the flag diagonal blocks of a d x d matrix (batched ok)."""
-    out = np.array(m, dtype=float, copy=True)
-    offs = sig.offsets
-    for lo, hi in zip(offs[:-1], offs[1:]):
-        out[..., lo:hi, lo:hi] = 0.0
-    return out
+    @property
+    def block_mask(self):
+        """d x d boolean array, True on the flag diagonal blocks."""
+        block = np.repeat(np.arange(len(self.d_list)), self.d_list)
+        return block[:, None] == block[None, :]
 
 
 def symf(sig, m):
@@ -57,11 +53,7 @@ def symf(sig, m):
     m = np.asarray(m, dtype=float)
     if m.shape != (sig.d, sig.d):
         raise DimensionError(f"expected {sig.d} x {sig.d}, got {m.shape}")
-    out = sym(m)
-    offs = sig.offsets
-    for lo, hi in zip(offs[:-1], offs[1:]):
-        out[lo:hi, lo:hi] = m[lo:hi, lo:hi]
-    return out
+    return np.where(sig.block_mask, m, sym(m))
 
 
 def flag_horizontal_project(sig, y, w):
@@ -74,11 +66,9 @@ def flag_horizontal_project(sig, y, w):
 
 def check_horizontal(sig, y, xi):
     coeff = np.swapaxes(y, -1, -2) @ xi
-    res = np.linalg.norm(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
-    offs = sig.offsets
-    for lo, hi in zip(offs[:-1], offs[1:]):
-        res = max(res, np.linalg.norm(coeff[..., lo:hi, lo:hi]))
-    if res > HORIZONTAL_TOL * max(1.0, np.linalg.norm(xi)):
+    res = np.maximum(np.linalg.norm(coeff + np.swapaxes(coeff, -1, -2)) / 2.0,
+                     np.linalg.norm(coeff[..., sig.block_mask]))
+    if not res <= HORIZONTAL_TOL * max(1.0, np.linalg.norm(xi)):
         raise ValidationError(f"vector is not horizontal: residual {res:.3e}")
 
 
@@ -98,73 +88,24 @@ def flag_christoffel(sig, y, xi, eta, params, validate=True):
     return first + (1.0 - alpha) * (m - y @ (y.T @ m))
 
 
-def _flag_p_bal_pair(sig, decomp):
-    """Balanced canonical-metric transport operator over F, with the top
-    block cleared on the flag diagonal."""
-    a, r = decomp.a, decomp.r
-    d = decomp.d
-    alpha = CANONICAL_ALPHA
-    salpha = np.sqrt(alpha)
-
-    def skew_last(m):
-        return 0.5 * (m - np.swapaxes(m, -1, -2))
-
-    def apply(w):
-        wa = w[..., :d, :]
-        wr = w[..., d:, :]
-        top = zero_flag_blocks(
-            sig, skew_last(wa @ a + salpha * (np.swapaxes(r, -1, -2) @ wr)))
-        bot = alpha * (wr @ a) - salpha * (r @ wa)
-        return np.concatenate([top, bot], axis=-2)
-
-    def apply_adjoint(w):
-        wa = w[..., :d, :]
-        wr = w[..., d:, :]
-        zv = zero_flag_blocks(sig, skew_last(wa))
-        top = -(zv @ a) - salpha * (np.swapaxes(r, -1, -2) @ wr)
-        bot = salpha * (r @ zv) - alpha * (wr @ a)
-        return np.concatenate([top, bot], axis=-2)
-
-    return apply, apply_adjoint
-
-
-def flag_p_operator(sig, decomp):
-    """Operator handle for the canonical flag transport; the Stiefel
-    1-norm bound applies since clearing blocks does not increase norms."""
-    apply, apply_adjoint = _flag_p_bal_pair(sig, decomp)
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=p_bal_norm_bound(
-            decomp, StiefelMetricParams(CANONICAL_ALPHA)),
-        domain_shape=(decomp.d + decomp.k, decomp.d))
+def flag_transport_plan(sig, y, xi):
+    """Stiefel transport plan for the canonical flag transport along the
+    geodesic driven by the horizontal xi; reusable for many (eta, t)."""
+    y = check_point(y)
+    if y.shape != (sig.n, sig.d):
+        raise DimensionError(f"y has shape {y.shape}, expected {(sig.n, sig.d)}")
+    decomp = decompose_tangent(y, xi)
+    check_horizontal(sig, y, xi)
+    return stiefel.plan_from_decomposition(
+        y, decomp, StiefelMetricParams(CANONICAL_ALPHA), mask=sig.block_mask)
 
 
 def flag_transport_canonical(sig, y, xi, eta, t):
     """Parallel transport of a horizontal eta, canonical metric only."""
-    y = check_point(y)
-    check_horizontal(sig, y, xi)
+    plan = flag_transport_plan(sig, y, xi)
+    eta = check_operand(eta, (sig.n, sig.d), "eta", batched=True)
     check_horizontal(sig, y, eta)
-    eta = np.asarray(eta, dtype=float)
-    if t == 0.0:
-        return eta.copy()
-    decomp = decompose_tangent(y, xi)
-    d, k = decomp.d, decomp.k
-    salpha = np.sqrt(CANONICAL_ALPHA)
-
-    yq = hcat(y, decomp.q)
-    w0 = np.swapaxes(yq, -1, -2) @ eta
-
-    w0b = np.array(w0, copy=True)
-    w0b[..., :d, :] *= salpha
-    w = expaction.expa(flag_p_operator(sig, decomp), w0b, t)
-    w[..., :d, :] /= salpha
-
-    big = np.block([[decomp.a, -decomp.r.T],
-                    [decomp.r, np.zeros((k, k))]])
-    e_big = scipy.linalg.expm(t * big)
-    e_normal = scipy.linalg.expm(0.5 * t * decomp.a)
-    coeff = e_big @ w - w0 @ e_normal
-    return yq @ coeff + eta @ e_normal
+    return stiefel.transport_with_plan(plan, y, eta, t)
 
 
 def flag_geodesic(sig, y, xi, t, alpha=CANONICAL_ALPHA):
@@ -181,8 +122,10 @@ def grassmann_transport(y, xi, eta, t, rank_tol=1e-12):
     unchanged.
     """
     y = check_point(y)
+    xi = check_operand(xi, y.shape, "xi")
+    eta = check_operand(eta, y.shape, "eta", batched=True)
     for name, v in (("xi", xi), ("eta", eta)):
-        if np.linalg.norm(y.T @ v) > HORIZONTAL_TOL * max(1.0, np.linalg.norm(v)):
+        if not np.linalg.norm(y.T @ v) <= HORIZONTAL_TOL * max(1.0, np.linalg.norm(v)):
             raise ValidationError(f"{name} is not Grassmann-horizontal")
     u, sv, vt = np.linalg.svd(xi, full_matrices=False)
     k = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0

@@ -14,7 +14,8 @@ from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams
 from .group_core import p_a_operator
-from .utils import asym, check_all_finite, coordinate_projection, hcat
+from .utils import (asym, check_all_finite, check_finite,
+                    coordinate_projection, hcat)
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -121,8 +122,8 @@ def gl_transport(geom, x, xi, eta, t):
 
 
 def _check_so_point(x):
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x.T @ x - np.eye(x.shape[0])) > ORTHOGONALITY_TOL:
+    x = check_finite(np.asarray(x, dtype=float), "x")
+    if not np.linalg.norm(x.T @ x - np.eye(x.shape[0])) <= ORTHOGONALITY_TOL:
         raise ValidationError("base point is not orthogonal")
     sign, _ = np.linalg.slogdet(x)
     if sign <= 0:
@@ -131,8 +132,8 @@ def _check_so_point(x):
 
 
 def _so_velocity(geom, x, xi):
-    a = x.T @ xi
-    if np.linalg.norm(a + a.T) > 1e-9 * max(1.0, np.linalg.norm(a)):
+    a = x.T @ check_finite(xi, "xi")
+    if not np.linalg.norm(a + a.T) <= 1e-9 * max(1.0, np.linalg.norm(a)):
         raise ValidationError("vector is not tangent to SO(n)")
     return a
 

@@ -83,7 +83,7 @@ def to_algebra(geom, x, xi, validate=True):
     if validate:
         for v in a.reshape(-1, *a.shape[-2:]):
             res = np.linalg.norm(v - geom.split.proj_g(v))
-            if res > TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
+            if not res <= TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
                 raise ValidationError(
                     f"vector is not tangent: algebra residual {res:.3e}")
     return a
@@ -121,12 +121,14 @@ def geodesic_factors(geom, a, t):
 
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
+    check_all_finite(x=x, xi=xi)
     left, right = geodesic_factors(geom, to_algebra(geom, x, xi), t)
     return x @ left @ right
 
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
+    check_all_finite(x=x, xi=xi)
     a = to_algebra(geom, x, xi)
     left, right = geodesic_factors(geom, a, t)
     gamma = x @ left @ right

@@ -1,4 +1,4 @@
-"""Parallel transport on the Stiefel manifold in O(n d^2) + O(t d^3).
+"""Parallel transport on the Stiefel and flag manifolds in O(n d^2) + O(t d^3).
 
 A tangent vector xi at Y splits as xi = Y A + Q R with A = Y^T xi
 antisymmetric and Q an orthonormal basis of the Y-orthogonal column span.
@@ -8,6 +8,11 @@ a d x d rotation.  The transport factor in the middle is an exponential
 action of the operator P_AR over F = Skew_d x R^{k x d}, applied in its
 balanced form (top block scaled by sqrt(alpha)), where a cheap 1-norm
 bound is available and the operator is Frobenius-antisymmetric.
+
+A transport plan holds these pieces for one geodesic and is the one
+transport engine: canonical flag transport (flag_grassmann) is the plan at
+alpha = 1/2 with the operator's top block cleared on the flag diagonal
+blocks, a mask that cannot raise the 1-norm bound.
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Operators and transports accept leading batch axes on the vectors.
@@ -19,7 +24,7 @@ import scipy.linalg
 
 from . import expaction
 from .errors import DimensionError, ValidationError
-from .utils import asym, hcat, sym
+from .utils import asym, check_finite, check_operand, hcat, sym
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
@@ -63,15 +68,15 @@ class StiefelTransportPlan:
     normal_exp_arg: np.ndarray  # (1-alpha) A
     p_op: expaction.LinearOperatorHandle  # balanced operator over F
     alpha: float
-    basis: np.ndarray = None    # [Y|Q], cached to avoid per-call copies
+    basis: np.ndarray           # [Y|Q], cached to avoid per-call copies
 
 
 def check_point(y):
     y = np.asarray(y, dtype=float)
-    n, d = y.shape
-    if n <= d:
-        raise DimensionError(f"need n > d, got shape {y.shape}")
-    if np.linalg.norm(y.T @ y - np.eye(d)) > POINT_TOL:
+    if y.ndim != 2 or y.shape[0] <= y.shape[1]:
+        raise DimensionError(f"y must be n x d with n > d, got shape {y.shape}")
+    check_finite(y, "y")
+    if not np.linalg.norm(y.T @ y - np.eye(y.shape[1])) <= POINT_TOL:
         raise ValidationError("columns are not orthonormal")
     return y
 
@@ -79,7 +84,7 @@ def check_point(y):
 def check_tangent(y, xi):
     coeff = np.swapaxes(y, -1, -2) @ xi
     res = np.linalg.norm(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
-    if res > TANGENT_RTOL * max(1.0, np.linalg.norm(xi)):
+    if not res <= TANGENT_RTOL * max(1.0, np.linalg.norm(xi)):
         raise ValidationError(f"vector is not tangent: residual {res:.3e}")
 
 
@@ -105,8 +110,10 @@ def decompose_tangent(y, xi, rank_tol=RANK_RTOL, use_svd=False):
 
     Pivoted QR by default; use_svd switches to a singular value
     decomposition for ill-conditioned xi.  k = 0 (empty Q, R) when xi has
-    no component orthogonal to the columns of Y.
+    no component orthogonal to the columns of Y.  Every plan is built from
+    this decomposition, so this is where xi's shape and entries are checked.
     """
+    xi = check_operand(xi, y.shape, "xi")
     check_tangent(y, xi)
     n, d = y.shape
     a = asym(y.T @ xi)
@@ -154,11 +161,9 @@ def stiefel_geodesic_velocity(y, xi, params, t):
     y = check_point(y)
     decomp = decompose_tangent(y, xi)
     alpha = params.alpha
-    d, k = decomp.d, decomp.k
-    big = _big_arg(decomp, alpha)
-    ar = np.block([[decomp.a, -decomp.r.T],
-                   [decomp.r, np.zeros((k, k))]])
-    e_big = scipy.linalg.expm(t * big)
+    d = decomp.d
+    e_big = scipy.linalg.expm(t * _big_arg(decomp, alpha))
+    ar = _big_arg(decomp, 0.5)  # [[A, -R^T], [R, 0]]
     e_small = scipy.linalg.expm(t * (1.0 - 2.0 * alpha) * decomp.a)
     yq = hcat(y, decomp.q)
     gam = yq @ (e_big[:, :d] @ e_small)
@@ -166,30 +171,17 @@ def stiefel_geodesic_velocity(y, xi, params, t):
     return gam, dgam
 
 
-def p_ar_apply(decomp, params, w):
-    """The transport operator over F = Skew_d x R^{k x d}, unbalanced.
+def _p_bal_pair(decomp, params, mask=None):
+    """The balanced operator on stacked F: apply/adjoint closures and the
+    cheap 1-norm bound.
 
-    w is the stacked matrix [w_a; w_r]; the top block of the result is
-    ((4*alpha-1) w_a A + R^T w_r)_skew, the bottom alpha*(w_r A - R w_a).
+    mask, a d x d boolean array, clears the top block where it is True;
+    canonical flag transport passes its diagonal blocks.  Clearing entries
+    cannot raise the 1-norm, so the bound holds with or without it.
     """
     a, r = decomp.a, decomp.r
     d = decomp.d
     alpha = params.alpha
-    w = np.asarray(w, dtype=float)
-    if w.shape[-2:] != (d + decomp.k, d):
-        raise DimensionError(f"operand shape {w.shape} does not match F")
-    wa = w[..., :d, :]
-    wr = w[..., d:, :]
-    top = (4.0 * alpha - 1.0) * (wa @ a) + np.swapaxes(r, -1, -2) @ wr
-    top = 0.5 * (top - np.swapaxes(top, -1, -2))
-    bot = alpha * (wr @ a - np.matmul(r, wa))
-    return np.concatenate([top, bot], axis=-2)
-
-
-def _p_bal_pair(decomp, alpha):
-    """apply/adjoint closures of the balanced operator on stacked F."""
-    a, r = decomp.a, decomp.r
-    d = decomp.d
     salpha = np.sqrt(alpha)
     c4 = 4.0 * alpha - 1.0
 
@@ -200,6 +192,8 @@ def _p_bal_pair(decomp, alpha):
         wa = w[..., :d, :]
         wr = w[..., d:, :]
         top = skew_last(c4 * (wa @ a) + salpha * (np.swapaxes(r, -1, -2) @ wr))
+        if mask is not None:
+            top[..., mask] = 0.0
         bot = alpha * (wr @ a) - salpha * (r @ wa)
         return np.concatenate([top, bot], axis=-2)
 
@@ -207,11 +201,16 @@ def _p_bal_pair(decomp, alpha):
         wa = w[..., :d, :]
         wr = w[..., d:, :]
         ska = skew_last(wa)
+        if mask is not None:
+            ska[..., mask] = 0.0
         top = -c4 * (ska @ a) - salpha * (np.swapaxes(r, -1, -2) @ wr)
         bot = salpha * (r @ ska) - alpha * (wr @ a)
         return np.concatenate([top, bot], axis=-2)
 
-    return apply, apply_adjoint
+    return expaction.LinearOperatorHandle(
+        apply=apply, apply_adjoint=apply_adjoint,
+        one_norm_upper_bound=p_bal_norm_bound(decomp, params),
+        domain_shape=(d + decomp.k, d))
 
 
 def p_bal_norm_bound(decomp, params):
@@ -235,100 +234,52 @@ def p_bal_norm_bound(decomp, params):
     return max(n_a, n_r)
 
 
-def p_bal_norm_bound_display(decomp, params):
-    """Literal distributed-sum reading of the published bound (looser);
-    kept for the comparison test against the per-column bound above."""
-    a, r = decomp.a, decomp.r
-    d = decomp.d
-    alpha = params.alpha
-    salpha = np.sqrt(alpha)
-    abs_a = np.abs(a)
-    abs_r = np.abs(r)
-    norm1_a = float(np.max(np.sum(abs_a, axis=0), initial=0.0))
-    norminf_r = float(np.max(np.sum(abs_r, axis=1), initial=0.0))
-    n_a = salpha * (float(np.max(np.sum(abs_r, axis=0), initial=0.0))
-                    + d * abs(4.0 * alpha - 1.0) * norm1_a)
-    n_r = alpha * (norm1_a + d * salpha * norminf_r)
-    return max(n_a, n_r)
-
-
 def p_bal_operator(decomp, params):
     """Balanced operator handle with the cheap 1-norm bound."""
-    apply, apply_adjoint = _p_bal_pair(decomp, params.alpha)
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=p_bal_norm_bound(decomp, params),
-        domain_shape=(decomp.d + decomp.k, decomp.d))
+    return _p_bal_pair(decomp, params)
 
 
-def p_ar_operator(decomp, params):
-    """Unbalanced operator handle, for testing against the balanced path.
-
-    Its 1-norm bound rescales the balanced bound by the scaling factors.
-    """
-    alpha = params.alpha
-    salpha = np.sqrt(alpha)
-    d = decomp.d
-
-    def apply(w):
-        return p_ar_apply(decomp, params, w)
-
-    def apply_adjoint(w):
-        wa = w[..., :d, :]
-        wr = w[..., d:, :]
-        ska = 0.5 * (wa - np.swapaxes(wa, -1, -2))
-        top = -(4.0 * alpha - 1.0) * (ska @ decomp.a) \
-            - alpha * (np.swapaxes(decomp.r, -1, -2) @ wr)
-        bot = decomp.r @ ska - alpha * (wr @ decomp.a)
-        return np.concatenate([top, bot], axis=-2)
-
-    scale = max(salpha, 1.0 / salpha)
-    return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=scale * p_bal_norm_bound(decomp, params),
-        domain_shape=(decomp.d + decomp.k, decomp.d))
-
-
-def make_transport_plan(y, xi, params, rank_tol=RANK_RTOL, use_svd=False):
-    """Decompose the geodesic velocity once for many transports."""
-    y = check_point(y)
-    decomp = decompose_tangent(y, xi, rank_tol=rank_tol, use_svd=use_svd)
+def plan_from_decomposition(y, decomp, params, mask=None):
+    """Transport plan along the geodesic from Y with velocity Y A + Q R;
+    mask clears the operator's top block (see _p_bal_pair)."""
     alpha = params.alpha
     return StiefelTransportPlan(
         decomposition=decomp,
         big_exp_arg=_big_arg(decomp, alpha),
         small_exp_arg=(1.0 - 2.0 * alpha) * decomp.a,
         normal_exp_arg=(1.0 - alpha) * decomp.a,
-        p_op=p_bal_operator(decomp, params),
+        p_op=_p_bal_pair(decomp, params, mask),
         alpha=alpha,
         basis=hcat(y, decomp.q))
 
 
-def transport_with_plan(plan, y, eta, t, balanced=True, params=None):
+def make_transport_plan(y, xi, params):
+    """Decompose the geodesic velocity once for many transports."""
+    y = check_point(y)
+    return plan_from_decomposition(y, decompose_tangent(y, xi), params)
+
+
+def transport_with_plan(plan, y, eta, t):
     """Transport eta (leading batch axes allowed) along the plan geodesic.
 
     Never forms an n x n intermediate; the largest array touched is the
     cached n x (d+k) basis.  The out-of-span part is folded into the
-    coefficient matrix, so only three n-sized products run per call.
+    coefficient matrix, so only three n-sized products run per call.  y is
+    not read: the plan caches [Y|Q].
     """
-    eta = np.asarray(eta, dtype=float)
+    yq = plan.basis
+    d = plan.decomposition.d
+    eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
     if t == 0.0:
         return eta.copy()
-    decomp = plan.decomposition
-    d = decomp.d
     salpha = np.sqrt(plan.alpha)
-    yq = plan.basis if plan.basis is not None else hcat(y, decomp.q)
 
     w0 = np.swapaxes(yq, -1, -2) @ eta
 
-    if balanced:
-        w0b = w0.copy()
-        w0b[..., :d, :] *= salpha
-        w = expaction.expa(plan.p_op, w0b, t)
-        w[..., :d, :] /= salpha
-    else:
-        op = p_ar_operator(decomp, params or StiefelMetricParams(plan.alpha))
-        w = expaction.expa(op, w0, t)
+    w0b = w0.copy()
+    w0b[..., :d, :] *= salpha
+    w = expaction.expa(plan.p_op, w0b, t)
+    w[..., :d, :] /= salpha
 
     e_big = scipy.linalg.expm(t * plan.big_exp_arg)
     e_small = scipy.linalg.expm(t * plan.small_exp_arg)
@@ -338,12 +289,13 @@ def transport_with_plan(plan, y, eta, t, balanced=True, params=None):
     return yq @ coeff + eta @ e_normal
 
 
-def stiefel_transport(y, xi, eta, params, t, balanced=True, use_svd=False):
+def stiefel_transport(y, xi, eta, params, t):
     """Parallel transport of eta along the geodesic driven by xi."""
     y = check_point(y)
+    eta = check_operand(eta, y.shape, "eta", batched=True)
     check_tangent(y, eta)
-    plan = make_transport_plan(y, xi, params, use_svd=use_svd)
-    return transport_with_plan(plan, y, eta, t, balanced=balanced, params=params)
+    plan = make_transport_plan(y, xi, params)
+    return transport_with_plan(plan, y, eta, t)
 
 
 def stiefel_christoffel(y, xi, eta, params):
@@ -360,7 +312,7 @@ def horizontal_lift(y, y_perp, xi):
     """Lift a tangent vector at Y to a horizontal vector at [Y|Y_perp]."""
     x = hcat(y, y_perp)
     n = x.shape[0]
-    if x.shape[1] != n or np.linalg.norm(x.T @ x - np.eye(n)) > POINT_TOL:
+    if x.shape[1] != n or not np.linalg.norm(x.T @ x - np.eye(n)) <= POINT_TOL:
         raise ValidationError("[Y|Y_perp] is not orthogonal")
     check_tangent(y, xi)
     return hcat(xi, -y @ (xi.T @ y_perp))

@@ -57,6 +57,15 @@ def check_finite(m, name="matrix"):
     return m
 
 
+def check_operand(m, shape, name, batched=False):
+    """m as a finite float array of the given shape; batched allows
+    leading axes in front of it."""
+    m = np.asarray(m, dtype=float)
+    if (m.shape[m.ndim - len(shape):] if batched else m.shape) != tuple(shape):
+        raise DimensionError(f"{name} has shape {m.shape}, expected {tuple(shape)}")
+    return check_finite(m, name)
+
+
 def check_all_finite(**named):
     for name, m in named.items():
         check_finite(m, name)

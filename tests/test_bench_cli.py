@@ -87,6 +87,25 @@ class TestRunners:
         with pytest.raises(ConfigError):
             run_verify(config)
 
+    def test_flag_bench_and_isometry_run_through_a_plan(self, monkeypatch,
+                                                        tmp_path):
+        # timed flag calls reuse one plan, as the Stiefel ones do, and never
+        # redo the one-shot transport's checks and factorization
+        import manitrans.flag_grassmann as fg
+
+        def one_shot(*args, **kwargs):
+            raise AssertionError("one-shot flag transport called")
+
+        monkeypatch.setattr(fg, "flag_transport_canonical", one_shot)
+        flag = dict(manifold="flag", n=14, d_list=(2, 3, 1), alpha=0.5, seed=7)
+        rows = run_timing(BenchConfig(t_grid=(0.5, 2.0), repeats=2, **flag))
+        assert [row["residual_check"] for row in rows] == ["pass", "pass"]
+        rows = run_isometry(BenchConfig(t_grid=(0.5, 20.0), num_vectors=4, **flag))
+        assert max(row["max_gram_drift"] for row in rows) <= 1e-9
+        assert main(["bench", "--manifold", "flag", "--n", "12", "--d-list",
+                     "2,2", "--t-grid", "1", "--repeats", "1",
+                     "--out", str(tmp_path / "flag.csv")]) == 0
+
     def test_isometry_reproducible_with_fixed_seed(self):
         config = BenchConfig(manifold="stiefel", n=16, d=3, alpha=0.5,
                              t_grid=(0.5, 2.0), num_vectors=4, seed=11)

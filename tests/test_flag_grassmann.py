@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from manitrans import oracle
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.flag_grassmann import (
     FlagSignature, check_horizontal, flag_christoffel, flag_geodesic,
-    flag_horizontal_project, flag_p_operator, flag_transport_canonical,
-    grassmann_transport, symf, zero_flag_blocks)
-from manitrans.stiefel import (StiefelMetricParams, decompose_tangent,
-                               metric_inner, stiefel_geodesic,
-                               stiefel_geodesic_velocity, stiefel_transport)
+    flag_horizontal_project, flag_transport_canonical, flag_transport_plan,
+    grassmann_transport, symf)
+from manitrans.stiefel import (StiefelMetricParams, metric_inner,
+                               stiefel_geodesic, stiefel_geodesic_velocity,
+                               stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
-from helpers import random_stiefel, rel_err
+from helpers import (poisoned, random_stiefel, random_stiefel_tangent, rel_err,
+                     zero_flag_blocks)
 
 
 def random_horizontal(rng, sig, y):
@@ -170,11 +172,11 @@ class TestFlagTransport:
         sig = FlagSignature(d_list=(2, 2), n=10)
         y = random_stiefel(rng, 10, 4)
         xi = random_horizontal(rng, sig, y)
-        decomp = decompose_tangent(y, xi)
-        op = flag_p_operator(sig, decomp)
+        plan = flag_transport_plan(sig, y, xi)
+        op = plan.p_op
         w = np.concatenate([
             zero_flag_blocks(sig, asym(rng.standard_normal((4, 4)))),
-            rng.standard_normal((decomp.k, 4))])
+            rng.standard_normal((plan.decomposition.k, 4))])
         out = op.apply(w)
         assert np.linalg.norm(out[:2, :2]) <= 1e-13
         assert np.linalg.norm(out[2:4, 2:4]) <= 1e-13
@@ -284,3 +286,116 @@ class TestGrassmann:
         with pytest.raises(ValidationError):
             grassmann_transport(y, xi, y @ asym(rng.standard_normal((3, 3))),
                                 1.0)
+
+
+class TestEngine:
+    """Flag transport is the Stiefel plan with a mask on the operator."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 12),
+           d=st.integers(1, 11), t=st.floats(-3.0, 30.0), batch=st.integers(1, 3))
+    def test_all_one_blocks_is_canonical_stiefel(self, seed, n, d, t, batch):
+        d = min(d, n - 1)
+        rng = np.random.default_rng(seed)
+        sig = FlagSignature(d_list=(1,) * d, n=n)
+        params = StiefelMetricParams(0.5)
+        y = random_stiefel(rng, n, d)
+        xi = random_stiefel_tangent(rng, y)
+        xi /= np.sqrt(metric_inner(y, xi, xi, params))
+        etas = np.stack([random_stiefel_tangent(rng, y) for _ in range(batch)])
+        got = flag_transport_canonical(sig, y, xi, etas, t)
+        want = stiefel_transport(y, xi, etas, params, t)
+        assert rel_err(got, want) <= 1e-13
+
+    def test_plan_reuse_matches_serial_calls(self, rng):
+        sig = FlagSignature(d_list=(2, 3, 1), n=14)
+        y = random_stiefel(rng, 14, 6)
+        xi = random_horizontal(rng, sig, y)
+        etas = np.stack([random_horizontal(rng, sig, y) for _ in range(3)])
+        plan = flag_transport_plan(sig, y, xi)
+        for t in (-1.0, 0.4, 2.5, 9.0):
+            batch = transport_with_plan(plan, y, etas, t)
+            for eta, got in zip(etas, batch):
+                want = flag_transport_canonical(sig, y, xi, eta, t)
+                assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("t", [-2.0, 200.0])
+    @pytest.mark.parametrize("manifold", ["stiefel", "flag"])
+    def test_isometry_at_extreme_times(self, rng, t, manifold):
+        # unit speed and unit vectors, so the drift is relative
+        params = StiefelMetricParams(0.5)
+        sig = FlagSignature(d_list=(2, 1, 3), n=30)
+        y = random_stiefel(rng, 30, 6)
+
+        def unit(v):
+            return v / np.sqrt(metric_inner(y, v, v, params))
+
+        if manifold == "stiefel":
+            xi, *vectors = (unit(random_stiefel_tangent(rng, y)) for _ in range(5))
+            moved = stiefel_transport(y, xi, np.stack(vectors), params, t)
+            point = stiefel_geodesic(y, xi, params, t)
+        else:
+            xi, *vectors = (unit(random_horizontal(rng, sig, y)) for _ in range(5))
+            moved = flag_transport_canonical(sig, y, xi, np.stack(vectors), t)
+            point = flag_geodesic(sig, y, xi, t)
+        drift = oracle.gram_drift(
+            vectors, [list(moved)],
+            metric=lambda p, a, b: metric_inner(p, a, b, params),
+            points=[point], initial_point=y)
+        assert max(drift) <= 1e-12
+
+
+class TestBadInput:
+    """Non-finite or wrongly shaped input fails fast, naming the argument."""
+
+    def flag_args(self, rng):
+        sig = FlagSignature(d_list=(2, 2), n=20)
+        y = random_stiefel(rng, 20, 4)
+        return sig, dict(y=y, xi=random_horizontal(rng, sig, y),
+                         eta=random_horizontal(rng, sig, y))
+
+    def grassmann_args(self, rng):
+        y = random_stiefel(rng, 20, 4)
+        return dict(y=y, xi=grassmann_horizontal(rng, y),
+                    eta=grassmann_horizontal(rng, y))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
+    def test_flag_transport_nonfinite(self, rng, arg, value):
+        sig, args = self.flag_args(rng)
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            flag_transport_canonical(sig, t=1.0, **poisoned(arg, value, **args))
+
+    @pytest.mark.parametrize("arg", ["y", "xi"])
+    def test_flag_transport_plan_nonfinite(self, rng, arg):
+        sig, args = self.flag_args(rng)
+        del args["eta"]
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            flag_transport_plan(sig, **poisoned(arg, **args))
+
+    @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
+    def test_flag_transport_wrong_shape(self, rng, arg):
+        sig, args = self.flag_args(rng)
+        args[arg] = args[arg][:, :3]
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            flag_transport_canonical(sig, t=1.0, **args)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
+    def test_grassmann_transport_nonfinite(self, rng, arg, value):
+        args = poisoned(arg, value, **self.grassmann_args(rng))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            grassmann_transport(t=1.0, **args)
+
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    def test_grassmann_transport_wrong_shape(self, rng, arg):
+        args = self.grassmann_args(rng)
+        args[arg] = args[arg][:, :3]
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            grassmann_transport(t=1.0, **args)
+
+    def test_check_horizontal_rejects_nan(self, rng):
+        sig, args = self.flag_args(rng)
+        eta = args["eta"].copy()
+        eta[5, 0] = np.nan
+        with pytest.raises(ValidationError, match="not horizontal"):
+            check_horizontal(sig, args["y"], eta)

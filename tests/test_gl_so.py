@@ -139,6 +139,17 @@ class TestNonFiniteInput:
         with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
             gl_transport(geom, t=1.0, **args)
 
+    @pytest.mark.parametrize("arg", ["x", "xi"])
+    def test_so_geodesic(self, rng, arg):
+        # a NaN base point used to pass the orthogonality test (NaN > tol
+        # is False) and fail later inside the matrix exponential
+        geom = SOGeometry(n=5, d=2, alpha=0.8)
+        x = random_so(rng, 5)
+        args = poisoned(arg, x=x, xi=random_so_tangent(rng, x))
+        for fn in (so_geodesic, so_geodesic_velocity):
+            with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+                fn(geom, t=1.0, **args)
+
 
 class TestSOGeometry:
     def test_invariants(self):

@@ -271,6 +271,23 @@ class TestTransport:
         with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
             transport(geom, t=1.0, **args)
 
+    @pytest.mark.parametrize("arg", ["x", "xi"])
+    def test_geodesic_rejects_nonfinite(self, rng, arg):
+        geom = so_geom(5, 2, 0.8)
+        x = random_so(rng, 5)
+        args = poisoned(arg, x=x, xi=random_so_tangent(rng, x))
+        for fn in (geodesic, geodesic_velocity):
+            with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+                fn(geom, t=1.0, **args)
+
+    def test_membership_check_rejects_nan(self, rng):
+        geom = so_geom(5, 2, 0.8)
+        x = random_so(rng, 5)
+        xi = random_so_tangent(rng, x)
+        xi[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="not tangent"):
+            to_algebra(geom, x, xi)
+
     def test_condition_warning_once_per_call(self, rng):
         geom = gl_geom(2, 0.7)
         x = np.diag([1.0, 1e-13])

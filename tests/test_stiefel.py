@@ -8,15 +8,18 @@ from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import one_norm_estimate_exhaustive
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import so_split
+from manitrans.expaction import expa
 from manitrans.stiefel import (
-    StiefelMetricParams, TangentDecomposition, check_point, decompose_tangent,
-    horizontal_lift, make_transport_plan, metric_inner, p_ar_apply,
-    p_ar_operator, p_bal_norm_bound, p_bal_norm_bound_display, p_bal_operator,
-    project_tangent, stiefel_christoffel, stiefel_geodesic,
-    stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
+    StiefelMetricParams, TangentDecomposition, check_point, check_tangent,
+    decompose_tangent, horizontal_lift, make_transport_plan, metric_inner,
+    p_bal_norm_bound, p_bal_operator, project_tangent, stiefel_christoffel,
+    stiefel_geodesic, stiefel_geodesic_velocity, stiefel_transport,
+    transport_with_plan)
 from manitrans.utils import asym, sym
 
-from helpers import random_so, random_stiefel, random_stiefel_tangent, rel_err
+from helpers import (
+    p_ar_apply, p_ar_operator, p_bal_norm_bound_display, poisoned, random_so,
+    random_stiefel, random_stiefel_tangent, rel_err)
 
 
 def random_decomp(rng, d, k):
@@ -406,13 +409,22 @@ class TestTransport:
         assert worst <= 1e-6
 
     def test_unbalanced_path_agrees(self, rng):
+        # the transport formula with expa of the unbalanced operator
         y = random_stiefel(rng, 8, 3)
         xi = random_stiefel_tangent(rng, y)
         eta = random_stiefel_tangent(rng, y)
-        params = StiefelMetricParams(0.8)
-        t = 1.1
-        bal = stiefel_transport(y, xi, eta, params, t, balanced=True)
-        unbal = stiefel_transport(y, xi, eta, params, t, balanced=False)
+        alpha, t = 0.8, 1.1
+        params = StiefelMetricParams(alpha)
+        decomp = decompose_tangent(y, xi)
+        a, r, k = decomp.a, decomp.r, decomp.k
+        yq = np.hstack([y, decomp.q])
+        w0 = yq.T @ eta
+        w = expa(p_ar_operator(decomp, params), w0, t)
+        big = np.block([[2 * alpha * a, -r.T], [r, np.zeros((k, k))]])
+        unbal = yq @ (scipy.linalg.expm(t * big) @ w
+                      @ scipy.linalg.expm(t * (1 - 2 * alpha) * a)) \
+            + (eta - yq @ w0) @ scipy.linalg.expm(t * (1 - alpha) * a)
+        bal = stiefel_transport(y, xi, eta, params, t)
         assert rel_err(bal, unbal) <= 1e-11
 
     def test_k_zero_branch(self, rng):
@@ -442,7 +454,6 @@ class TestTransport:
         decomp = decompose_tangent(y, xi)
         assert decomp.k == 0
         op = p_ar_operator(decomp, params)
-        from manitrans.expaction import expa
         w = expa(op, y.T @ eta, t)
         want = y @ scipy.linalg.expm(2 * alpha * t * a0) @ w \
             @ scipy.linalg.expm((1 - 2 * alpha) * t * a0) \
@@ -579,3 +590,73 @@ class TestChristoffelAndLift:
         with pytest.raises(ValidationError):
             horizontal_lift(y, rng.standard_normal((7, 4)),
                             random_stiefel_tangent(rng, y))
+
+
+class TestBadInput:
+    """Non-finite or wrongly shaped y, xi, eta fail fast, naming the
+    argument, at every Stiefel entry point."""
+
+    def args(self, rng, n=20, d=4):
+        y = random_stiefel(rng, n, d)
+        return dict(y=y, xi=random_stiefel_tangent(rng, y),
+                    eta=random_stiefel_tangent(rng, y))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
+    def test_stiefel_transport_nonfinite(self, rng, arg, value):
+        args = poisoned(arg, value, **self.args(rng))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
+
+    @pytest.mark.parametrize("arg", ["y", "xi"])
+    def test_make_transport_plan_nonfinite(self, rng, arg):
+        args = poisoned(arg, **self.args(rng))
+        del args["eta"]
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            make_transport_plan(params=StiefelMetricParams(0.8), **args)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_transport_with_plan_nonfinite_eta(self, rng, value):
+        args = self.args(rng)
+        plan = make_transport_plan(args["y"], args["xi"], StiefelMetricParams(0.8))
+        eta = np.stack([args["eta"]] * 2)
+        eta[1, 3, 2] = value
+        with pytest.raises(ValidationError, match="^eta has non-finite"):
+            transport_with_plan(plan, args["y"], eta, 1.0)
+
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    def test_stiefel_transport_wrong_shape(self, rng, arg):
+        args = self.args(rng)
+        args[arg] = args[arg][:, :3]
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
+
+    def test_wrong_shape_y(self, rng):
+        args = self.args(rng)
+        args["y"] = args["y"][None]
+        with pytest.raises(DimensionError, match="^y must be n x d"):
+            stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
+
+    def test_batched_xi_rejected(self, rng):
+        args = self.args(rng)
+        with pytest.raises(DimensionError, match="^xi has shape"):
+            make_transport_plan(args["y"], np.stack([args["xi"]] * 2),
+                                StiefelMetricParams(0.5))
+
+    def test_transport_with_plan_wrong_shape_eta(self, rng):
+        args = self.args(rng)
+        plan = make_transport_plan(args["y"], args["xi"], StiefelMetricParams(0.5))
+        with pytest.raises(DimensionError, match="^eta has shape"):
+            transport_with_plan(plan, args["y"], args["eta"][:, :3], 1.0)
+
+    def test_validators_reject_nan(self, rng):
+        # a NaN residual must fail the tolerance test, not pass it
+        args = self.args(rng, 8, 3)
+        xi = args["xi"].copy()
+        xi[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="not tangent"):
+            check_tangent(args["y"], xi)
+        y = args["y"].copy()
+        y[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="^y has non-finite"):
+            check_point(y)
