@@ -1,15 +1,28 @@
-"""Matrix exponential and exponential action by truncated-Taylor scaling.
+"""Matrix exponential and exponential action exp(t*op) @ B.
 
-The action exp(t*op) @ B is evaluated without forming the operator
-exponential, as (T_m(op * t/s))^s applied to B, with the order m and
-scaling s picked from a lookup table of theta constants indexed by the
-operator 1-norm.
+The action is evaluated without forming the operator exponential, by one
+of two series chosen from what the operator handle declares:
+
+- Truncated Taylor with scaling (Al-Mohy & Higham 2011), for any
+  operator: (T_m(op * t/s))^s applied to B, with the order m and scaling
+  s picked from a lookup table of theta constants indexed by the
+  operator 1-norm bound.
+- Chebyshev-Bessel (Tal-Ezer & Kosloff 1984), for a handle that sets
+  skew_two_norm_bound: the operator is antisymmetric in the Frobenius
+  pairing on a subspace holding B and its images, and its 2-norm there is
+  at most rho.  Then exp(t*op) B = J_0(x) B + 2 sum_{k>=1} J_k(x) C_k
+  with x = |t| rho, C_0 = B, C_1 = (sgn t/rho) op B and
+  C_{k+1} = 2 (sgn t/rho) op C_k + C_{k-1}.  Every ||C_k|| <= ||B||, so
+  the term count follows a priori from the Bessel tail: about |t| rho
+  applies, no scaling steps and no per-term norms.
 """
 from dataclasses import dataclass, field
-from typing import Callable
+from math import lgamma, log, log1p
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import CapacityError, DimensionError, NumericalError, ValidationError
 from .utils import check_finite, check_square
@@ -71,15 +84,25 @@ class LinearOperatorHandle:
     same shape; leading axes are batched.  apply_adjoint is the adjoint in
     the Frobenius pairing.  one_norm_upper_bound bounds the operator 1-norm
     in the vectorized standard basis.
+
+    skew_two_norm_bound, when set, declares that the operator is
+    antisymmetric in the Frobenius pairing on a subspace that it maps into
+    itself and that holds every operand expa gives it, and bounds the
+    operator 2-norm there; expa then sums the Chebyshev-Bessel series.
     """
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adjoint: Callable[[np.ndarray], np.ndarray]
     one_norm_upper_bound: float
     domain_shape: tuple = field(default=(0, 0))
+    skew_two_norm_bound: Optional[float] = None
 
     def __post_init__(self):
         if self.one_norm_upper_bound < 0:
             raise ValidationError("one_norm_upper_bound must be nonnegative")
+        if self.skew_two_norm_bound is not None \
+                and not 0 <= self.skew_two_norm_bound < np.inf:
+            raise ValidationError(
+                "skew_two_norm_bound must be finite and nonnegative")
 
 
 def matrix_exponential(m):
@@ -111,13 +134,58 @@ def select_taylor_params(one_norm, tolerance_class="double"):
     return TaylorParams(m_star=best_m, s=s)
 
 
+def chebyshev_terms(x, tolerance_class="double"):
+    """Least K > x/2 with 2 sum_{k>K} |J_k(x)| bounded by the class
+    tolerance: the Chebyshev term count of expa at x = |t| rho.
+
+    Uses |J_k(x)| <= (x/2)^k / k! for x >= 0; past k = x/2 these terms fall
+    at least geometrically, which bounds the tail by its first term.
+    """
+    if tolerance_class not in _TOL:
+        raise ValidationError(f"unknown tolerance class {tolerance_class!r}")
+    half = 0.5 * x
+    if half == 0.0:
+        return 1
+    log_half, log_tol = log(half), log(0.5 * _TOL[tolerance_class])
+    k = int(half) + 1
+    log_term = k * log_half - lgamma(k + 1)  # log of (x/2)^k / k!
+    while True:
+        log_term += log_half - log(k + 1)    # now the term of order k+1
+        if log_term - log1p(-half / (k + 2)) <= log_tol:
+            return k
+        k += 1
+
+
+def _chebyshev_expa(op, b, t, tolerance_class):
+    rho = op.skew_two_norm_bound
+    x = abs(t) * rho
+    if x == 0.0:
+        return b.copy()
+    n_terms = chebyshev_terms(x, tolerance_class)
+    coef = 2.0 * scipy.special.jv(np.arange(n_terms + 1), x)
+    step = np.copysign(1.0 / rho, t)
+    prev, cur = b, step * op.apply(b)
+    f = (0.5 * coef[0]) * b + coef[1] * cur
+    for c in coef[2:]:
+        nxt = (2.0 * step) * op.apply(cur)
+        nxt += prev
+        prev, cur = cur, nxt
+        f += c * cur
+    if not np.all(np.isfinite(f)):
+        raise NumericalError(
+            f"expa overflowed with {n_terms} Chebyshev terms, rho={rho}")
+    return f
+
+
 def expa(op, b, t=1.0, tolerance_class="double", params=None):
     """Exponential action exp(t*op) applied to b.
 
     b may carry leading batch axes; its trailing shape must match
-    op.domain_shape.  The Taylor sum inside each of the s scaling steps
-    stops early once two consecutive term norms fall below the tolerance
-    times the accumulated-result norm.
+    op.domain_shape.  Without explicit params, a handle that sets
+    skew_two_norm_bound gets the Chebyshev-Bessel series.  Otherwise the
+    Taylor sum inside each of the s scaling steps stops early once two
+    consecutive term norms fall below the tolerance times the
+    accumulated-result norm.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[-2:] != tuple(op.domain_shape):
@@ -127,6 +195,8 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
     if not np.isfinite(t):
         raise ValidationError("t must be finite")
     if params is None:
+        if op.skew_two_norm_bound is not None:
+            return _chebyshev_expa(op, b, t, tolerance_class)
         params = select_taylor_params(
             abs(t) * op.one_norm_upper_bound, tolerance_class)
     m_star, s = params.m_star, params.s

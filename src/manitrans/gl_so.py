@@ -103,6 +103,7 @@ def _gl_factors(geom, a, t):
 
 def gl_geodesic(geom, x, xi, t):
     """Geodesic on GL+(n): two exponential factors in a = X^{-1} xi."""
+    check_all_finite(x=x, xi=xi)
     left, right = _gl_factors(geom, np.linalg.solve(x, xi), t)
     return x @ left @ right
 

@@ -6,13 +6,19 @@ Geodesics and the in-span part of transport live in the (d+k)-column
 subspace [Y|Q]; the out-of-span part of a transported vector only picks up
 a d x d rotation.  The transport factor in the middle is an exponential
 action of the operator P_AR over F = Skew_d x R^{k x d}, applied in its
-balanced form (top block scaled by sqrt(alpha)), where a cheap 1-norm
-bound is available and the operator is Frobenius-antisymmetric.
+balanced form (top block scaled by sqrt(alpha)), which is
+Frobenius-antisymmetric on F.  Its handle carries two bounds: the cheap
+1-norm bound of the Taylor selection, and a 2-norm bound rho, from
+||A||_2 and ||R||_2, under which expa sums the Chebyshev-Bessel series
+in about |t| rho applies.
 
 A transport plan holds these pieces for one geodesic and is the one
 transport engine: canonical flag transport (flag_grassmann) is the plan at
 alpha = 1/2 with the operator's top block cleared on the flag diagonal
-blocks, a mask that cannot raise the 1-norm bound.
+blocks, a mask that cannot raise either bound.  Per call, the plan skips
+each d x d exponential whose argument is zero ((1-2 alpha) A at
+alpha = 1/2, (1-alpha) A at alpha = 1), and writes the result into one
+n-sized array.
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Operators and transports accept leading batch axes on the vectors.
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from . import expaction
 from .errors import DimensionError, ValidationError
@@ -29,6 +36,7 @@ from .utils import asym, check_finite, check_operand, hcat, sym
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
 RANK_RTOL = 1e-12
+_EPS = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -172,12 +180,14 @@ def stiefel_geodesic_velocity(y, xi, params, t):
 
 
 def _p_bal_pair(decomp, params, mask=None):
-    """The balanced operator on stacked F: apply/adjoint closures and the
-    cheap 1-norm bound.
+    """The balanced operator on stacked F: apply/adjoint closures, the
+    cheap 1-norm bound and the 2-norm bound rho (p_bal_two_norm_bound).
 
     mask, a d x d boolean array, clears the top block where it is True;
     canonical flag transport passes its diagonal blocks.  Clearing entries
-    cannot raise the 1-norm, so the bound holds with or without it.
+    is a projection: it raises neither norm, so both bounds hold with or
+    without it, and the masked operator stays antisymmetric on the masked
+    subspace of F.
     """
     a, r = decomp.a, decomp.r
     d = decomp.d
@@ -210,7 +220,8 @@ def _p_bal_pair(decomp, params, mask=None):
     return expaction.LinearOperatorHandle(
         apply=apply, apply_adjoint=apply_adjoint,
         one_norm_upper_bound=p_bal_norm_bound(decomp, params),
-        domain_shape=(d + decomp.k, d))
+        domain_shape=(d + decomp.k, d),
+        skew_two_norm_bound=p_bal_two_norm_bound(decomp, params))
 
 
 def p_bal_norm_bound(decomp, params):
@@ -234,8 +245,51 @@ def p_bal_norm_bound(decomp, params):
     return max(n_a, n_r)
 
 
+def _two_norm_bound(m):
+    """Upper bound on ||m||_2 in O(rows cols min(rows, cols)).
+
+    ||m||_2^8 = ||(m^T m)^4||_2 <= ||(m^T m)^4||_1, with the Gram matrix
+    of the shorter side.  m is scaled to unit Frobenius norm first, so the
+    products neither overflow nor underflow; each of the three then has
+    rounding error below (rows + cols) eps in Frobenius norm, and the added
+    slack covers those errors, the scalings and the 1-norm sum.
+    """
+    if m.shape[0] < m.shape[1]:
+        m = m.T
+    peak = np.max(np.abs(m), initial=0.0)
+    if peak == 0.0:
+        return 0.0
+    m = m / peak
+    fro = np.linalg.norm(m)
+    m = m / fro
+    h = m.T @ m
+    h = h @ h
+    g = float(np.max(np.sum(np.abs(h @ h), axis=0)))
+    slack = (8.0 * sum(m.shape) * np.sqrt(m.shape[1]) + 16.0) * _EPS
+    return peak * fro * (g + slack) ** 0.125
+
+
+def p_bal_two_norm_bound(decomp, params):
+    """rho >= ||P_bal||_2, in O(d^3 + k d^2).
+
+    For ||w_a||_F = u and ||w_r||_F = v, the top block of P_bal w has
+    Frobenius norm at most |4 alpha - 1| a u + sqrt(alpha) r v and the
+    bottom one sqrt(alpha) r u + alpha a v, with a >= ||A||_2 and
+    r >= ||R||_2.  So rho is the top eigenvalue of
+    [[|4 alpha - 1| a, sqrt(alpha) r], [sqrt(alpha) r, alpha a]].  This
+    holds on the whole stacked space, not only on F.  The last factor
+    covers the rounding of a, r and the eigenvalue.
+    """
+    alpha = params.alpha
+    a = _two_norm_bound(decomp.a)
+    r = _two_norm_bound(decomp.r)
+    top, bot = abs(4.0 * alpha - 1.0) * a, alpha * a
+    rho = 0.5 * (top + bot) + np.hypot(0.5 * (top - bot), np.sqrt(alpha) * r)
+    return float(rho) * (1.0 + 16.0 * _EPS)
+
+
 def p_bal_operator(decomp, params):
-    """Balanced operator handle with the cheap 1-norm bound."""
+    """Balanced operator handle with its 1-norm and 2-norm bounds."""
     return _p_bal_pair(decomp, params)
 
 
@@ -262,9 +316,11 @@ def make_transport_plan(y, xi, params):
 def transport_with_plan(plan, y, eta, t):
     """Transport eta (leading batch axes allowed) along the plan geodesic.
 
-    Never forms an n x n intermediate; the largest array touched is the
-    cached n x (d+k) basis.  The out-of-span part is folded into the
-    coefficient matrix, so only three n-sized products run per call.  y is
+    Never forms an n x n intermediate; the largest arrays touched are the
+    cached n x (d+k) basis and the result.  The out-of-span part is folded
+    into the coefficient matrix, so at most three n-sized products run per
+    call, and [Y|Q] @ coeff accumulates into the result in place.  A d x d
+    exponential whose argument is zero is skipped with its product.  y is
     not read: the plan caches [Y|Q].
     """
     yq = plan.basis
@@ -281,12 +337,23 @@ def transport_with_plan(plan, y, eta, t):
     w = expaction.expa(plan.p_op, w0b, t)
     w[..., :d, :] /= salpha
 
-    e_big = scipy.linalg.expm(t * plan.big_exp_arg)
-    e_small = scipy.linalg.expm(t * plan.small_exp_arg)
-    e_normal = scipy.linalg.expm(t * plan.normal_exp_arg)
     # yq (M) + (eta - yq w0) e_n  ==  yq (M - w0 e_n) + eta e_n
-    coeff = e_big @ w @ e_small - w0 @ e_normal
-    return yq @ coeff + eta @ e_normal
+    coeff = scipy.linalg.expm(t * plan.big_exp_arg) @ w
+    if plan.small_exp_arg.any():
+        coeff = coeff @ scipy.linalg.expm(t * plan.small_exp_arg)
+    if plan.normal_exp_arg.any():
+        e_normal = scipy.linalg.expm(t * plan.normal_exp_arg)
+        coeff -= w0 @ e_normal
+        out = eta @ e_normal
+    else:
+        coeff -= w0
+        out = eta.copy()
+    # out += yq @ coeff without an n-sized temporary: BLAS on the
+    # column-major (transposed) views of the row-major arrays; BLAS
+    # rejects the empty operands of d = 0
+    for i in np.ndindex(out.shape[:-2] if out.size else (0,)):
+        dgemm(1.0, coeff[i].T, yq.T, beta=1.0, c=out[i].T, overwrite_c=True)
+    return out
 
 
 def stiefel_transport(y, xi, eta, params, t):
@@ -294,7 +361,7 @@ def stiefel_transport(y, xi, eta, params, t):
     y = check_point(y)
     eta = check_operand(eta, y.shape, "eta", batched=True)
     check_tangent(y, eta)
-    plan = make_transport_plan(y, xi, params)
+    plan = plan_from_decomposition(y, decompose_tangent(y, xi), params)
     return transport_with_plan(plan, y, eta, t)
 
 

@@ -1,8 +1,9 @@
 """Shared constructions and reference implementations for the test suite."""
 import numpy as np
+import scipy.linalg
 
 from manitrans.errors import DimensionError
-from manitrans.expaction import LinearOperatorHandle
+from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
 from manitrans.stiefel import p_bal_norm_bound, project_tangent
 from manitrans.utils import asym
 
@@ -119,3 +120,23 @@ def p_bal_norm_bound_display(decomp, params):
                     + d * abs(4.0 * alpha - 1.0) * norm1_a)
     n_r = alpha * (norm1_a + d * salpha * norminf_r)
     return max(n_a, n_r)
+
+
+def transport_reference(plan, eta, t):
+    """The Stiefel transport formula evaluated term by term from a plan:
+    Taylor expa with explicit parameters from the 1-norm bound, all three
+    d x d exponentials, and the n-sized products unfused,
+    [Y|Q] e_big w e_small + (eta - [Y|Q] w0) e_normal."""
+    yq = plan.basis
+    d = plan.decomposition.d
+    salpha = np.sqrt(plan.alpha)
+    w0 = yq.T @ eta
+    wb = w0.copy()
+    wb[..., :d, :] *= salpha
+    params = select_taylor_params(abs(t) * plan.p_op.one_norm_upper_bound)
+    w = expa(plan.p_op, wb, t, params=params)
+    w[..., :d, :] /= salpha
+    e_big, e_small, e_normal = (
+        scipy.linalg.expm(t * m) for m in
+        (plan.big_exp_arg, plan.small_exp_arg, plan.normal_exp_arg))
+    return yq @ (e_big @ w @ e_small) + (eta - yq @ w0) @ e_normal

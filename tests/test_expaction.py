@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -265,3 +267,35 @@ class TestHandleInvariants:
             LinearOperatorHandle(
                 apply=lambda x: x, apply_adjoint=lambda x: x,
                 one_norm_upper_bound=-1.0, domain_shape=(2, 2))
+
+    @pytest.mark.parametrize("bound", [-1.0, np.inf, np.nan])
+    def test_rejects_bad_skew_bound(self, bound):
+        with pytest.raises(ValidationError):
+            LinearOperatorHandle(
+                apply=lambda x: x, apply_adjoint=lambda x: x,
+                one_norm_upper_bound=1.0, domain_shape=(2, 2),
+                skew_two_norm_bound=bound)
+
+
+class TestChebyshev:
+    """expa on a handle that declares a skew 2-norm bound."""
+
+    def skew_operator(self, rng, rows=3, cols=4):
+        m = asym(rng.standard_normal((rows * cols,) * 2))
+        m /= np.linalg.norm(m, 2)
+        return m, dataclasses.replace(matmul_operator(m, rows, cols),
+                                      skew_two_norm_bound=1.0)
+
+    @pytest.mark.parametrize("t", [-3.0, 0.7, 50.0])
+    @pytest.mark.parametrize("tolerance_class, tol", [("double", 1e-12),
+                                                      ("single", 1e-6)])
+    def test_skew_matrix_against_expm(self, rng, t, tolerance_class, tol):
+        m, op = self.skew_operator(rng)
+        b = rng.standard_normal((2, 3, 4))
+        want = (b.reshape(2, 12) @ scipy.linalg.expm(t * m).T).reshape(b.shape)
+        assert rel_err(expa(op, b, t, tolerance_class), want) <= tol
+
+    def test_rejects_unknown_class(self, rng):
+        _, op = self.skew_operator(rng)
+        with pytest.raises(ValidationError):
+            expa(op, np.ones((3, 4)), 1.0, "quad")

@@ -140,6 +140,14 @@ class TestNonFiniteInput:
             gl_transport(geom, t=1.0, **args)
 
     @pytest.mark.parametrize("arg", ["x", "xi"])
+    def test_gl_geodesic(self, rng, arg):
+        geom = GLGeometry(n=4, beta=0.7)
+        x = random_glp(rng, 4)
+        args = poisoned(arg, x=x, xi=x @ rng.standard_normal((4, 4)))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            gl_geodesic(geom, t=1.0, **args)
+
+    @pytest.mark.parametrize("arg", ["x", "xi"])
     def test_so_geodesic(self, rng, arg):
         # a NaN base point used to pass the orthogonality test (NaN > tol
         # is False) and fail later inside the matrix exponential

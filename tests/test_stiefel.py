@@ -1,31 +1,52 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from manitrans import oracle
+from manitrans import oracle, stiefel
 from manitrans.errors import DimensionError, ValidationError
-from manitrans.expaction import one_norm_estimate_exhaustive
+from manitrans.expaction import (dense_operator_matrix, expa,
+                                 one_norm_estimate_exhaustive,
+                                 select_taylor_params)
+from manitrans.flag_grassmann import (FlagSignature, flag_horizontal_project,
+                                      flag_transport_plan)
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import so_split
-from manitrans.expaction import expa
 from manitrans.stiefel import (
     StiefelMetricParams, TangentDecomposition, check_point, check_tangent,
     decompose_tangent, horizontal_lift, make_transport_plan, metric_inner,
-    p_bal_norm_bound, p_bal_operator, project_tangent, stiefel_christoffel,
-    stiefel_geodesic, stiefel_geodesic_velocity, stiefel_transport,
-    transport_with_plan)
+    p_bal_norm_bound, p_bal_operator, plan_from_decomposition, project_tangent,
+    stiefel_christoffel, stiefel_geodesic, stiefel_geodesic_velocity,
+    stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
 from helpers import (
     p_ar_apply, p_ar_operator, p_bal_norm_bound_display, poisoned, random_so,
-    random_stiefel, random_stiefel_tangent, rel_err)
+    random_stiefel, random_stiefel_tangent, rel_err, transport_reference)
 
 
 def random_decomp(rng, d, k):
     a = asym(rng.standard_normal((d, d)))
     r = rng.standard_normal((k, d))
     return TangentDecomposition(a=a, q=np.zeros((d + k + 3, k)), r=r, k=k)
+
+
+def balanced_operator(decomp, params, mask=None):
+    """The plan's balanced operator, with an optional top-block mask."""
+    y = np.zeros((decomp.q.shape[0], decomp.d))
+    return plan_from_decomposition(y, decomp, params, mask).p_op
+
+
+def counting(op):
+    """op with a counter of its applies."""
+    count = [0]
+
+    def apply(w):
+        count[0] += 1
+        return op.apply(w)
+    return dataclasses.replace(op, apply=apply), count
 
 
 class TestPointAndTangent:
@@ -360,6 +381,111 @@ class TestNormBound:
         assert tighter >= total // 2
 
 
+class TestTwoNormBound:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 5), k=st.integers(1, 5),
+           alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0]), masked=st.booleans(),
+           zero=st.sampled_from([None, "a", "r"]),
+           scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    def test_bound_dominates_two_norm(self, seed, d, k, alpha, masked, zero, scale):
+        # on the whole stacked space, so on F and on any masked subspace
+        rng = np.random.default_rng(seed)
+        decomp = random_decomp(rng, d, k)
+        a = np.zeros_like(decomp.a) if zero == "a" else scale * decomp.a
+        r = np.zeros_like(decomp.r) if zero == "r" else scale * decomp.r
+        decomp = dataclasses.replace(decomp, a=a, r=r)
+        mask = None
+        if masked:
+            mask = rng.random((d, d)) < 0.5
+            mask |= mask.T
+        op = balanced_operator(decomp, StiefelMetricParams(alpha), mask)
+        exact = np.linalg.norm(dense_operator_matrix(op), 2)
+        assert np.isfinite(op.skew_two_norm_bound)
+        assert op.skew_two_norm_bound >= exact
+
+    def test_bound_is_tight_within_a_third(self, rng):
+        for alpha in (0.25, 0.5, 1.0, 2.0):
+            for _ in range(5):
+                op = p_bal_operator(random_decomp(rng, 5, 4), StiefelMetricParams(alpha))
+                exact = np.linalg.norm(dense_operator_matrix(op), 2)
+                assert op.skew_two_norm_bound <= 1.35 * exact
+
+    def test_zero_decomposition(self):
+        decomp = TangentDecomposition(
+            a=np.zeros((3, 3)), q=np.zeros((5, 2)), r=np.zeros((2, 3)), k=2)
+        assert p_bal_operator(decomp, StiefelMetricParams(0.5)).skew_two_norm_bound == 0.0
+
+
+def f_element(rng, d, k, mask=None, batch=()):
+    """A random element of F (top block antisymmetric), zero where the
+    top-block mask is True."""
+    m = rng.standard_normal((*batch, d, d))
+    w = np.concatenate([m - np.swapaxes(m, -1, -2),
+                        rng.standard_normal((*batch, k, d))], axis=-2)
+    if mask is not None:
+        w[..., :d, :][..., mask] = 0.0
+    return w
+
+
+def f_basis(d, k, mask=None):
+    """Orthonormal basis of F, or of its masked subspace, as the columns
+    of a matrix over the flattened stacked space."""
+    cols = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            if mask is None or not mask[i, j]:
+                e = np.zeros((d + k, d))
+                e[i, j], e[j, i] = np.sqrt(0.5), -np.sqrt(0.5)
+                cols.append(e.ravel())
+    cols += list(np.eye((d + k) * d)[d * d:])
+    return np.array(cols).T
+
+
+class TestChebyshevAction:
+    @pytest.mark.parametrize("t", [-3.0, 0.7, 50.0, 200.0])
+    @pytest.mark.parametrize("alpha, masked", [(0.25, False), (0.5, True),
+                                               (0.8, False), (2.0, False)])
+    def test_matches_dense_expm(self, rng, t, alpha, masked):
+        # a unit 2-norm operator, so that |t| ||P|| eps stays below the
+        # tolerance; the dense reference is taken in an orthonormal basis
+        # of the (masked) F, where it is antisymmetric and expm accurate
+        d, k = 4, 3
+        mask = np.kron(np.eye(2), np.ones((2, 2))).astype(bool) if masked else None
+        decomp = random_decomp(rng, d, k)
+        params = StiefelMetricParams(alpha)
+        size = np.linalg.norm(dense_operator_matrix(balanced_operator(decomp, params)), 2)
+        decomp = dataclasses.replace(decomp, a=decomp.a / size, r=decomp.r / size)
+        op = balanced_operator(decomp, params, mask)
+        basis = f_basis(d, k, mask)
+        p_f = basis.T @ dense_operator_matrix(op) @ basis
+        b = f_element(rng, d, k, mask, batch=(2,))
+        want = (b.reshape(2, -1) @ basis @ scipy.linalg.expm(t * p_f).T
+                @ basis.T).reshape(b.shape)
+        got = expa(op, b, t)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_time_zero_and_zero_operator(self, rng):
+        decomp = random_decomp(rng, 3, 2)
+        b = f_element(rng, 3, 2)
+        assert np.array_equal(expa(p_bal_operator(decomp, StiefelMetricParams(0.8)), b, 0.0), b)
+        zero = dataclasses.replace(decomp, a=0 * decomp.a, r=0 * decomp.r)
+        assert np.array_equal(expa(p_bal_operator(zero, StiefelMetricParams(0.8)), b, 5.0), b)
+
+    @pytest.mark.parametrize("x", [5.0, 20.0, 100.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_fewer_applies_than_taylor(self, rng, x, alpha):
+        d, k = 4, 3
+        op, count = counting(p_bal_operator(random_decomp(rng, d, k),
+                                            StiefelMetricParams(alpha)))
+        t = x / op.skew_two_norm_bound
+        b = f_element(rng, d, k)
+        expa(op, b, t)
+        chebyshev = count[0]
+        count[0] = 0
+        expa(op, b, t, params=select_taylor_params(t * op.one_norm_upper_bound))
+        assert chebyshev < count[0]
+
+
 class TestTransport:
     def test_time_zero_exact(self, rng):
         y = random_stiefel(rng, 8, 3)
@@ -500,6 +626,50 @@ class TestTransport:
         for i in range(4):
             single = transport_with_plan(plan, y, etas[i], 1.2)
             assert np.allclose(batch[i], single)
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_plan_matches_unfused_reference(self, rng, alpha, batch):
+        # Chebyshev expa, the skipped zero exponentials and the in-place
+        # accumulation against the formula term by term
+        y = random_stiefel(rng, 12, 4)
+        plan = make_transport_plan(y, random_stiefel_tangent(rng, y),
+                                   StiefelMetricParams(alpha))
+        eta = np.stack([random_stiefel_tangent(rng, y) for _ in range(3)])
+        eta = eta[0] if batch == () else eta
+        kept = eta.copy()
+        for t in (-2.0, 0.6, 30.0):
+            got = transport_with_plan(plan, y, eta, t)
+            assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
+        assert np.array_equal(eta, kept)
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_flag_plan_matches_unfused_reference(self, rng, batch):
+        sig = FlagSignature(d_list=(2, 1, 2), n=11)
+        y = random_stiefel(rng, 11, 5)
+        plan = flag_transport_plan(
+            sig, y, flag_horizontal_project(sig, y, rng.standard_normal(y.shape)))
+        eta = np.stack([flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+                        for _ in range(3)])
+        eta = eta[0] if batch == () else eta
+        for t in (-2.0, 0.6, 30.0):
+            got = transport_with_plan(plan, y, eta, t)
+            assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
+
+    def test_zero_columns(self, rng):
+        y = np.zeros((5, 0))
+        plan = make_transport_plan(y, np.zeros((5, 0)), StiefelMetricParams(0.8))
+        for eta in (np.zeros((5, 0)), np.zeros((2, 5, 0))):
+            assert transport_with_plan(plan, y, eta, 1.3).shape == eta.shape
+
+    def test_one_point_check_per_call(self, rng, monkeypatch):
+        seen = []
+        real = stiefel.check_point
+        monkeypatch.setattr(stiefel, "check_point", lambda y: seen.append(1) or real(y))
+        y = random_stiefel(rng, 8, 3)
+        stiefel_transport(y, random_stiefel_tangent(rng, y),
+                          random_stiefel_tangent(rng, y), StiefelMetricParams(0.8), 1.0)
+        assert len(seen) == 1
 
     def test_rejects_nontangent_eta(self, rng):
         y = random_stiefel(rng, 8, 3)
