@@ -19,9 +19,11 @@ TIMING_GRID = "0.5,1,2,5,20"
 
 
 def run(argv):
+    """One manitrans-bench command; prints the CSV it wrote."""
     code = bench_cli.main(argv)
     if code != 0:
         sys.exit(code)
+    print(f"wrote {argv[argv.index('--out') + 1]}")
 
 
 def main():
@@ -69,7 +71,6 @@ def main():
         name = case[1]
         run(["verify", *case, "--t-grid", "0.5,1,2",
              "--out", str(outdir / f"verify_{name}.csv")])
-    print(f"wrote CSVs to {outdir}/")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Parallel transport on the Stiefel and flag manifolds in O(n d^2) + O(t d^3).
 
 A tangent vector xi at Y splits as xi = Y A + Q R with A = Y^T xi
-antisymmetric and Q an orthonormal basis of the Y-orthogonal column span.
+antisymmetric and Q an orthonormal basis of the Y-orthogonal column span
+(decompose_tangent: one Y^T xi; CholeskyQR2 when that part is well
+conditioned, pivoted QR when it may be rank-deficient, each ending in one
+projection against Y and one Cholesky-QR step).
 Geodesics and the in-span part of transport live in the (d+k)-column
 subspace [Y|Q]; the out-of-span part of a transported vector only picks up
 a d x d rotation.  The transport factor in the middle is an exponential
@@ -18,7 +21,8 @@ alpha = 1/2 with the operator's top block cleared on the flag diagonal
 blocks, a mask that cannot raise either bound.  Per call, the plan skips
 each d x d exponential whose argument is zero ((1-2 alpha) A at
 alpha = 1/2, (1-alpha) A at alpha = 1), and writes the result into one
-n-sized array.
+n-sized array.  It checks eta from the [Y|Q]^T eta it forms anyway:
+tangency, and for a flag plan (plan.mask) horizontality.
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Operators and transports accept leading batch axes on the vectors.
@@ -27,15 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import expaction
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NumericalError, ValidationError
 from .utils import asym, check_finite, check_operand, hcat, sym
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
 RANK_RTOL = 1e-12
+# CholeskyQR2 serves xi whose Y-orthogonal part has a condition number
+# (bound) below this; its first step then leaves Q^T Q - I below about
+# 1e12 eps ~ 1e-4, which its second step repairs.
+CHOLQR_MAX_COND = 1e6
+# One Cholesky-QR step re-orthonormalises a basis of condition below this.
+REORTH_MAX_COND = 10.0
 _EPS = 2.0 ** -53
 
 
@@ -77,6 +88,7 @@ class StiefelTransportPlan:
     p_op: expaction.LinearOperatorHandle  # balanced operator over F
     alpha: float
     basis: np.ndarray           # [Y|Q], cached to avoid per-call copies
+    mask: np.ndarray = None     # flag diagonal blocks (flag plans only)
 
 
 def check_point(y):
@@ -89,11 +101,22 @@ def check_point(y):
     return y
 
 
-def check_tangent(y, xi):
-    coeff = np.swapaxes(y, -1, -2) @ xi
+def check_coefficient(coeff, scale, mask=None):
+    """Tangency of a vector v from its Y-coefficient coeff = Y^T v (leading
+    batch axes allowed) and scale = ||v||: the symmetric part of coeff must
+    vanish and, with a flag block mask, so must its masked blocks
+    (horizontality)."""
     res = np.linalg.norm(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
-    if not res <= TANGENT_RTOL * max(1.0, np.linalg.norm(xi)):
-        raise ValidationError(f"vector is not tangent: residual {res:.3e}")
+    kind = "tangent"
+    if mask is not None:
+        res = np.maximum(res, np.linalg.norm(coeff[..., mask]))
+        kind = "horizontal"
+    if not res <= TANGENT_RTOL * max(1.0, scale):
+        raise ValidationError(f"vector is not {kind}: residual {res:.3e}")
+
+
+def check_tangent(y, xi):
+    check_coefficient(np.swapaxes(y, -1, -2) @ xi, np.linalg.norm(xi))
 
 
 def project_tangent(y, w):
@@ -106,45 +129,104 @@ def project_tangent(y, w):
 
 def metric_inner(y, xi, eta, params):
     """Metric value of two tangent vectors at Y."""
-    check_tangent(y, xi)
-    check_tangent(y, eta)
+    xi = check_operand(xi, y.shape, "xi")
+    eta = check_operand(eta, y.shape, "eta")
     yxi = y.T @ xi
     yeta = y.T @ eta
+    check_coefficient(yxi, np.linalg.norm(xi))
+    check_coefficient(yeta, np.linalg.norm(eta))
     return float(np.sum(xi * eta) + (params.alpha - 1.0) * np.sum(yxi * yeta))
 
 
 def decompose_tangent(y, xi, rank_tol=RANK_RTOL, use_svd=False):
-    """Split xi = Y A + Q R with a rank-revealing factorization.
+    """Split xi = Y A + Q R, forming Y^T xi once.
 
-    Pivoted QR by default; use_svd switches to a singular value
-    decomposition for ill-conditioned xi.  k = 0 (empty Q, R) when xi has
-    no component orthogonal to the columns of Y.  Every plan is built from
-    this decomposition, so this is where xi's shape and entries are checked.
+    Y^T xi gives the tangency check, A = asym(Y^T xi) and the Y-orthogonal
+    part perp = xi - Y Y^T xi.  k = 0 (empty Q, R) when perp is negligible.
+    When n - d >= d and cond_2(perp) is below min(CHOLQR_MAX_COND,
+    1 / rank_tol) by the bound of _cholesky_qr, the first Cholesky-QR step
+    gives Q's columns and k = d: then sigma_min / sigma_max > rank_tol, and
+    pivoted QR, whose |r_dd| / |r_11| is at least that ratio, would keep
+    every column too.  Any other xi (rank-deficient, n - d < d,
+    ill-conditioned) takes the rank-revealing route: pivoted QR, or with
+    use_svd (which skips the Cholesky route) a singular value
+    decomposition.  Both routes end in _reorthonormalise, so the Cholesky
+    route is CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto
+    2014) with a projection against Y between its two steps.  Every plan is
+    built from this decomposition, so this is where xi's shape and entries
+    are checked.
     """
     xi = check_operand(xi, y.shape, "xi")
-    check_tangent(y, xi)
     n, d = y.shape
-    a = asym(y.T @ xi)
-    perp = xi - y @ (y.T @ xi)
-    if np.linalg.norm(perp) <= rank_tol * max(1.0, np.linalg.norm(xi)):
+    c = y.T @ xi
+    scale = np.linalg.norm(xi)
+    check_coefficient(c, scale)
+    a = asym(c)
+    perp = xi - y @ c
+    if np.linalg.norm(perp) <= rank_tol * max(1.0, scale):
         return TangentDecomposition(
             a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
+    q = None
+    if not use_svd and n - d >= d:
+        q = _cholesky_qr(perp, 1.0 / max(rank_tol, 1.0 / CHOLQR_MAX_COND))
+    if q is None:
+        q = _rank_revealing_basis(perp, rank_tol, use_svd)
+    if q.shape[1]:
+        q = _reorthonormalise(y, q)
+    r = q.T @ xi
+    return TangentDecomposition(a=a, q=q, r=r, k=q.shape[1])
+
+
+def _rank_revealing_basis(perp, rank_tol, use_svd):
+    """Columns of pivoted QR's Q (or of the SVD's U) whose pivot (singular
+    value) exceeds rank_tol times the largest."""
     if use_svd:
         u, sv, _ = np.linalg.svd(perp, full_matrices=False)
         k = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-        q = u[:, :k]
-    else:
-        q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(rr))
-        k = int(np.sum(diag > rank_tol * diag[0])) if diag.size and diag[0] > 0 else 0
-        q = q[:, :k]
-    if k > 0:
-        # one re-orthogonalization pass keeps Y^T Q at roundoff even for
-        # nearly rank-deficient xi
-        q = q - y @ (y.T @ q)
-        q, _ = np.linalg.qr(q)
-    r = q.T @ xi
-    return TangentDecomposition(a=a, q=q, r=r, k=k)
+        return u[:, :k]
+    q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(rr))
+    k = int(np.sum(diag > rank_tol * diag[0])) if diag.size and diag[0] > 0 else 0
+    return q[:, :k]
+
+
+def _cholesky_qr(m, max_cond):
+    """One Cholesky-QR step: m L^{-T} for m^T m = L L^T, orthonormal up to
+    about cond_2(m)^2 eps.
+
+    None when the factorisation fails or the product of the 2-norm bounds
+    of L and L^{-1} (_two_norm_bound), an upper bound on cond_2(m) =
+    cond_2(L), is not below max_cond.  The product uses the triangular
+    inverse (dtrmm runs several times faster than dtrsm at these shapes);
+    m X spans m's range for any nonsingular X, so only the rounding of the
+    product reaches the basis.  The basis is written over m.
+    """
+    chol, info = dpotrf(m.T @ m, lower=1)
+    if info != 0:
+        return None
+    inv, _ = dtrtri(chol, lower=1)
+    if not _two_norm_bound(chol) * _two_norm_bound(inv) < max_cond:
+        return None
+    return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T
+
+
+def _reorthonormalise(y, q):
+    """One projection against Y, then one Cholesky-QR step.
+
+    q is orthonormal up to a small Y-component and a small loss of
+    orthogonality; on the pivoted-QR route its Y-component is about
+    eps ||xi|| / |r_kk|, at most about 1e-4 at the default rank_tol.  The
+    result has Q^T Q = I and Y^T Q = 0 to roundoff.  When the projected q
+    is too ill-conditioned for one step to deliver that, xi's Y-orthogonal
+    part was lost to rounding, and this raises NumericalError.
+    """
+    proj = y @ (y.T @ q)
+    q = _cholesky_qr(np.subtract(q, proj, out=proj), REORTH_MAX_COND)
+    if q is None:
+        raise NumericalError(
+            "re-orthogonalisation failed: the Y-orthogonal part of xi is "
+            "lost to rounding")
+    return q
 
 
 def _big_arg(decomp, alpha):
@@ -304,7 +386,8 @@ def plan_from_decomposition(y, decomp, params, mask=None):
         normal_exp_arg=(1.0 - alpha) * decomp.a,
         p_op=_p_bal_pair(decomp, params, mask),
         alpha=alpha,
-        basis=hcat(y, decomp.q))
+        basis=hcat(y, decomp.q),
+        mask=mask)
 
 
 def make_transport_plan(y, xi, params):
@@ -316,21 +399,23 @@ def make_transport_plan(y, xi, params):
 def transport_with_plan(plan, y, eta, t):
     """Transport eta (leading batch axes allowed) along the plan geodesic.
 
-    Never forms an n x n intermediate; the largest arrays touched are the
-    cached n x (d+k) basis and the result.  The out-of-span part is folded
-    into the coefficient matrix, so at most three n-sized products run per
-    call, and [Y|Q] @ coeff accumulates into the result in place.  A d x d
-    exponential whose argument is zero is skipped with its product.  y is
-    not read: the plan caches [Y|Q].
+    eta must be tangent at Y, and horizontal for a flag plan (plan.mask):
+    its Y-coefficient, the top d rows of [Y|Q]^T eta, is checked before
+    anything else, t = 0 included.  Never forms an n x n intermediate; the
+    largest arrays touched are the cached n x (d+k) basis and the result.
+    The out-of-span part is folded into the coefficient matrix, so at most
+    three n-sized products run per call, and [Y|Q] @ coeff accumulates into
+    the result in place.  A d x d exponential whose argument is zero is
+    skipped with its product.  y is not read: the plan caches [Y|Q].
     """
     yq = plan.basis
     d = plan.decomposition.d
     eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
+    w0 = np.swapaxes(yq, -1, -2) @ eta
+    check_coefficient(w0[..., :d, :], np.linalg.norm(eta), plan.mask)
     if t == 0.0:
         return eta.copy()
     salpha = np.sqrt(plan.alpha)
-
-    w0 = np.swapaxes(yq, -1, -2) @ eta
 
     w0b = w0.copy()
     w0b[..., :d, :] *= salpha
@@ -359,8 +444,6 @@ def transport_with_plan(plan, y, eta, t):
 def stiefel_transport(y, xi, eta, params, t):
     """Parallel transport of eta along the geodesic driven by xi."""
     y = check_point(y)
-    eta = check_operand(eta, y.shape, "eta", batched=True)
-    check_tangent(y, eta)
     plan = plan_from_decomposition(y, decompose_tangent(y, xi), params)
     return transport_with_plan(plan, y, eta, t)
 

@@ -4,8 +4,10 @@ import scipy.linalg
 
 from manitrans.errors import DimensionError
 from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
-from manitrans.stiefel import p_bal_norm_bound, project_tangent
-from manitrans.utils import asym
+from manitrans.stiefel import (
+    RANK_RTOL, TangentDecomposition, check_tangent, p_bal_norm_bound,
+    project_tangent)
+from manitrans.utils import asym, check_operand
 
 
 def random_stiefel(rng, n, d):
@@ -140,3 +142,31 @@ def transport_reference(plan, eta, t):
         scipy.linalg.expm(t * m) for m in
         (plan.big_exp_arg, plan.small_exp_arg, plan.normal_exp_arg))
     return yq @ (e_big @ w @ e_small) + (eta - yq @ w0) @ e_normal
+
+
+def decompose_tangent_reference(y, xi, rank_tol=RANK_RTOL, use_svd=False):
+    """xi = Y A + Q R by pivoted QR (or an SVD) of xi - Y Y^T xi for every
+    xi, then a projection against Y and a Householder QR: the reference for
+    stiefel.decompose_tangent's rank decision and its transports."""
+    xi = check_operand(xi, y.shape, "xi")
+    check_tangent(y, xi)
+    n, d = y.shape
+    a = asym(y.T @ xi)
+    perp = xi - y @ (y.T @ xi)
+    if np.linalg.norm(perp) <= rank_tol * max(1.0, np.linalg.norm(xi)):
+        return TangentDecomposition(
+            a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
+    if use_svd:
+        u, sv, _ = np.linalg.svd(perp, full_matrices=False)
+        k = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+        q = u[:, :k]
+    else:
+        q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(rr))
+        k = int(np.sum(diag > rank_tol * diag[0])) if diag.size and diag[0] > 0 else 0
+        q = q[:, :k]
+    if k > 0:
+        q = q - y @ (y.T @ q)
+        q, _ = np.linalg.qr(q)
+    r = q.T @ xi
+    return TangentDecomposition(a=a, q=q, r=r, k=k)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from manitrans import oracle
+from manitrans import flag_grassmann, oracle
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.flag_grassmann import (
     FlagSignature, check_horizontal, flag_christoffel, flag_geodesic,
@@ -188,6 +188,22 @@ class TestFlagTransport:
         with pytest.raises(ValidationError):
             flag_transport_canonical(sig, y, xi, rng.standard_normal((10, 4)),
                                      1.0)
+
+    def test_checks_without_a_second_coefficient(self, rng, monkeypatch):
+        # xi is checked on the decomposition's A and eta on the plan's
+        # [Y|Q]^T eta, so check_horizontal (another Y^T v) is not called
+        def forbidden(*args):
+            raise AssertionError("check_horizontal called")
+        monkeypatch.setattr(flag_grassmann, "check_horizontal", forbidden)
+        sig = FlagSignature(d_list=(2, 2), n=10)
+        y = random_stiefel(rng, 10, 4)
+        xi = random_horizontal(rng, sig, y)
+        eta = random_horizontal(rng, sig, y)
+        flag_transport_canonical(sig, y, xi, eta, 1.0)
+        vertical = y @ asym(rng.standard_normal((4, 4)))  # tangent
+        for bad_xi, bad_eta in ((xi + vertical, eta), (xi, eta + vertical)):
+            with pytest.raises(ValidationError, match="not horizontal"):
+                flag_transport_canonical(sig, y, bad_xi, bad_eta, 1.0)
 
 
 class TestGrassmann:

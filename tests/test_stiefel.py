@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from manitrans import oracle, stiefel
-from manitrans.errors import DimensionError, ValidationError
+from manitrans.errors import DimensionError, NumericalError, ValidationError
 from manitrans.expaction import (dense_operator_matrix, expa,
                                  one_norm_estimate_exhaustive,
                                  select_taylor_params)
@@ -15,16 +15,17 @@ from manitrans.flag_grassmann import (FlagSignature, flag_horizontal_project,
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import so_split
 from manitrans.stiefel import (
-    StiefelMetricParams, TangentDecomposition, check_point, check_tangent,
-    decompose_tangent, horizontal_lift, make_transport_plan, metric_inner,
-    p_bal_norm_bound, p_bal_operator, plan_from_decomposition, project_tangent,
-    stiefel_christoffel, stiefel_geodesic, stiefel_geodesic_velocity,
-    stiefel_transport, transport_with_plan)
+    RANK_RTOL, StiefelMetricParams, TangentDecomposition, check_point,
+    check_tangent, decompose_tangent, horizontal_lift, make_transport_plan,
+    metric_inner, p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
+    project_tangent, stiefel_christoffel, stiefel_geodesic,
+    stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
 from helpers import (
-    p_ar_apply, p_ar_operator, p_bal_norm_bound_display, poisoned, random_so,
-    random_stiefel, random_stiefel_tangent, rel_err, transport_reference)
+    decompose_tangent_reference, p_ar_apply, p_ar_operator,
+    p_bal_norm_bound_display, poisoned, random_so, random_stiefel,
+    random_stiefel_tangent, rel_err, transport_reference, zero_flag_blocks)
 
 
 def random_decomp(rng, d, k):
@@ -47,6 +48,30 @@ def counting(op):
         count[0] += 1
         return op.apply(w)
     return dataclasses.replace(op, apply=apply), count
+
+
+def prescribed_velocity(rng, y, sig, log_cond, zeros):
+    """Horizontal xi = Y A + U diag(s) V at Y for the flag signature sig.
+
+    U is orthonormal and Y-orthogonal with m = min(n - d, d) columns and V
+    has orthonormal rows, so s are the singular values of xi's
+    Y-orthogonal part: log-spaced over log_cond decades, the last `zeros`
+    of them exactly zero.
+    """
+    n, d = y.shape
+    m = min(n - d, d)
+    s = np.logspace(0.0, -log_cond, m)
+    s[m - min(zeros, m):] = 0.0
+    u = rng.standard_normal((n, m))
+    u = np.linalg.qr(u - y @ (y.T @ u))[0]
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0][:m]
+    a = zero_flag_blocks(sig, asym(rng.standard_normal((d, d))))
+    return y @ a + (u * s) @ v
+
+
+def pair_signature(n, d):
+    """Flag blocks of sizes 2, ..., 2 (and a last 1 for odd d)."""
+    return FlagSignature(d_list=(2,) * (d // 2) + (1,) * (d % 2), n=n)
 
 
 class TestPointAndTangent:
@@ -108,6 +133,30 @@ class TestMetricInner:
                          random_stiefel_tangent(rng, y),
                          StiefelMetricParams(1.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    def test_rejects_nonfinite_by_name(self, rng, arg, value):
+        y = random_stiefel(rng, 7, 3)
+        args = poisoned(arg, value, xi=random_stiefel_tangent(rng, y),
+                        eta=random_stiefel_tangent(rng, y))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            metric_inner(y, params=StiefelMetricParams(0.8), **args)
+
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    def test_rejects_wrong_shape_by_name(self, rng, arg):
+        y = random_stiefel(rng, 7, 3)
+        args = dict(xi=random_stiefel_tangent(rng, y),
+                    eta=random_stiefel_tangent(rng, y))
+        args[arg] = np.stack([args[arg]] * 2)
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            metric_inner(y, params=StiefelMetricParams(0.8), **args)
+
+    def test_rejects_nontangent_eta(self, rng):
+        y = random_stiefel(rng, 7, 3)
+        with pytest.raises(ValidationError, match="not tangent"):
+            metric_inner(y, random_stiefel_tangent(rng, y),
+                         rng.standard_normal((7, 3)), StiefelMetricParams(1.0))
+
 
 class TestDecomposeTangent:
     def test_span_only_velocity_has_empty_q(self, rng):
@@ -153,6 +202,87 @@ class TestDecomposeTangent:
         recon = y @ decomp.a + decomp.q @ decomp.r
         assert np.linalg.norm(recon - xi) <= 1e-9 * max(1.0, np.linalg.norm(xi))
         assert decomp.k <= min(n - d, d)
+
+
+class TestCholeskyQR2:
+    """decompose_tangent against the pivoted-QR reference: same rank k,
+    an orthonormal Y-orthogonal Q, and the same transports."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        """Calls of scipy.linalg.qr, which only the pivoted route makes."""
+        calls = []
+        real = scipy.linalg.qr
+        monkeypatch.setattr(scipy.linalg, "qr",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+           d=st.integers(1, 8), log_cond=st.floats(0.0, 14.0),
+           zeros=st.integers(0, 8),
+           rank_tol=st.sampled_from([RANK_RTOL, 1e-8, 1e-3]),
+           use_svd=st.booleans())
+    def test_matches_reference(self, seed, n, d, log_cond, zeros, rank_tol,
+                               use_svd):
+        n = max(n, d + 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        sig = pair_signature(n, d)
+        xi = prescribed_velocity(rng, y, sig, log_cond, zeros)
+        got = decompose_tangent(y, xi, rank_tol, use_svd)
+        want = decompose_tangent_reference(y, xi, rank_tol, use_svd)
+        assert got.k == want.k
+        assert np.linalg.norm(got.q.T @ got.q - np.eye(got.k)) <= 1e-12
+        assert np.linalg.norm(y.T @ got.q) <= 1e-12
+        eta = random_stiefel_tangent(rng, y)
+        for alpha in (0.5, 1.0):
+            params = StiefelMetricParams(alpha)
+            moved, ref = (transport_with_plan(plan_from_decomposition(y, dec, params),
+                                              y, eta, 1.3) for dec in (got, want))
+            assert rel_err(moved, ref) <= 1e-12
+        eta = flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+        params = StiefelMetricParams(0.5)
+        moved, ref = (transport_with_plan(
+            plan_from_decomposition(y, dec, params, mask=sig.block_mask), y, eta, 1.3)
+            for dec in (got, want))
+        assert rel_err(moved, ref) <= 1e-12
+
+    @pytest.mark.parametrize("log_cond, rank_tol, pivoted", [
+        (0.0, RANK_RTOL, False), (5.0, RANK_RTOL, False), (7.0, RANK_RTOL, True),
+        (13.0, RANK_RTOL, True), (2.0, 1e-3, False), (4.0, 1e-3, True)])
+    def test_route_follows_conditioning(self, rng, qr_calls, log_cond,
+                                        rank_tol, pivoted):
+        # well conditioned: no pivoted QR; past the gate, which a caller's
+        # larger rank_tol lowers: the reference route
+        y = random_stiefel(rng, 300, 30)
+        xi = prescribed_velocity(rng, y, pair_signature(300, 30), log_cond, 0)
+        got = decompose_tangent(y, xi, rank_tol)
+        assert bool(qr_calls) == pivoted
+        want = decompose_tangent_reference(y, xi, rank_tol)
+        assert got.k == want.k
+        assert (got.k < 30) == (log_cond > -np.log10(rank_tol))
+        eta = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.8)
+        moved, ref = (transport_with_plan(plan_from_decomposition(y, dec, params),
+                                          y, eta, 2.0) for dec in (got, want))
+        assert rel_err(moved, ref) <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(9, 5), (12, 4)])
+    def test_rank_deficient_and_short_codimension_pivot(self, rng, qr_calls, n, d):
+        # n - d < d, or an exactly rank-deficient Y-orthogonal part
+        y = random_stiefel(rng, n, d)
+        xi = prescribed_velocity(rng, y, pair_signature(n, d), 1.0, 1)
+        assert decompose_tangent(y, xi).k == min(n - d, d) - 1
+        assert qr_calls
+
+    def test_lost_orthogonal_part_raises(self, rng):
+        # a basis column inside span(Y) has nothing left after projection
+        y = random_stiefel(rng, 20, 3)
+        w = rng.standard_normal((20, 1))
+        w = np.linalg.qr(w - y @ (y.T @ w))[0]
+        with pytest.raises(NumericalError, match="re-orthogonalisation"):
+            stiefel._reorthonormalise(y, np.hstack([w, y[:, :1]]))
 
 
 class TestGeodesic:
@@ -677,6 +807,31 @@ class TestTransport:
         with pytest.raises(ValidationError):
             stiefel_transport(y, xi, rng.standard_normal((8, 3)),
                               StiefelMetricParams(0.5), 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_plan_rejects_nontangent_eta(self, rng, t, batch):
+        y = random_stiefel(rng, 8, 3)
+        plan = make_transport_plan(y, random_stiefel_tangent(rng, y),
+                                   StiefelMetricParams(0.8))
+        eta = rng.standard_normal(batch + (8, 3))
+        with pytest.raises(ValidationError, match="not tangent"):
+            transport_with_plan(plan, y, eta, t)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_flag_plan_rejects_nonhorizontal_eta(self, rng, t):
+        # tangent, but with a nonzero flag diagonal block
+        sig = FlagSignature(d_list=(2, 1, 2), n=11)
+        y = random_stiefel(rng, 11, 5)
+        plan = flag_transport_plan(
+            sig, y, flag_horizontal_project(sig, y, rng.standard_normal(y.shape)))
+        eta = flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+        eta = eta + y @ asym(rng.standard_normal((5, 5)))
+        check_tangent(y, eta)
+        with pytest.raises(ValidationError, match="not horizontal"):
+            transport_with_plan(plan, y, eta, t)
+        with pytest.raises(ValidationError, match="not horizontal"):
+            transport_with_plan(plan, y, np.stack([eta] * 2), t)
 
     def test_no_square_intermediate_at_large_n(self, rng):
         # n^2 doubles here would need ~3 GB; the O(n d^2) path must be
