@@ -17,9 +17,5 @@ class CapacityError(ValueError):
     """Problem size exceeds a hard cap of an exhaustive algorithm."""
 
 
-class DegenerateSubspaceError(ValueError):
-    """The bilinear form is singular on the requested subspace."""
-
-
 class ConfigError(ValueError):
     """Invalid benchmark configuration."""

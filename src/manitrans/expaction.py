@@ -261,21 +261,3 @@ def dense_operator_matrix(op, adjoint=False):
         out[:, idx] = fun(e).reshape(-1)
         e.flat[idx] = 0.0
     return out
-
-
-def zero_operator(domain_shape):
-    """The zero operator on the given matrix space."""
-    return LinearOperatorHandle(
-        apply=np.zeros_like,
-        apply_adjoint=np.zeros_like,
-        one_norm_upper_bound=0.0,
-        domain_shape=tuple(domain_shape))
-
-
-def identity_operator(domain_shape):
-    """The identity operator on the given matrix space."""
-    return LinearOperatorHandle(
-        apply=lambda m: m.copy(),
-        apply_adjoint=lambda m: m.copy(),
-        one_norm_upper_bound=1.0,
-        domain_shape=tuple(domain_shape))

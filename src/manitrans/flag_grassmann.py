@@ -6,9 +6,6 @@ Y-coefficient is antisymmetric with zero flag diagonal blocks.  For the
 canonical metric the transport is the Stiefel one: flag_transport_plan
 returns a Stiefel transport plan at alpha = 1/2 whose operator has its top
 block masked on the flag diagonal, and stiefel.transport_with_plan runs it.
-Neither forms Y^T v again to check horizontality: the plan reads the
-masked blocks of the decomposition's A for xi, and transport_with_plan the
-masked blocks of the Y^T eta it forms, through the plan's mask.
 """
 from dataclasses import dataclass
 
@@ -17,8 +14,9 @@ import numpy as np
 from . import stiefel
 from .errors import DimensionError, ValidationError
 from .stiefel import (
-    StiefelMetricParams, check_point, decompose_tangent, stiefel_geodesic)
-from .utils import check_operand, sym
+    RANK_RTOL, StiefelMetricParams, check_point, decompose_tangent,
+    stiefel_geodesic)
+from .utils import check_finite, check_operand, matrix_norms, sym
 
 HORIZONTAL_TOL = 1e-9  # Grassmann; flag horizontality uses stiefel.TANGENT_RTOL
 CANONICAL_ALPHA = 0.5
@@ -68,7 +66,7 @@ def flag_horizontal_project(sig, y, w):
 
 
 def check_horizontal(sig, y, xi):
-    stiefel.check_coefficient(np.swapaxes(y, -1, -2) @ xi, np.linalg.norm(xi),
+    stiefel.check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi),
                               sig.block_mask)
 
 
@@ -106,19 +104,22 @@ def flag_transport_canonical(sig, y, xi, eta, t):
     return stiefel.transport_with_plan(flag_transport_plan(sig, y, xi), y, eta, t)
 
 
-def flag_geodesic(sig, y, xi, t, alpha=CANONICAL_ALPHA):
-    """Geodesic of the flag metric, identical to the Stiefel formula."""
+def flag_geodesic(sig, y, xi, t):
+    """Geodesic of the canonical flag metric, identical to the Stiefel
+    formula."""
     check_horizontal(sig, y, xi)
-    return stiefel_geodesic(y, xi, StiefelMetricParams(alpha), t)
+    return stiefel_geodesic(y, xi, StiefelMetricParams(CANONICAL_ALPHA), t)
 
 
-def grassmann_transport(y, xi, eta, t, rank_tol=1e-12):
+def grassmann_transport(y, xi, eta, t):
     """Closed-form Grassmann transport along the geodesic driven by xi.
 
     Horizontality here means Y^T xi = 0 and Y^T eta = 0; the rotation acts
     on the compact SVD factors of xi, everything else is carried along
-    unchanged.
+    unchanged.  Directions of xi below RANK_RTOL times its largest
+    singular value are dropped.
     """
+    check_finite(t, "t")
     y = check_point(y)
     xi = check_operand(xi, y.shape, "xi")
     eta = check_operand(eta, y.shape, "eta", batched=True)
@@ -126,7 +127,7 @@ def grassmann_transport(y, xi, eta, t, rank_tol=1e-12):
         if not np.linalg.norm(y.T @ v) <= HORIZONTAL_TOL * max(1.0, np.linalg.norm(v)):
             raise ValidationError(f"{name} is not Grassmann-horizontal")
     u, sv, vt = np.linalg.svd(xi, full_matrices=False)
-    k = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    k = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
     if k == 0:
         return np.array(eta, copy=True)
     q = u[:, :k]

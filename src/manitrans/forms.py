@@ -1,10 +1,9 @@
-"""Trace and Frobenius forms, the deformed metric form, and transposable
-subspace machinery.
+"""The trace form, the deformed metric form, and transposable subspace
+machinery.
 
 A split is described by projection callables rather than stored matrices,
-so block-structured cases stay cheap; dense Gram solves appear only in
-gram_projection and in the generic subspace derivation used for small
-verification instances.
+so block-structured cases stay cheap; dense basis scans appear only in the
+generic subspace derivation used for small verification instances.
 """
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -12,8 +11,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateSubspaceError, DimensionError, ValidationError
-from .utils import asym, check_square, lie, sym
+from .errors import DimensionError, ValidationError
+from .utils import check_square, lie
 
 MEMBERSHIP_RTOL = 1e-10
 RANK_RTOL = 1e-10
@@ -57,13 +56,6 @@ class SplitComponents:
     proj_a_top: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class MetricSignature:
-    kind: str  # "riemannian" or "pseudo_riemannian"
-    # (eigenvalue, eigenspace dimension) over the four transpose eigenspaces
-    eigen_summary: tuple
-
-
 def projection_one_norm(n, proj):
     """Vectorized 1-norm of a projection on n x n matrices: one if it is
     marked by utils.coordinate_projection, else measured on all n^2 basis
@@ -88,57 +80,20 @@ def trace_form(a, b):
     return float(np.sum(a * b.T))
 
 
-def frobenius_form(a, b):
-    """Tr(a b^T), the positive-definite Frobenius pairing."""
-    a = check_square(a, "a")
-    b = check_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"size mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def in_subspace(w, proj, rtol=MEMBERSHIP_RTOL):
-    """Whether w is fixed by the projection, up to a relative tolerance."""
-    r = np.linalg.norm(w - proj(w))
-    return r <= rtol * max(1.0, np.linalg.norm(w))
-
-
 def beta_form(g, h, split, params):
     """The deformed form beta0*(Tr(hg) - Tr(h_a g_a)) - beta1*Tr(h_a g_a)."""
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     for name, m in (("g", g), ("h", h)):
-        if not in_subspace(m, split.proj_g):
+        res = np.linalg.norm(m - split.proj_g(m))
+        if not res <= MEMBERSHIP_RTOL * max(1.0, np.linalg.norm(m)):
             raise ValidationError(f"{name} is not in the Lie algebra")
     ga, ha = split.proj_a(g), split.proj_a(h)
     return params.beta0 * (trace_form(h, g) - trace_form(ha, ga)) \
         - params.beta1 * trace_form(ha, ga)
 
 
-def gram_projection(v_basis, w, form):
-    """Project w onto span(v_basis), orthogonally for the given form.
-
-    Solves the Gram system of the basis; a singular Gram matrix means the
-    form is degenerate on the subspace and no orthogonal projection exists.
-    """
-    k = len(v_basis)
-    c = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            c[i, j] = c[j, i] = form(v_basis[i], v_basis[j])
-    rhs = np.array([form(v, w) for v in v_basis])
-    svals = np.linalg.svd(c, compute_uv=False)
-    if svals[-1] <= 1e-13 * max(1.0, svals[0]):
-        raise DegenerateSubspaceError(
-            "Gram matrix is singular: subspace is degenerate for this form")
-    coeffs = np.linalg.solve(c, rhs)
-    out = np.zeros_like(np.asarray(v_basis[0], dtype=float))
-    for ci, vi in zip(coeffs, v_basis):
-        out += ci * vi
-    return out
-
-
-def _range_basis(images, rank_rtol=RANK_RTOL):
+def _range_basis(images):
     """Frobenius-orthonormal basis of the span of a list of matrices."""
     mats = [np.asarray(m, dtype=float) for m in images]
     if not mats:
@@ -150,11 +105,11 @@ def _range_basis(images, rank_rtol=RANK_RTOL):
         return []
     q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > rank_rtol * diag[0]))
+    rank = int(np.sum(diag > RANK_RTOL * diag[0]))
     return [q[:, i].reshape(shape) for i in range(rank)]
 
 
-def subspace_basis(split, proj, rank_rtol=RANK_RTOL):
+def subspace_basis(split, proj):
     """Orthonormal basis of the range of a projection on n x n matrices."""
     n = split.n
     images = []
@@ -163,7 +118,7 @@ def subspace_basis(split, proj, rank_rtol=RANK_RTOL):
         e.flat[idx] = 1.0
         images.append(proj(e))
         e.flat[idx] = 0.0
-    return _range_basis(images, rank_rtol)
+    return _range_basis(images)
 
 
 def derive_split_components(split):
@@ -191,34 +146,3 @@ def derive_split_components(split):
         return proj_a_perp(m) - proj_a_join(m)
 
     return SplitComponents(proj_a_perp, proj_a_join, proj_a_top)
-
-
-def classify_metric_signature(split, params):
-    """Sign pattern of the metric operator over the transpose eigenspaces.
-
-    The metric form equals the Frobenius pairing against
-    (beta0*(I - p_a) - beta1*p_a) composed with transposition, whose
-    eigenvalues are beta0 on (a_perp)_sym, -beta0 on (a_perp)_skew,
-    -beta1 on a_sym and beta1 on a_skew.  Riemannian iff every eigenvalue
-    with a nonzero eigenspace is positive.
-    """
-    comps = derive_split_components(split)
-
-    def dim_of(proj):
-        return len(subspace_basis(split, proj))
-
-    d_perp_sym = dim_of(lambda m: sym(comps.proj_a_perp(m)))
-    d_perp_skew = dim_of(lambda m: asym(comps.proj_a_perp(m)))
-    d_a_sym = dim_of(lambda m: sym(split.proj_a(m)))
-    d_a_skew = dim_of(lambda m: asym(split.proj_a(m)))
-
-    summary = (
-        (params.beta0, d_perp_sym),
-        (-params.beta0, d_perp_skew),
-        (-params.beta1, d_a_sym),
-        (params.beta1, d_a_skew),
-    )
-    riemannian = all(val > 0 for val, dim in summary if dim > 0)
-    return MetricSignature(
-        kind="riemannian" if riemannian else "pseudo_riemannian",
-        eigen_summary=summary)

@@ -103,7 +103,7 @@ def _gl_factors(geom, a, t):
 
 def gl_geodesic(geom, x, xi, t):
     """Geodesic on GL+(n): two exponential factors in a = X^{-1} xi."""
-    check_all_finite(x=x, xi=xi)
+    check_all_finite(x=x, xi=xi, t=t)
     left, right = _gl_factors(geom, np.linalg.solve(x, xi), t)
     return x @ left @ right
 
@@ -115,7 +115,7 @@ def gl_transport_operator(geom, a):
 
 def gl_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the GL+(n) geodesic driven by xi."""
-    check_all_finite(x=x, xi=xi, eta=eta)
+    check_all_finite(x=x, xi=xi, eta=eta, t=t)
     a = np.linalg.solve(x, xi)
     left, right = _gl_factors(geom, a, t)
     w = expaction.expa(gl_transport_operator(geom, a), np.linalg.solve(x, eta), t)
@@ -157,6 +157,7 @@ def _so_factors(geom, a, t):
 
 def so_geodesic(geom, x, xi, t):
     """Geodesic on SO(n); stays orthogonal with determinant one."""
+    check_finite(t, "t")
     x = _check_so_point(x)
     a = _so_velocity(geom, x, xi)
     big, small = _so_factors(geom, a, t)
@@ -166,6 +167,7 @@ def so_geodesic(geom, x, xi, t):
 
 def so_geodesic_velocity(geom, x, xi, t):
     """(gamma(t), dgamma/dt) by product-rule differentiation."""
+    check_finite(t, "t")
     x = _check_so_point(x)
     a = _so_velocity(geom, x, xi)
     big, small = _so_factors(geom, a, t)
@@ -182,7 +184,7 @@ def so_transport_operator(geom, a):
 
 def so_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the SO(n) geodesic driven by xi."""
-    check_all_finite(x=x, xi=xi, eta=eta)
+    check_all_finite(x=x, xi=xi, eta=eta, t=t)
     x = _check_so_point(x)
     a = _so_velocity(geom, x, xi)
     b = x.T @ eta

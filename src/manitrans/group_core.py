@@ -18,15 +18,14 @@ E_ij to row j of x put in row i minus column i of x put in column j, so
 the vectorized 1-norm of a projection (forms.projection_one_norm).
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import expaction
 from .errors import ValidationError
-from .forms import (AlgebraSplit, MetricParams, beta_form,
-                    classify_metric_signature, projection_one_norm)
+from .forms import AlgebraSplit, MetricParams, beta_form, projection_one_norm
 from .utils import check_all_finite, coordinate_projection, lie
 
 TANGENCY_RTOL = 1e-9
@@ -37,16 +36,10 @@ CONDITION_WARN = 1e12
 class GroupGeometry:
     """A group metric: an algebra split plus deformation parameters.
 
-    The metric signature classification is exact but scans a dense basis of
-    the ambient space, so it is computed lazily through the `signature`
-    property; `proj_a_norm`, which the transport bound needs, is cached too.
+    `proj_a_norm`, which the transport bound needs, is cached per geometry.
     """
     split: AlgebraSplit
     params: MetricParams
-
-    @cached_property
-    def signature(self):
-        return classify_metric_signature(self.split, self.params)
 
     @cached_property
     def proj_a_norm(self):
@@ -55,15 +48,6 @@ class GroupGeometry:
     @property
     def beta(self):
         return self.params.beta
-
-
-@dataclass(frozen=True)
-class GroupTangent:
-    """A tangent vector at an invertible base point, with its algebra
-    representative a = X^{-1} xi."""
-    base: np.ndarray
-    ambient: np.ndarray
-    algebra: np.ndarray = field(repr=False)
 
 
 def to_algebra(geom, x, xi, validate=True):
@@ -89,12 +73,9 @@ def to_algebra(geom, x, xi, validate=True):
     return a
 
 
-def group_tangent(geom, x, xi):
-    return GroupTangent(base=x, ambient=xi, algebra=to_algebra(geom, x, xi))
-
-
 def metric(geom, x, xi, eta):
     """Left-invariant metric value <xi, eta> at x."""
+    check_all_finite(x=x, xi=xi, eta=eta)
     a, b = to_algebra(geom, x, np.stack([xi, eta]))
     return beta_form(a, b, geom.split, geom.params)
 
@@ -121,14 +102,14 @@ def geodesic_factors(geom, a, t):
 
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
-    check_all_finite(x=x, xi=xi)
+    check_all_finite(x=x, xi=xi, t=t)
     left, right = geodesic_factors(geom, to_algebra(geom, x, xi), t)
     return x @ left @ right
 
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
-    check_all_finite(x=x, xi=xi)
+    check_all_finite(x=x, xi=xi, t=t)
     a = to_algebra(geom, x, xi)
     left, right = geodesic_factors(geom, a, t)
     gamma = x @ left @ right
@@ -191,7 +172,7 @@ def transport_operator(geom, a):
 
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
-    check_all_finite(x=x, xi=xi, eta=eta)
+    check_all_finite(x=x, xi=xi, eta=eta, t=t)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     left, right = geodesic_factors(geom, a, t)
     w = expaction.expa(transport_operator(geom, a), w0, t)

@@ -7,29 +7,12 @@ share nothing with the fast formulas beyond basic matrix products.  The
 curve and its velocity come from closed-form differentiation of the
 geodesic factors so the oracle's own error budget stays clean.
 """
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 import scipy.integrate
 
 from .errors import NumericalError, ValidationError
 
 DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class OdeProblem:
-    """A flattened linear ODE with adaptive tolerances."""
-    state_dim: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    t_span: tuple
-    abs_tol: float = DEFAULT_TOL
-    rel_tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValidationError("tolerances must be positive")
 
 
 def integrate_transport(christoffel, geodesic, eta0, t_grid,

@@ -27,6 +27,8 @@ from .utils import asym, check_all_finite, coordinate_projection, lie
 
 HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
+PROBE_SEED = 0  # random probes of the quotient-structure checks
+PROBES = 8
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class QuotientGeometry:
         return projection_one_norm(split.n, self.proj_m)
 
 
-def make_quotient_geometry(geom, proj_k, validate=True, seed=0):
+def make_quotient_geometry(geom, proj_k, validate=True):
     """Build a QuotientGeometry, checking the vertical-algebra structure.
 
     Validation probes idempotence and transposability of proj_k and that
@@ -58,7 +60,7 @@ def make_quotient_geometry(geom, proj_k, validate=True, seed=0):
     subspace basis, so skip it for large n.
     """
     if validate:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(PROBE_SEED)
         n = geom.split.n
         comps = derive_split_components(geom.split)
         for _ in range(4):
@@ -73,11 +75,11 @@ def make_quotient_geometry(geom, proj_k, validate=True, seed=0):
                 raise ValidationError(
                     "vertical algebra does not split into a and a_top parts")
     q = QuotientGeometry(geom=geom, proj_k=proj_k, simplified_ok=False)
-    ok = check_simplified_condition(q, seed=seed)
+    ok = check_simplified_condition(q)
     return QuotientGeometry(geom=geom, proj_k=proj_k, simplified_ok=ok)
 
 
-def check_simplified_condition(q, seed=0, probes=8):
+def check_simplified_condition(q):
     """Whether the transport ODE has constant coefficients.
 
     Structurally true when beta = -1 or the vertical algebra misses the
@@ -88,23 +90,17 @@ def check_simplified_condition(q, seed=0, probes=8):
     geom = q.geom
     split = geom.split
     bet = geom.beta
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     n = split.n
 
-    structural = False
-    if abs(bet + 1.0) < 1e-14:
-        structural = True
-    else:
-        inside_a = max(
-            np.linalg.norm(split.proj_a(q.proj_k(rng.standard_normal((n, n)))))
-            for _ in range(probes))
-        structural = inside_a <= 1e-12
-
+    structural = abs(bet + 1.0) < 1e-14 or max(
+        np.linalg.norm(split.proj_a(q.proj_k(rng.standard_normal((n, n)))))
+        for _ in range(PROBES)) <= 1e-12
     if not structural:
         return False
 
     for t in (0.3, 1.1):
-        for _ in range(probes):
+        for _ in range(PROBES):
             w = split.proj_g(rng.standard_normal((n, n)))
             a = q.proj_m(split.proj_g(rng.standard_normal((n, n))))
             u = expaction.matrix_exponential(t * (1.0 + bet) * split.proj_a(a))
@@ -140,7 +136,7 @@ def horizontal_transport_operator(q, a):
                         nu_a=geom.proj_a_norm, nu_m=q.proj_m_norm)
 
 
-def _solve_w_ode(q, a, w0, t, rtol=ODE_TOL, atol=ODE_TOL):
+def _solve_w_ode(q, a, w0, t):
     """Adaptive Runge-Kutta solution of the variable-coefficient W ODE."""
     geom = q.geom
     split = geom.split
@@ -158,18 +154,18 @@ def _solve_w_ode(q, a, w0, t, rtol=ODE_TOL, atol=ODE_TOL):
         return dw.reshape(-1)
 
     sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, t), w0.reshape(-1), method="RK45", rtol=rtol, atol=atol,
-        dense_output=False)
+        rhs, (0.0, t), w0.reshape(-1), method="RK45", rtol=ODE_TOL,
+        atol=ODE_TOL, dense_output=False)
     if not sol.success:
         raise NumericalError(f"transport ODE integration failed: {sol.message}")
     return sol.y[:, -1].reshape(n, n)
 
 
-def quotient_transport(q, x, xi, eta, t, rtol=ODE_TOL, atol=ODE_TOL):
+def quotient_transport(q, x, xi, eta, t):
     """Parallel transport of a horizontal vector along the horizontal
     geodesic, closed form when the simplified condition holds."""
     geom = q.geom
-    check_all_finite(x=x, xi=xi, eta=eta)
+    check_all_finite(x=x, xi=xi, eta=eta, t=t)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     _check_horizontal(q, a, "xi")
     _check_horizontal(q, w0, "eta")
@@ -178,7 +174,7 @@ def quotient_transport(q, x, xi, eta, t, rtol=ODE_TOL, atol=ODE_TOL):
     elif t == 0.0:
         w = w0
     else:
-        w = _solve_w_ode(q, a, w0, t, rtol=rtol, atol=atol)
+        w = _solve_w_ode(q, a, w0, t)
     left, right = group_core.geodesic_factors(geom, a, t)
     return x @ left @ w @ right
 

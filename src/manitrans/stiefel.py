@@ -1,28 +1,13 @@
 """Parallel transport on the Stiefel and flag manifolds in O(n d^2) + O(t d^3).
 
-A tangent vector xi at Y splits as xi = Y A + Q R with A = Y^T xi
-antisymmetric and Q an orthonormal basis of the Y-orthogonal column span
-(decompose_tangent: one Y^T xi; CholeskyQR2 when that part is well
-conditioned, pivoted QR when it may be rank-deficient, each ending in one
-projection against Y and one Cholesky-QR step).
+A tangent vector xi at Y splits as xi = Y A + Q R (decompose_tangent).
 Geodesics and the in-span part of transport live in the (d+k)-column
 subspace [Y|Q]; the out-of-span part of a transported vector only picks up
 a d x d rotation.  The transport factor in the middle is an exponential
 action of the operator P_AR over F = Skew_d x R^{k x d}, applied in its
-balanced form (top block scaled by sqrt(alpha)), which is
-Frobenius-antisymmetric on F.  Its handle carries two bounds: the cheap
-1-norm bound of the Taylor selection, and a 2-norm bound rho, from
-||A||_2 and ||R||_2, under which expa sums the Chebyshev-Bessel series
-in about |t| rho applies.
-
-A transport plan holds these pieces for one geodesic and is the one
-transport engine: canonical flag transport (flag_grassmann) is the plan at
-alpha = 1/2 with the operator's top block cleared on the flag diagonal
-blocks, a mask that cannot raise either bound.  Per call, the plan skips
-each d x d exponential whose argument is zero ((1-2 alpha) A at
-alpha = 1/2, (1-alpha) A at alpha = 1), and writes the result into one
-n-sized array.  It checks eta from the [Y|Q]^T eta it forms anyway:
-tangency, and for a flag plan (plan.mask) horizontality.
+balanced form (p_bal_operator).  A transport plan holds these pieces for
+one geodesic and is the one transport engine, for Stiefel plans and, with
+a block mask, for canonical flag plans (flag_grassmann).
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Operators and transports accept leading batch axes on the vectors.
@@ -36,14 +21,15 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
-from .utils import asym, check_finite, check_operand, hcat, sym
+from .utils import asym, check_finite, check_operand, hcat, matrix_norms, sym
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
 RANK_RTOL = 1e-12
 # CholeskyQR2 serves xi whose Y-orthogonal part has a condition number
 # (bound) below this; its first step then leaves Q^T Q - I below about
-# 1e12 eps ~ 1e-4, which its second step repairs.
+# 1e12 eps ~ 1e-4, which its second step repairs.  It is below
+# 1 / RANK_RTOL, so pivoted QR would keep every column of such a part too.
 CHOLQR_MAX_COND = 1e6
 # One Cholesky-QR step re-orthonormalises a basis of condition below this.
 REORTH_MAX_COND = 10.0
@@ -102,21 +88,20 @@ def check_point(y):
 
 
 def check_coefficient(coeff, scale, mask=None):
-    """Tangency of a vector v from its Y-coefficient coeff = Y^T v (leading
-    batch axes allowed) and scale = ||v||: the symmetric part of coeff must
-    vanish and, with a flag block mask, so must its masked blocks
+    """Tangency of vectors v from their Y-coefficients coeff = Y^T v
+    (leading batch axes allowed) and scale = ||v||, one per vector: the
+    symmetric part of each coeff must vanish, relative to its own vector,
+    and, with a flag block mask, so must its masked blocks
     (horizontality)."""
-    res = np.linalg.norm(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
+    res = matrix_norms(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
     kind = "tangent"
     if mask is not None:
-        res = np.maximum(res, np.linalg.norm(coeff[..., mask]))
+        res = np.maximum(res, np.linalg.norm(coeff[..., mask], axis=-1))
         kind = "horizontal"
-    if not res <= TANGENT_RTOL * max(1.0, scale):
-        raise ValidationError(f"vector is not {kind}: residual {res:.3e}")
-
-
-def check_tangent(y, xi):
-    check_coefficient(np.swapaxes(y, -1, -2) @ xi, np.linalg.norm(xi))
+    bad = np.flatnonzero(~(res <= TANGENT_RTOL * np.maximum(1.0, scale)))
+    if bad.size:
+        raise ValidationError(
+            f"vector is not {kind}: residual {np.ravel(res)[bad[0]]:.3e}")
 
 
 def project_tangent(y, w):
@@ -138,23 +123,21 @@ def metric_inner(y, xi, eta, params):
     return float(np.sum(xi * eta) + (params.alpha - 1.0) * np.sum(yxi * yeta))
 
 
-def decompose_tangent(y, xi, rank_tol=RANK_RTOL, use_svd=False):
+def decompose_tangent(y, xi):
     """Split xi = Y A + Q R, forming Y^T xi once.
 
     Y^T xi gives the tangency check, A = asym(Y^T xi) and the Y-orthogonal
     part perp = xi - Y Y^T xi.  k = 0 (empty Q, R) when perp is negligible.
-    When n - d >= d and cond_2(perp) is below min(CHOLQR_MAX_COND,
-    1 / rank_tol) by the bound of _cholesky_qr, the first Cholesky-QR step
-    gives Q's columns and k = d: then sigma_min / sigma_max > rank_tol, and
-    pivoted QR, whose |r_dd| / |r_11| is at least that ratio, would keep
-    every column too.  Any other xi (rank-deficient, n - d < d,
-    ill-conditioned) takes the rank-revealing route: pivoted QR, or with
-    use_svd (which skips the Cholesky route) a singular value
-    decomposition.  Both routes end in _reorthonormalise, so the Cholesky
-    route is CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto
-    2014) with a projection against Y between its two steps.  Every plan is
-    built from this decomposition, so this is where xi's shape and entries
-    are checked.
+    When n - d >= d and cond_2(perp) is below CHOLQR_MAX_COND by the bound
+    of _cholesky_qr, the first Cholesky-QR step gives Q's columns and
+    k = d: then sigma_min / sigma_max > RANK_RTOL, and pivoted QR, whose
+    |r_dd| / |r_11| is at least that ratio, would keep every column too.
+    Any other xi (rank-deficient, n - d < d, ill-conditioned) takes pivoted
+    QR.  Both routes end in _reorthonormalise, so the Cholesky route is
+    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014) with a
+    projection against Y between its two steps.  Every plan is built from
+    this decomposition, so this is where xi's shape and entries are
+    checked.
     """
     xi = check_operand(xi, y.shape, "xi")
     n, d = y.shape
@@ -163,30 +146,24 @@ def decompose_tangent(y, xi, rank_tol=RANK_RTOL, use_svd=False):
     check_coefficient(c, scale)
     a = asym(c)
     perp = xi - y @ c
-    if np.linalg.norm(perp) <= rank_tol * max(1.0, scale):
+    if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, scale):
         return TangentDecomposition(
             a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
-    q = None
-    if not use_svd and n - d >= d:
-        q = _cholesky_qr(perp, 1.0 / max(rank_tol, 1.0 / CHOLQR_MAX_COND))
+    q = _cholesky_qr(perp, CHOLQR_MAX_COND) if n - d >= d else None
     if q is None:
-        q = _rank_revealing_basis(perp, rank_tol, use_svd)
+        q = _rank_revealing_basis(perp)
     if q.shape[1]:
         q = _reorthonormalise(y, q)
     r = q.T @ xi
     return TangentDecomposition(a=a, q=q, r=r, k=q.shape[1])
 
 
-def _rank_revealing_basis(perp, rank_tol, use_svd):
-    """Columns of pivoted QR's Q (or of the SVD's U) whose pivot (singular
-    value) exceeds rank_tol times the largest."""
-    if use_svd:
-        u, sv, _ = np.linalg.svd(perp, full_matrices=False)
-        k = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-        return u[:, :k]
+def _rank_revealing_basis(perp):
+    """Columns of pivoted QR's Q whose pivot exceeds RANK_RTOL times the
+    largest."""
     q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
-    k = int(np.sum(diag > rank_tol * diag[0])) if diag.size and diag[0] > 0 else 0
+    k = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
     return q[:, :k]
 
 
@@ -215,7 +192,7 @@ def _reorthonormalise(y, q):
 
     q is orthonormal up to a small Y-component and a small loss of
     orthogonality; on the pivoted-QR route its Y-component is about
-    eps ||xi|| / |r_kk|, at most about 1e-4 at the default rank_tol.  The
+    eps ||xi|| / |r_kk|, at most about 1e-4 at RANK_RTOL.  The
     result has Q^T Q = I and Y^T Q = 0 to roundoff.  When the projected q
     is too ill-conditioned for one step to deliver that, xi's Y-orthogonal
     part was lost to rounding, and this raises NumericalError.
@@ -235,35 +212,40 @@ def _big_arg(decomp, alpha):
                      [r, np.zeros((k, k))]])
 
 
-def stiefel_geodesic(y, xi, params, t):
-    """Geodesic through Y with velocity xi, evaluated at time t."""
+def _geodesic_factors(y, xi, alpha, t):
+    """[Y|Q], the decomposition of xi and the two exponentials of the
+    geodesic at time t."""
+    check_finite(t, "t")
     y = check_point(y)
     decomp = decompose_tangent(y, xi)
-    alpha = params.alpha
     e_big = scipy.linalg.expm(t * _big_arg(decomp, alpha))
     e_small = scipy.linalg.expm(t * (1.0 - 2.0 * alpha) * decomp.a)
-    yq = hcat(y, decomp.q)
+    return hcat(y, decomp.q), decomp, e_big, e_small
+
+
+def stiefel_geodesic(y, xi, params, t):
+    """Geodesic through Y with velocity xi, evaluated at time t."""
+    yq, decomp, e_big, e_small = _geodesic_factors(y, xi, params.alpha, t)
     return yq @ (e_big[:, :decomp.d] @ e_small)
 
 
 def stiefel_geodesic_velocity(y, xi, params, t):
     """(gamma(t), dgamma/dt) by product-rule differentiation."""
-    y = check_point(y)
-    decomp = decompose_tangent(y, xi)
-    alpha = params.alpha
+    yq, decomp, e_big, e_small = _geodesic_factors(y, xi, params.alpha, t)
     d = decomp.d
-    e_big = scipy.linalg.expm(t * _big_arg(decomp, alpha))
     ar = _big_arg(decomp, 0.5)  # [[A, -R^T], [R, 0]]
-    e_small = scipy.linalg.expm(t * (1.0 - 2.0 * alpha) * decomp.a)
-    yq = hcat(y, decomp.q)
     gam = yq @ (e_big[:, :d] @ e_small)
     dgam = yq @ ((e_big @ ar)[:, :d] @ e_small)
     return gam, dgam
 
 
-def _p_bal_pair(decomp, params, mask=None):
-    """The balanced operator on stacked F: apply/adjoint closures, the
-    cheap 1-norm bound and the 2-norm bound rho (p_bal_two_norm_bound).
+def p_bal_operator(decomp, params, mask=None):
+    """The balanced operator on stacked F, top block scaled by
+    sqrt(alpha), which is Frobenius-antisymmetric on F: apply/adjoint
+    closures, the cheap 1-norm bound of the Taylor selection
+    (p_bal_norm_bound) and the 2-norm bound rho (p_bal_two_norm_bound),
+    under which expa sums the Chebyshev-Bessel series in about |t| rho
+    applies.
 
     mask, a d x d boolean array, clears the top block where it is True;
     canonical flag transport passes its diagonal blocks.  Clearing entries
@@ -370,21 +352,16 @@ def p_bal_two_norm_bound(decomp, params):
     return float(rho) * (1.0 + 16.0 * _EPS)
 
 
-def p_bal_operator(decomp, params):
-    """Balanced operator handle with its 1-norm and 2-norm bounds."""
-    return _p_bal_pair(decomp, params)
-
-
 def plan_from_decomposition(y, decomp, params, mask=None):
     """Transport plan along the geodesic from Y with velocity Y A + Q R;
-    mask clears the operator's top block (see _p_bal_pair)."""
+    mask clears the operator's top block (see p_bal_operator)."""
     alpha = params.alpha
     return StiefelTransportPlan(
         decomposition=decomp,
         big_exp_arg=_big_arg(decomp, alpha),
         small_exp_arg=(1.0 - 2.0 * alpha) * decomp.a,
         normal_exp_arg=(1.0 - alpha) * decomp.a,
-        p_op=_p_bal_pair(decomp, params, mask),
+        p_op=p_bal_operator(decomp, params, mask),
         alpha=alpha,
         basis=hcat(y, decomp.q),
         mask=mask)
@@ -412,7 +389,7 @@ def transport_with_plan(plan, y, eta, t):
     d = plan.decomposition.d
     eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
     w0 = np.swapaxes(yq, -1, -2) @ eta
-    check_coefficient(w0[..., :d, :], np.linalg.norm(eta), plan.mask)
+    check_coefficient(w0[..., :d, :], matrix_norms(eta), plan.mask)
     if t == 0.0:
         return eta.copy()
     salpha = np.sqrt(plan.alpha)
@@ -456,13 +433,3 @@ def stiefel_christoffel(y, xi, eta, params):
     first = 0.5 * y @ (xi.T @ eta + eta.T @ xi)
     m = xi @ (eta.T @ y) + eta @ (xi.T @ y)
     return first + (1.0 - alpha) * (m - y @ (y.T @ m))
-
-
-def horizontal_lift(y, y_perp, xi):
-    """Lift a tangent vector at Y to a horizontal vector at [Y|Y_perp]."""
-    x = hcat(y, y_perp)
-    n = x.shape[0]
-    if x.shape[1] != n or not np.linalg.norm(x.T @ x - np.eye(n)) <= POINT_TOL:
-        raise ValidationError("[Y|Y_perp] is not orthogonal")
-    check_tangent(y, xi)
-    return hcat(xi, -y @ (xi.T @ y_perp))

@@ -29,19 +29,16 @@ def lie(a, b):
     return a @ b - b @ a
 
 
-def vcat(a, b):
-    """Stack two blocks vertically."""
-    return np.concatenate([a, b], axis=0)
-
-
 def hcat(a, b):
     """Stack two blocks horizontally."""
     return np.concatenate([a, b], axis=1)
 
 
-def fnorm(m):
-    """Frobenius norm."""
-    return float(np.sqrt(np.sum(m * m)))
+def matrix_norms(m):
+    """Frobenius norm of each trailing matrix of m (leading batch axes
+    allowed), by one dot product per matrix."""
+    flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
 def check_square(m, name="matrix"):
@@ -69,10 +66,3 @@ def check_operand(m, shape, name, batched=False):
 def check_all_finite(**named):
     for name, m in named.items():
         check_finite(m, name)
-
-
-def check_same_shape(a, b, names=("a", "b")):
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"{names[0]} and {names[1]} must have equal shapes, "
-            f"got {a.shape} and {b.shape}")

@@ -1,13 +1,16 @@
 """Shared constructions and reference implementations for the test suite."""
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
-from manitrans.errors import DimensionError
+from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
+from manitrans.forms import derive_split_components, subspace_basis
 from manitrans.stiefel import (
-    RANK_RTOL, TangentDecomposition, check_tangent, p_bal_norm_bound,
-    project_tangent)
-from manitrans.utils import asym, check_operand
+    POINT_TOL, RANK_RTOL, TangentDecomposition, check_coefficient,
+    p_bal_norm_bound, project_tangent)
+from manitrans.utils import asym, check_operand, check_square, matrix_norms, sym
 
 
 def random_stiefel(rng, n, d):
@@ -55,6 +58,115 @@ def zero_flag_blocks(sig, m):
     out = np.array(m, dtype=float, copy=True)
     out[..., sig.block_mask] = 0.0
     return out
+
+
+def check_tangent(y, xi):
+    """Tangency of xi at Y (leading batch axes allowed)."""
+    check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi))
+
+
+def horizontal_lift(y, y_perp, xi):
+    """Lift a tangent vector at Y to a horizontal vector at [Y|Y_perp]."""
+    x = np.hstack([y, y_perp])
+    n = x.shape[0]
+    if x.shape[1] != n or not np.linalg.norm(x.T @ x - np.eye(n)) <= POINT_TOL:
+        raise ValidationError("[Y|Y_perp] is not orthogonal")
+    check_tangent(y, xi)
+    return np.hstack([xi, -y @ (xi.T @ y_perp)])
+
+
+def zero_operator(domain_shape):
+    """The zero operator on the given matrix space."""
+    return LinearOperatorHandle(
+        apply=np.zeros_like,
+        apply_adjoint=np.zeros_like,
+        one_norm_upper_bound=0.0,
+        domain_shape=tuple(domain_shape))
+
+
+def identity_operator(domain_shape):
+    """The identity operator on the given matrix space."""
+    return LinearOperatorHandle(
+        apply=lambda m: m.copy(),
+        apply_adjoint=lambda m: m.copy(),
+        one_norm_upper_bound=1.0,
+        domain_shape=tuple(domain_shape))
+
+
+# --- forms and metric signatures --------------------------------------------
+
+class DegenerateSubspaceError(ValueError):
+    """The bilinear form is singular on the requested subspace."""
+
+
+def frobenius_form(a, b):
+    """Tr(a b^T), the positive-definite Frobenius pairing."""
+    a = check_square(a, "a")
+    b = check_square(b, "b")
+    if a.shape != b.shape:
+        raise DimensionError(f"size mismatch {a.shape} vs {b.shape}")
+    return float(np.sum(a * b))
+
+
+def gram_projection(v_basis, w, form):
+    """Project w onto span(v_basis), orthogonally for the given form.
+
+    Solves the Gram system of the basis; a singular Gram matrix means the
+    form is degenerate on the subspace and no orthogonal projection exists.
+    """
+    k = len(v_basis)
+    c = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            c[i, j] = c[j, i] = form(v_basis[i], v_basis[j])
+    rhs = np.array([form(v, w) for v in v_basis])
+    svals = np.linalg.svd(c, compute_uv=False)
+    if svals[-1] <= 1e-13 * max(1.0, svals[0]):
+        raise DegenerateSubspaceError(
+            "Gram matrix is singular: subspace is degenerate for this form")
+    coeffs = np.linalg.solve(c, rhs)
+    out = np.zeros_like(np.asarray(v_basis[0], dtype=float))
+    for ci, vi in zip(coeffs, v_basis):
+        out += ci * vi
+    return out
+
+
+@dataclass(frozen=True)
+class MetricSignature:
+    kind: str  # "riemannian" or "pseudo_riemannian"
+    # (eigenvalue, eigenspace dimension) over the four transpose eigenspaces
+    eigen_summary: tuple
+
+
+def classify_metric_signature(split, params):
+    """Sign pattern of the metric operator over the transpose eigenspaces.
+
+    The metric form equals the Frobenius pairing against
+    (beta0*(I - p_a) - beta1*p_a) composed with transposition, whose
+    eigenvalues are beta0 on (a_perp)_sym, -beta0 on (a_perp)_skew,
+    -beta1 on a_sym and beta1 on a_skew.  Riemannian iff every eigenvalue
+    with a nonzero eigenspace is positive.
+    """
+    comps = derive_split_components(split)
+
+    def dim_of(proj):
+        return len(subspace_basis(split, proj))
+
+    d_perp_sym = dim_of(lambda m: sym(comps.proj_a_perp(m)))
+    d_perp_skew = dim_of(lambda m: asym(comps.proj_a_perp(m)))
+    d_a_sym = dim_of(lambda m: sym(split.proj_a(m)))
+    d_a_skew = dim_of(lambda m: asym(split.proj_a(m)))
+
+    summary = (
+        (params.beta0, d_perp_sym),
+        (-params.beta0, d_perp_skew),
+        (-params.beta1, d_a_sym),
+        (params.beta1, d_a_skew),
+    )
+    riemannian = all(val > 0 for val, dim in summary if dim > 0)
+    return MetricSignature(
+        kind="riemannian" if riemannian else "pseudo_riemannian",
+        eigen_summary=summary)
 
 
 # --- reference forms of the Stiefel transport operator ----------------------
@@ -144,27 +256,22 @@ def transport_reference(plan, eta, t):
     return yq @ (e_big @ w @ e_small) + (eta - yq @ w0) @ e_normal
 
 
-def decompose_tangent_reference(y, xi, rank_tol=RANK_RTOL, use_svd=False):
-    """xi = Y A + Q R by pivoted QR (or an SVD) of xi - Y Y^T xi for every
-    xi, then a projection against Y and a Householder QR: the reference for
+def decompose_tangent_reference(y, xi):
+    """xi = Y A + Q R by pivoted QR of xi - Y Y^T xi for every xi, then a
+    projection against Y and a Householder QR: the reference for
     stiefel.decompose_tangent's rank decision and its transports."""
     xi = check_operand(xi, y.shape, "xi")
     check_tangent(y, xi)
     n, d = y.shape
     a = asym(y.T @ xi)
     perp = xi - y @ (y.T @ xi)
-    if np.linalg.norm(perp) <= rank_tol * max(1.0, np.linalg.norm(xi)):
+    if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, np.linalg.norm(xi)):
         return TangentDecomposition(
             a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
-    if use_svd:
-        u, sv, _ = np.linalg.svd(perp, full_matrices=False)
-        k = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-        q = u[:, :k]
-    else:
-        q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(rr))
-        k = int(np.sum(diag > rank_tol * diag[0])) if diag.size and diag[0] > 0 else 0
-        q = q[:, :k]
+    q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(rr))
+    k = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
+    q = q[:, :k]
     if k > 0:
         q = q - y @ (y.T @ q)
         q, _ = np.linalg.qr(q)

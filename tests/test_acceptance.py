@@ -27,15 +27,14 @@ from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   transport_operator)
 from manitrans.quotient import quotient_transport, stiefel_quotient, flag_quotient
 from manitrans.stiefel import (StiefelMetricParams, TangentDecomposition,
-                               decompose_tangent, horizontal_lift,
-                               p_bal_norm_bound, p_bal_operator,
-                               project_tangent, stiefel_christoffel,
-                               stiefel_geodesic, stiefel_geodesic_velocity,
-                               stiefel_transport)
+                               decompose_tangent, p_bal_norm_bound,
+                               p_bal_operator, project_tangent,
+                               stiefel_christoffel, stiefel_geodesic,
+                               stiefel_geodesic_velocity, stiefel_transport)
 from manitrans.utils import asym, sym
 
-from helpers import (random_glp, random_so, random_so_tangent, random_stiefel,
-                     random_stiefel_tangent)
+from helpers import (horizontal_lift, random_glp, random_so,
+                     random_so_tangent, random_stiefel, random_stiefel_tangent)
 
 ORACLE_GRID = np.linspace(0.0, 2.0, 9)
 FD_DT = 1e-3

@@ -9,11 +9,11 @@ from manitrans.errors import (CapacityError, DimensionError, NumericalError,
                               ValidationError)
 from manitrans.expaction import (
     THETA_DOUBLE, THETA_SINGLE, LinearOperatorHandle, dense_operator_matrix,
-    expa, identity_operator, matrix_exponential, one_norm_estimate_exhaustive,
-    select_taylor_params, zero_operator)
+    expa, matrix_exponential, one_norm_estimate_exhaustive,
+    select_taylor_params)
 from manitrans.utils import asym
 
-from helpers import rel_err
+from helpers import identity_operator, rel_err, zero_operator
 
 
 def matmul_operator(m, rows, cols):

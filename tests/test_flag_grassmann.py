@@ -241,8 +241,7 @@ class TestGrassmann:
 
     def test_matches_quotient_machinery(self, rng):
         from manitrans.quotient import flag_quotient, quotient_transport
-        from manitrans.stiefel import horizontal_lift
-        from helpers import random_so
+        from helpers import horizontal_lift, random_so
         n, d, t = 7, 2, 1.2
         xbar = random_so(rng, n)
         y, yperp = xbar[:, :d], xbar[:, d:]

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from manitrans.errors import (DegenerateSubspaceError, DimensionError,
-                              ValidationError)
+from manitrans.errors import DimensionError, ValidationError
 from manitrans.forms import (
-    AlgebraSplit, MetricParams, beta_form, classify_metric_signature,
-    derive_split_components, frobenius_form, gram_projection, subspace_basis,
-    trace_form)
+    AlgebraSplit, MetricParams, beta_form, derive_split_components,
+    subspace_basis, trace_form)
 from manitrans.gl_so import gl_split, so_split
 from manitrans.utils import asym, lie, sym
+
+from helpers import (DegenerateSubspaceError, classify_metric_signature,
+                     frobenius_form, gram_projection)
 
 
 def block_split(n, k):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from manitrans import oracle
 from manitrans.errors import ValidationError
+from manitrans.expaction import dense_operator_matrix
 from manitrans.gl_so import (
     GLGeometry, SOGeometry, gl_geodesic, gl_metric, gl_transport,
     gl_transport_operator, so_geodesic, so_geodesic_velocity, so_metric,
@@ -13,8 +14,8 @@ from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   geodesic_velocity, transport)
 from manitrans.utils import asym, sym
 
-from helpers import (poisoned, random_glp, random_so, random_so_tangent,
-                     rel_err)
+from helpers import (classify_metric_signature, poisoned, random_glp,
+                     random_so, random_so_tangent, rel_err)
 
 
 def group_of(geom):
@@ -24,7 +25,8 @@ def group_of(geom):
 class TestGLGeometry:
     def test_positive_beta_is_riemannian(self):
         geom = GLGeometry(n=3, beta=0.7)
-        assert group_of(geom).signature.kind == "riemannian"
+        assert classify_metric_signature(geom.split, geom.params).kind \
+            == "riemannian"
 
     def test_rejects_zero_beta(self):
         with pytest.raises(ValidationError):
@@ -165,7 +167,8 @@ class TestSOGeometry:
             SOGeometry(n=4, d=4, alpha=0.5)
         with pytest.raises(ValidationError):
             SOGeometry(n=4, d=2, alpha=-1.0)
-        assert group_of(SOGeometry(n=4, d=2, alpha=0.8)).signature.kind \
+        geom = SOGeometry(n=4, d=2, alpha=0.8)
+        assert classify_metric_signature(geom.split, geom.params).kind \
             == "riemannian"
 
     def test_rejects_nonorthogonal_base(self, rng):
@@ -280,6 +283,39 @@ class TestSOTransport:
             moved = so_transport(geom, x, xi, eta, t)
             after = so_metric(geom, gam.T @ moved, gam.T @ moved)
             assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+
+
+class TestLongAndNegativeTimes:
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 6),
+           alpha=st.sampled_from([1e-3, 0.8, 50.0]),
+           t=st.sampled_from([-5.0, 20.0]))
+    def test_so_isometry(self, seed, n, alpha, t):
+        rng = np.random.default_rng(seed)
+        geom = SOGeometry(n=n, d=2, alpha=alpha)
+        x = random_so(rng, n)
+        xi, eta = (random_so_tangent(rng, x) for _ in range(2))
+        gam = so_geodesic(geom, x, xi, t)
+        m = gam.T @ so_transport(geom, x, xi, eta, t)
+        assert np.linalg.norm(m + m.T) <= 1e-9 * max(1.0, np.linalg.norm(m))
+        before = so_metric(geom, x.T @ eta, x.T @ eta)
+        assert abs(so_metric(geom, m, m) - before) <= 1e-9 * max(1.0, before)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 5),
+           beta=st.sampled_from([-0.6, 0.7, 2.0]),
+           t=st.sampled_from([-5.0, 20.0]))
+    def test_gl_matches_dense_exponential(self, seed, n, beta, t):
+        # gamma(t) can be too ill-conditioned to solve with (cond 1e17 on
+        # GL(5) at t = 20), so compare against the dense expm of P_a
+        rng = np.random.default_rng(seed)
+        geom = GLGeometry(n=n, beta=beta)
+        x = random_glp(rng, n)
+        a, b = (rng.standard_normal((n, n)) / n for _ in range(2))
+        dense = dense_operator_matrix(gl_transport_operator(geom, a))
+        w = (scipy.linalg.expm(t * dense) @ b.reshape(-1)).reshape(n, n)
+        left = scipy.linalg.expm(0.5 * t * ((1.0 - beta) * a + (1.0 + beta) * a.T))
+        right = scipy.linalg.expm(t * (1.0 + beta) * asym(a))
+        want = x @ left @ w @ right
+        assert rel_err(gl_transport(geom, x, x @ a, x @ b, t), want) <= 1e-9
 
 
 class TestOperators:

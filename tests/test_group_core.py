@@ -15,13 +15,13 @@ from manitrans.gl_so import (GLGeometry, SOGeometry, gl_metric, gl_split,
                              gl_transport_operator, so_metric, so_split,
                              so_transport_operator)
 from manitrans.group_core import (
-    GroupGeometry, christoffel, geodesic, geodesic_velocity, group_tangent,
-    metric, to_algebra, transport, transport_operator)
+    GroupGeometry, christoffel, geodesic, geodesic_velocity, metric,
+    to_algebra, transport, transport_operator)
 from manitrans.quotient import horizontal_transport_operator, stiefel_quotient
 from manitrans.utils import asym, lie
 
-from helpers import (poisoned, random_glp, random_so, random_so_tangent,
-                     rel_err)
+from helpers import (classify_metric_signature, poisoned, random_glp,
+                     random_so, random_so_tangent, rel_err)
 from test_forms import block_split
 
 
@@ -270,6 +270,8 @@ class TestTransport:
                         eta=random_so_tangent(rng, x))
         with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
             transport(geom, t=1.0, **args)
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            metric(geom, **args)
 
     @pytest.mark.parametrize("arg", ["x", "xi"])
     def test_geodesic_rejects_nonfinite(self, rng, arg):
@@ -385,8 +387,7 @@ class TestTangency:
         geom = so_geom(5, 2, 0.8)
         x = random_so(rng, 5)
         xi = random_so_tangent(rng, x)
-        gt = group_tangent(geom, x, xi)
-        assert np.allclose(x @ gt.algebra, xi)
+        assert np.allclose(x @ to_algebra(geom, x, xi), xi)
 
     def test_rejects_nontangent(self, rng):
         geom = so_geom(4, 2, 0.8)
@@ -409,4 +410,5 @@ class TestTangency:
 
     def test_signature_recorded(self):
         geom = so_geom(4, 2, 0.8)
-        assert geom.signature.kind == "riemannian"
+        assert classify_metric_signature(geom.split, geom.params).kind \
+            == "riemannian"

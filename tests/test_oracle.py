@@ -3,7 +3,7 @@ import pytest
 
 from manitrans import oracle
 from manitrans.errors import ValidationError
-from manitrans.oracle import (OdeProblem, gram_drift, integrate_transport,
+from manitrans.oracle import (gram_drift, integrate_transport,
                               transport_residual)
 from manitrans.stiefel import (StiefelMetricParams, stiefel_christoffel,
                                stiefel_geodesic, stiefel_geodesic_velocity,
@@ -163,10 +163,3 @@ class TestGramDrift:
         v = rng.standard_normal((2, 2))
         with pytest.raises(ValidationError):
             gram_drift([v], [[v, v]], metric=lambda a, b: 0.0)
-
-
-class TestOdeProblem:
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValidationError):
-            OdeProblem(state_dim=4, rhs=lambda t, y: y, t_span=(0.0, 1.0),
-                       abs_tol=0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from manitrans import oracle
 from manitrans.errors import ValidationError
@@ -12,11 +13,11 @@ from manitrans.quotient import (
     check_simplified_condition, flag_quotient, horizontal_christoffel,
     horizontal_transport_operator, make_quotient_geometry, quotient_transport,
     stiefel_quotient)
-from manitrans.stiefel import (StiefelMetricParams, horizontal_lift,
-                               project_tangent, stiefel_transport)
+from manitrans.stiefel import (StiefelMetricParams, project_tangent,
+                               stiefel_transport)
 from manitrans.utils import asym, lie
 
-from helpers import poisoned, random_so, rel_err
+from helpers import horizontal_lift, poisoned, random_so, rel_err
 
 
 def horizontal_vector(rng, q, x):
@@ -221,6 +222,23 @@ class TestQuotientTransport:
         w = np.linalg.solve(gam, moved)
         after = beta_form(w, w, geom.split, geom.params)
         assert abs(after - before) <= 1e-8 * (1.0 + abs(before))
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 7),
+           t=st.sampled_from([-5.0, 20.0]))
+    def test_long_and_negative_times(self, seed, n, t):
+        q = stiefel_quotient(n, 2, 0.8)
+        geom = q.geom
+        rng = np.random.default_rng(seed)
+        x = random_so(rng, n)
+        xi, eta = (horizontal_vector(rng, q, x) for _ in range(2))
+        w = geodesic(geom, x, xi, t).T @ quotient_transport(q, x, xi, eta, t)
+        scale = max(1.0, np.linalg.norm(w))
+        assert np.linalg.norm(w + w.T) <= 1e-9 * scale
+        assert np.linalg.norm(q.proj_k(w)) <= 1e-9 * scale
+        b = x.T @ eta
+        before = beta_form(b, b, geom.split, geom.params)
+        after = beta_form(w, w, geom.split, geom.params)
+        assert abs(after - before) <= 1e-9 * max(1.0, before)
 
     def test_right_multiplication_by_vertical_group_is_isometry(self, rng):
         q = stiefel_quotient(6, 2, 0.8)

@@ -15,17 +15,18 @@ from manitrans.flag_grassmann import (FlagSignature, flag_horizontal_project,
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import so_split
 from manitrans.stiefel import (
-    RANK_RTOL, StiefelMetricParams, TangentDecomposition, check_point,
-    check_tangent, decompose_tangent, horizontal_lift, make_transport_plan,
-    metric_inner, p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
+    CHOLQR_MAX_COND, RANK_RTOL, StiefelMetricParams, TangentDecomposition,
+    check_point, decompose_tangent, make_transport_plan, metric_inner,
+    p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
     project_tangent, stiefel_christoffel, stiefel_geodesic,
     stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
 from helpers import (
-    decompose_tangent_reference, p_ar_apply, p_ar_operator,
-    p_bal_norm_bound_display, poisoned, random_so, random_stiefel,
-    random_stiefel_tangent, rel_err, transport_reference, zero_flag_blocks)
+    check_tangent, decompose_tangent_reference, horizontal_lift, p_ar_apply,
+    p_ar_operator, p_bal_norm_bound_display, poisoned, random_so,
+    random_stiefel, random_stiefel_tangent, rel_err, transport_reference,
+    zero_flag_blocks)
 
 
 def random_decomp(rng, d, k):
@@ -179,11 +180,15 @@ class TestDecomposeTangent:
         got_span = decomp.q @ (decomp.q.T @ q0)
         assert np.linalg.norm(got_span - q0) <= 1e-10
 
-    @pytest.mark.parametrize("use_svd", [False, True])
-    def test_reconstruction(self, rng, use_svd):
+    @pytest.mark.parametrize("pivoted", [False, True])
+    def test_reconstruction(self, rng, pivoted):
+        # the Cholesky route, and the pivoted route of a rank-deficient xi
         y = random_stiefel(rng, 50, 7)
         xi = random_stiefel_tangent(rng, y)
-        decomp = decompose_tangent(y, xi, use_svd=use_svd)
+        if pivoted:
+            xi = project_tangent(y, xi[:, :3] @ rng.standard_normal((3, 7)))
+        decomp = decompose_tangent(y, xi)
+        assert (decomp.k < 7) == pivoted
         recon = y @ decomp.a + decomp.q @ decomp.r
         assert np.linalg.norm(recon - xi) <= 1e-12 * max(1.0, np.linalg.norm(xi))
         assert np.linalg.norm(decomp.q.T @ decomp.q - np.eye(decomp.k)) <= 1e-10
@@ -220,18 +225,15 @@ class TestCholeskyQR2:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
            d=st.integers(1, 8), log_cond=st.floats(0.0, 14.0),
-           zeros=st.integers(0, 8),
-           rank_tol=st.sampled_from([RANK_RTOL, 1e-8, 1e-3]),
-           use_svd=st.booleans())
-    def test_matches_reference(self, seed, n, d, log_cond, zeros, rank_tol,
-                               use_svd):
+           zeros=st.integers(0, 8))
+    def test_matches_reference(self, seed, n, d, log_cond, zeros):
         n = max(n, d + 1)
         rng = np.random.default_rng(seed)
         y = random_stiefel(rng, n, d)
         sig = pair_signature(n, d)
         xi = prescribed_velocity(rng, y, sig, log_cond, zeros)
-        got = decompose_tangent(y, xi, rank_tol, use_svd)
-        want = decompose_tangent_reference(y, xi, rank_tol, use_svd)
+        got = decompose_tangent(y, xi)
+        want = decompose_tangent_reference(y, xi)
         assert got.k == want.k
         assert np.linalg.norm(got.q.T @ got.q - np.eye(got.k)) <= 1e-12
         assert np.linalg.norm(y.T @ got.q) <= 1e-12
@@ -250,16 +252,16 @@ class TestCholeskyQR2:
 
     @pytest.mark.parametrize("log_cond, rank_tol, pivoted", [
         (0.0, RANK_RTOL, False), (5.0, RANK_RTOL, False), (7.0, RANK_RTOL, True),
-        (13.0, RANK_RTOL, True), (2.0, 1e-3, False), (4.0, 1e-3, True)])
+        (13.0, RANK_RTOL, True)])
     def test_route_follows_conditioning(self, rng, qr_calls, log_cond,
                                         rank_tol, pivoted):
-        # well conditioned: no pivoted QR; past the gate, which a caller's
-        # larger rank_tol lowers: the reference route
+        # well conditioned: no pivoted QR; past the gate: the reference
+        # route; rank_tol is the threshold of its rank decision
         y = random_stiefel(rng, 300, 30)
         xi = prescribed_velocity(rng, y, pair_signature(300, 30), log_cond, 0)
-        got = decompose_tangent(y, xi, rank_tol)
+        got = decompose_tangent(y, xi)
         assert bool(qr_calls) == pivoted
-        want = decompose_tangent_reference(y, xi, rank_tol)
+        want = decompose_tangent_reference(y, xi)
         assert got.k == want.k
         assert (got.k < 30) == (log_cond > -np.log10(rank_tol))
         eta = random_stiefel_tangent(rng, y)
@@ -267,6 +269,11 @@ class TestCholeskyQR2:
         moved, ref = (transport_with_plan(plan_from_decomposition(y, dec, params),
                                           y, eta, 2.0) for dec in (got, want))
         assert rel_err(moved, ref) <= 1e-12
+
+    def test_gate_keeps_pivoted_rank_decision(self):
+        # a part the Cholesky route accepts has sigma_min / sigma_max above
+        # 1 / CHOLQR_MAX_COND, so pivoted QR would keep all its columns too
+        assert CHOLQR_MAX_COND * RANK_RTOL < 1.0
 
     @pytest.mark.parametrize("n, d", [(9, 5), (12, 4)])
     def test_rank_deficient_and_short_codimension_pivot(self, rng, qr_calls, n, d):
@@ -616,6 +623,16 @@ class TestChebyshevAction:
         assert chebyshev < count[0]
 
 
+def assert_transport_isometric(y, xi, eta, params, t, moved):
+    """moved is tangent at gamma(t) and keeps eta's metric norm."""
+    gam = stiefel_geodesic(y, xi, params, t)
+    scale = np.linalg.norm(moved)
+    assert np.linalg.norm(sym(gam.T @ moved)) <= 1e-9 * max(1.0, scale)
+    before = metric_inner(y, eta, eta, params)
+    after = metric_inner(gam, moved, moved, params)
+    assert abs(after - before) <= 1e-9 * max(1.0, before)
+
+
 class TestTransport:
     def test_time_zero_exact(self, rng):
         y = random_stiefel(rng, 8, 3)
@@ -832,6 +849,50 @@ class TestTransport:
             transport_with_plan(plan, y, eta, t)
         with pytest.raises(ValidationError, match="not horizontal"):
             transport_with_plan(plan, y, np.stack([eta] * 2), t)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_batch_checks_each_vector(self, rng, flag):
+        # a large tangent vector in the batch must not let a small
+        # non-tangent one through
+        y = random_stiefel(rng, 8, 3)
+        if flag:
+            sig = FlagSignature(d_list=(1, 2), n=8)
+            xi, v = (flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+                     for _ in range(2))
+            plan = flag_transport_plan(sig, y, xi)
+        else:
+            plan = make_transport_plan(y, random_stiefel_tangent(rng, y),
+                                       StiefelMetricParams(0.8))
+            v = random_stiefel_tangent(rng, y)
+        bad = v + y @ np.diag([1e-4, 0.0, 0.0])
+        for eta in (bad, np.stack([1e6 * v, bad])):
+            with pytest.raises(ValidationError, match="residual 1.000e-04"):
+                transport_with_plan(plan, y, eta, 1.0)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 12),
+           alpha=st.sampled_from([0.5, 1.0]), t=st.floats(-5.0, 20.0))
+    def test_codimension_one(self, seed, n, alpha, t):
+        # d = n - 1: Y-orthogonal part of rank one, the pivoted route
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, n - 1)
+        xi, eta = (random_stiefel_tangent(rng, y) for _ in range(2))
+        params = StiefelMetricParams(alpha)
+        plan = make_transport_plan(y, xi, params)
+        assert plan.decomposition.k <= 1
+        assert_transport_isometric(y, xi, eta, params, t,
+                                   transport_with_plan(plan, y, eta, t))
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 15),
+           d=st.integers(1, 4), alpha=st.sampled_from([1e-3, 50.0]),
+           t=st.sampled_from([-1.5, 0.7]))
+    def test_alpha_extremes(self, seed, n, d, alpha, t):
+        n = max(n, d + 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        xi, eta = (random_stiefel_tangent(rng, y) for _ in range(2))
+        params = StiefelMetricParams(alpha)
+        assert_transport_isometric(y, xi, eta, params, t,
+                                   stiefel_transport(y, xi, eta, params, t))
 
     def test_no_square_intermediate_at_large_n(self, rng):
         # n^2 doubles here would need ~3 GB; the O(n d^2) path must be
