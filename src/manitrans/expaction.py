@@ -8,13 +8,20 @@ of two series chosen from what the operator handle declares:
   s picked from a lookup table of theta constants indexed by the
   operator 1-norm bound.
 - Chebyshev-Bessel (Tal-Ezer & Kosloff 1984), for a handle that sets
-  skew_two_norm_bound: the operator is antisymmetric in the Frobenius
-  pairing on a subspace holding B and its images, and its 2-norm there is
-  at most rho.  Then exp(t*op) B = J_0(x) B + 2 sum_{k>=1} J_k(x) C_k
-  with x = |t| rho, C_0 = B, C_1 = (sgn t/rho) op B and
-  C_{k+1} = 2 (sgn t/rho) op C_k + C_{k-1}.  Every ||C_k|| <= ||B||, so
-  the term count follows a priori from the Bessel tail: about |t| rho
-  applies, no scaling steps and no per-term norms.
+  skew_two_norm_bound: on a subspace holding B and its images, the
+  operator is antisymmetric for the inner product <u, v>_D =
+  <D u, D v>_F of some fixed invertible D, and its norm there, the
+  2-norm of D op D^{-1}, is at most rho.  Then exp(t*op) B =
+  J_0(x) B + 2 sum_{k>=1} J_k(x) C_k with x = |t| rho, C_0 = B,
+  C_1 = (sgn t/rho) op B and C_{k+1} = 2 (sgn t/rho) op C_k + C_{k-1}.
+  Every ||C_k||_D <= ||B||_D, so the term count follows a priori from the
+  Bessel tail: about |t| rho applies, no scaling steps and no per-term
+  norms.  The recurrence is linear and never uses D, so the truncation
+  error is at most the class tolerance times ||B||_D, in the D-norm; in
+  the Frobenius norm that allows a further factor of at most cond_2(D).
+  D is the identity for stiefel.p_bal_operator, which is balanced
+  already; for group_core.p_a_operator it is the metric balancing of that
+  module's docstring.
 """
 from dataclasses import dataclass, field
 from math import lgamma, log, log1p
@@ -86,9 +93,11 @@ class LinearOperatorHandle:
     in the vectorized standard basis.
 
     skew_two_norm_bound, when set, declares that the operator is
-    antisymmetric in the Frobenius pairing on a subspace that it maps into
-    itself and that holds every operand expa gives it, and bounds the
-    operator 2-norm there; expa then sums the Chebyshev-Bessel series.
+    antisymmetric on a subspace that it maps into itself and that holds
+    every operand expa gives it, for the inner product <u, v>_D =
+    <D u, D v>_F of some fixed invertible D, and bounds the 2-norm of
+    D op D^{-1} there; expa then sums the Chebyshev-Bessel series, whose
+    tail bound holds in the norm ||u||_D = ||D u||_F (module docstring).
     """
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adjoint: Callable[[np.ndarray], np.ndarray]

@@ -124,7 +124,9 @@ def grassmann_transport(y, xi, eta, t):
     xi = check_operand(xi, y.shape, "xi")
     eta = check_operand(eta, y.shape, "eta", batched=True)
     for name, v in (("xi", xi), ("eta", eta)):
-        if not np.linalg.norm(y.T @ v) <= HORIZONTAL_TOL * max(1.0, np.linalg.norm(v)):
+        # each vector of a batch against its own norm
+        tol = HORIZONTAL_TOL * np.maximum(1.0, matrix_norms(v))
+        if not np.all(matrix_norms(y.T @ v) <= tol):
             raise ValidationError(f"{name} is not Grassmann-horizontal")
     u, sv, vt = np.linalg.svd(xi, full_matrices=False)
     k = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0

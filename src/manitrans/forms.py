@@ -116,7 +116,7 @@ def subspace_basis(split, proj):
     e = np.zeros((n, n))
     for idx in range(n * n):
         e.flat[idx] = 1.0
-        images.append(proj(e))
+        images.append(np.array(proj(e), dtype=float))  # proj may return e
         e.flat[idx] = 0.0
     return _range_basis(images)
 

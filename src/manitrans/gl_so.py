@@ -13,8 +13,8 @@ import numpy as np
 from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams
-from .group_core import p_a_operator
-from .utils import (asym, check_all_finite, check_finite,
+from .group_core import TANGENCY_RTOL, p_a_operator
+from .utils import (asym, check_finite, check_operand, check_square_operands,
                     coordinate_projection, hcat)
 
 ORTHOGONALITY_TOL = 1e-10
@@ -103,27 +103,31 @@ def _gl_factors(geom, a, t):
 
 def gl_geodesic(geom, x, xi, t):
     """Geodesic on GL+(n): two exponential factors in a = X^{-1} xi."""
-    check_all_finite(x=x, xi=xi, t=t)
+    check_finite(t, "t")
+    x, xi = check_square_operands(geom.n, x=x, xi=xi)
     left, right = _gl_factors(geom, np.linalg.solve(x, xi), t)
     return x @ left @ right
 
 
 def gl_transport_operator(geom, a):
-    """P_a on gl(n): b -> ([b,a] + (1+beta)*([a_skew,b] - [b_skew,a]))/2."""
-    return p_a_operator(a, geom.beta, geom.split.proj_a)
+    """P_a on gl(n): b -> ([b,a] + (1+beta)*([a_skew,b] - [b_skew,a]))/2;
+    the metric is definite, and the Chebyshev bound set, for beta > 0."""
+    return p_a_operator(a, geom.beta, geom.split.proj_a,
+                        definite=geom.beta > 0)
 
 
 def gl_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the GL+(n) geodesic driven by xi."""
-    check_all_finite(x=x, xi=xi, eta=eta, t=t)
+    check_finite(t, "t")
+    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a = np.linalg.solve(x, xi)
     left, right = _gl_factors(geom, a, t)
     w = expaction.expa(gl_transport_operator(geom, a), np.linalg.solve(x, eta), t)
     return x @ left @ w @ right
 
 
-def _check_so_point(x):
-    x = check_finite(np.asarray(x, dtype=float), "x")
+def _check_so_point(geom, x):
+    x = check_operand(x, (geom.n, geom.n), "x")
     if not np.linalg.norm(x.T @ x - np.eye(x.shape[0])) <= ORTHOGONALITY_TOL:
         raise ValidationError("base point is not orthogonal")
     sign, _ = np.linalg.slogdet(x)
@@ -132,10 +136,12 @@ def _check_so_point(x):
     return x
 
 
-def _so_velocity(geom, x, xi):
-    a = x.T @ check_finite(xi, "xi")
-    if not np.linalg.norm(a + a.T) <= 1e-9 * max(1.0, np.linalg.norm(a)):
-        raise ValidationError("vector is not tangent to SO(n)")
+def _so_algebra(x, v, name):
+    """X^T v, checked to be antisymmetric: v tangent at X."""
+    a = x.T @ check_operand(v, x.shape, name)
+    scale = max(1.0, np.linalg.norm(a))
+    if not np.linalg.norm(a + a.T) <= TANGENCY_RTOL * scale:
+        raise ValidationError(f"{name} is not tangent to SO(n)")
     return a
 
 
@@ -158,8 +164,8 @@ def _so_factors(geom, a, t):
 def so_geodesic(geom, x, xi, t):
     """Geodesic on SO(n); stays orthogonal with determinant one."""
     check_finite(t, "t")
-    x = _check_so_point(x)
-    a = _so_velocity(geom, x, xi)
+    x = _check_so_point(geom, x)
+    a = _so_algebra(x, xi, "xi")
     big, small = _so_factors(geom, a, t)
     out = x @ big
     return hcat(out[:, :geom.d] @ small, out[:, geom.d:])
@@ -168,8 +174,8 @@ def so_geodesic(geom, x, xi, t):
 def so_geodesic_velocity(geom, x, xi, t):
     """(gamma(t), dgamma/dt) by product-rule differentiation."""
     check_finite(t, "t")
-    x = _check_so_point(x)
-    a = _so_velocity(geom, x, xi)
+    x = _check_so_point(geom, x)
+    a = _so_algebra(x, xi, "xi")
     big, small = _so_factors(geom, a, t)
     gam = x @ big
     dgam = gam @ a
@@ -178,16 +184,18 @@ def so_geodesic_velocity(geom, x, xi, t):
 
 
 def so_transport_operator(geom, a):
-    """P_a for the SO(n) split at beta = -2*alpha."""
-    return p_a_operator(a, -2.0 * geom.alpha, geom.split.proj_a)
+    """P_a for the SO(n) split at beta = -2*alpha; the metric is definite
+    (alpha > 0), so the Chebyshev bound is set."""
+    return p_a_operator(a, -2.0 * geom.alpha, geom.split.proj_a, definite=True)
 
 
 def so_transport(geom, x, xi, eta, t):
-    """Parallel transport of eta along the SO(n) geodesic driven by xi."""
-    check_all_finite(x=x, xi=xi, eta=eta, t=t)
-    x = _check_so_point(x)
-    a = _so_velocity(geom, x, xi)
-    b = x.T @ eta
+    """Parallel transport of eta along the SO(n) geodesic driven by xi;
+    eta must be tangent at x, like xi."""
+    check_finite(t, "t")
+    x = _check_so_point(geom, x)
+    a = _so_algebra(x, xi, "xi")
+    b = _so_algebra(x, eta, "eta")
     big, small = _so_factors(geom, a, t)
     w = expaction.expa(so_transport_operator(geom, a), b, t)
     out = x @ big @ w

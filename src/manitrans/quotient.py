@@ -22,12 +22,12 @@ from . import expaction, group_core
 from .errors import NumericalError, ValidationError
 from .forms import MetricParams, derive_split_components, projection_one_norm
 from .gl_so import so_split
-from .group_core import GroupGeometry, p_a_operator, to_algebra
-from .utils import asym, check_all_finite, coordinate_projection, lie
+from .group_core import PROBE_SEED, GroupGeometry, p_a_operator, to_algebra
+from .utils import (asym, check_finite, check_square_operands,
+                    coordinate_projection, lie)
 
 HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
-PROBE_SEED = 0  # random probes of the quotient-structure checks
 PROBES = 8
 
 
@@ -130,10 +130,12 @@ def horizontal_christoffel(q, x, xi, eta, validate=True):
 
 
 def horizontal_transport_operator(q, a):
-    """The constant-coefficient operator of the simplified transport."""
+    """The constant-coefficient operator of the simplified transport, with
+    a 2-norm bound when the metric form is definite."""
     geom = q.geom
     return p_a_operator(a, geom.beta, geom.split.proj_a, q.proj_m,
-                        nu_a=geom.proj_a_norm, nu_m=q.proj_m_norm)
+                        nu_a=geom.proj_a_norm, nu_m=q.proj_m_norm,
+                        definite=geom.definite)
 
 
 def _solve_w_ode(q, a, w0, t):
@@ -165,7 +167,8 @@ def quotient_transport(q, x, xi, eta, t):
     """Parallel transport of a horizontal vector along the horizontal
     geodesic, closed form when the simplified condition holds."""
     geom = q.geom
-    check_all_finite(x=x, xi=xi, eta=eta, t=t)
+    check_finite(t, "t")
+    x, xi, eta = check_square_operands(geom.split.n, x=x, xi=xi, eta=eta)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     _check_horizontal(q, a, "xi")
     _check_horizontal(q, w0, "eta")

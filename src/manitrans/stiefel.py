@@ -21,7 +21,8 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
-from .utils import asym, check_finite, check_operand, hcat, matrix_norms, sym
+from .utils import (asym, check_finite, check_operand, hcat, matrix_norms, sym,
+                    two_block_norm_bound, two_norm_bound)
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
@@ -33,7 +34,6 @@ RANK_RTOL = 1e-12
 CHOLQR_MAX_COND = 1e6
 # One Cholesky-QR step re-orthonormalises a basis of condition below this.
 REORTH_MAX_COND = 10.0
-_EPS = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def _cholesky_qr(m, max_cond):
     about cond_2(m)^2 eps.
 
     None when the factorisation fails or the product of the 2-norm bounds
-    of L and L^{-1} (_two_norm_bound), an upper bound on cond_2(m) =
+    of L and L^{-1} (utils.two_norm_bound), an upper bound on cond_2(m) =
     cond_2(L), is not below max_cond.  The product uses the triangular
     inverse (dtrmm runs several times faster than dtrsm at these shapes);
     m X spans m's range for any nonsingular X, so only the rounding of the
@@ -182,7 +182,7 @@ def _cholesky_qr(m, max_cond):
     if info != 0:
         return None
     inv, _ = dtrtri(chol, lower=1)
-    if not _two_norm_bound(chol) * _two_norm_bound(inv) < max_cond:
+    if not two_norm_bound(chol) * two_norm_bound(inv) < max_cond:
         return None
     return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T
 
@@ -309,30 +309,6 @@ def p_bal_norm_bound(decomp, params):
     return max(n_a, n_r)
 
 
-def _two_norm_bound(m):
-    """Upper bound on ||m||_2 in O(rows cols min(rows, cols)).
-
-    ||m||_2^8 = ||(m^T m)^4||_2 <= ||(m^T m)^4||_1, with the Gram matrix
-    of the shorter side.  m is scaled to unit Frobenius norm first, so the
-    products neither overflow nor underflow; each of the three then has
-    rounding error below (rows + cols) eps in Frobenius norm, and the added
-    slack covers those errors, the scalings and the 1-norm sum.
-    """
-    if m.shape[0] < m.shape[1]:
-        m = m.T
-    peak = np.max(np.abs(m), initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    m = m / peak
-    fro = np.linalg.norm(m)
-    m = m / fro
-    h = m.T @ m
-    h = h @ h
-    g = float(np.max(np.sum(np.abs(h @ h), axis=0)))
-    slack = (8.0 * sum(m.shape) * np.sqrt(m.shape[1]) + 16.0) * _EPS
-    return peak * fro * (g + slack) ** 0.125
-
-
 def p_bal_two_norm_bound(decomp, params):
     """rho >= ||P_bal||_2, in O(d^3 + k d^2).
 
@@ -340,16 +316,15 @@ def p_bal_two_norm_bound(decomp, params):
     Frobenius norm at most |4 alpha - 1| a u + sqrt(alpha) r v and the
     bottom one sqrt(alpha) r u + alpha a v, with a >= ||A||_2 and
     r >= ||R||_2.  So rho is the top eigenvalue of
-    [[|4 alpha - 1| a, sqrt(alpha) r], [sqrt(alpha) r, alpha a]].  This
-    holds on the whole stacked space, not only on F.  The last factor
-    covers the rounding of a, r and the eigenvalue.
+    [[|4 alpha - 1| a, sqrt(alpha) r], [sqrt(alpha) r, alpha a]]
+    (utils.two_block_norm_bound).  This holds on the whole stacked space,
+    not only on F.
     """
     alpha = params.alpha
-    a = _two_norm_bound(decomp.a)
-    r = _two_norm_bound(decomp.r)
-    top, bot = abs(4.0 * alpha - 1.0) * a, alpha * a
-    rho = 0.5 * (top + bot) + np.hypot(0.5 * (top - bot), np.sqrt(alpha) * r)
-    return float(rho) * (1.0 + 16.0 * _EPS)
+    a = two_norm_bound(decomp.a)
+    r = two_norm_bound(decomp.r)
+    return two_block_norm_bound(abs(4.0 * alpha - 1.0) * a, np.sqrt(alpha) * r,
+                                alpha * a)
 
 
 def plan_from_decomposition(y, decomp, params, mask=None):

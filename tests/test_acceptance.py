@@ -17,7 +17,7 @@ from manitrans.flag_grassmann import (FlagSignature, flag_christoffel,
                                       flag_horizontal_project,
                                       flag_transport_canonical,
                                       grassmann_transport)
-from manitrans.forms import MetricParams, beta_form
+from manitrans.forms import beta_form
 from manitrans.gl_so import (GLGeometry, SOGeometry, gl_geodesic,
                              gl_transport, gl_transport_operator, so_geodesic,
                              so_geodesic_velocity, so_transport,
@@ -27,11 +27,10 @@ from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   transport_operator)
 from manitrans.quotient import quotient_transport, stiefel_quotient, flag_quotient
 from manitrans.stiefel import (StiefelMetricParams, TangentDecomposition,
-                               decompose_tangent, p_bal_norm_bound,
-                               p_bal_operator, project_tangent,
+                               p_bal_norm_bound, p_bal_operator,
                                stiefel_christoffel, stiefel_geodesic,
                                stiefel_geodesic_velocity, stiefel_transport)
-from manitrans.utils import asym, sym
+from manitrans.utils import asym
 
 from helpers import (horizontal_lift, random_glp, random_so,
                      random_so_tangent, random_stiefel, random_stiefel_tangent)

@@ -302,6 +302,19 @@ class TestGrassmann:
             grassmann_transport(y, xi, y @ asym(rng.standard_normal((3, 3))),
                                 1.0)
 
+    def test_batch_checks_each_vector_against_its_own_norm(self, rng):
+        # the large first vector must not widen the tolerance of the second,
+        # whose Y-component 1e-4 Y is far above 1e-9 times its own norm
+        y = random_stiefel(rng, 8, 3)
+        xi = grassmann_horizontal(rng, y)
+        h = grassmann_horizontal(rng, y)
+        batch = np.stack([1e6 * h, h + 1e-4 * y])
+        with pytest.raises(ValidationError, match="eta is not Grassmann"):
+            grassmann_transport(y, xi, batch, 1.0)
+        ok = np.stack([1e6 * h, h])
+        assert rel_err(grassmann_transport(y, xi, ok, 1.0)[1],
+                       grassmann_transport(y, xi, h, 1.0)) <= 1e-13
+
 
 class TestEngine:
     """Flag transport is the Stiefel plan with a mask on the operator."""

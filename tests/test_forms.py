@@ -7,7 +7,7 @@ from manitrans.forms import (
     AlgebraSplit, MetricParams, beta_form, derive_split_components,
     subspace_basis, trace_form)
 from manitrans.gl_so import gl_split, so_split
-from manitrans.utils import asym, lie, sym
+from manitrans.utils import asym, lie
 
 from helpers import (DegenerateSubspaceError, classify_metric_signature,
                      frobenius_form, gram_projection)
@@ -209,6 +209,11 @@ class TestSplitInvariants:
         basis = subspace_basis(split, split.proj_g)
         gram = np.array([[trace_form(a, b) for b in basis] for a in basis])
         assert np.linalg.matrix_rank(gram) == len(basis)
+
+    def test_basis_of_a_projection_returning_its_input(self):
+        # gl_split's proj_g returns its argument itself, not a copy
+        split = gl_split(3)
+        assert len(subspace_basis(split, split.proj_g)) == 9
 
     @given(seed=st.integers(0, 10_000))
     def test_projection_agreement_trace_vs_frobenius(self, seed):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from manitrans import oracle
-from manitrans.errors import ValidationError
+from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import dense_operator_matrix
 from manitrans.gl_so import (
     GLGeometry, SOGeometry, gl_geodesic, gl_metric, gl_transport,
@@ -12,6 +12,7 @@ from manitrans.gl_so import (
     so_transport, so_transport_operator)
 from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   geodesic_velocity, transport)
+from manitrans.quotient import quotient_transport, stiefel_quotient
 from manitrans.utils import asym, sym
 
 from helpers import (classify_metric_signature, poisoned, random_glp,
@@ -159,6 +160,53 @@ class TestNonFiniteInput:
         for fn in (so_geodesic, so_geodesic_velocity):
             with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
                 fn(geom, t=1.0, **args)
+
+
+def misshapen_cases(rng):
+    """name -> (call taking x, xi, eta; valid x, xi, eta) for the group
+    transports."""
+    so = SOGeometry(n=5, d=2, alpha=0.8)
+    x = random_so(rng, 5)
+    so_args = dict(x=x, xi=random_so_tangent(rng, x),
+                   eta=random_so_tangent(rng, x))
+    gl = GLGeometry(n=4, beta=0.7)
+    g = random_glp(rng, 4)
+    q = stiefel_quotient(5, 2, 0.8)
+    return {
+        "so_transport": (lambda **k: so_transport(so, t=1.0, **k), so_args),
+        "gl_transport": (lambda **k: gl_transport(gl, t=1.0, **k),
+                         dict(x=g, xi=g @ rng.standard_normal((4, 4)),
+                              eta=g @ rng.standard_normal((4, 4)))),
+        "group_transport": (lambda **k: transport(group_of(so), t=1.0, **k),
+                            dict(so_args)),
+        "quotient_transport": (
+            lambda **k: quotient_transport(q, t=1.0, **k),
+            dict(x=x, xi=x @ q.proj_m(asym(rng.standard_normal((5, 5)))),
+                 eta=x @ q.proj_m(asym(rng.standard_normal((5, 5)))))),
+    }
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
+    @pytest.mark.parametrize(
+        "name", list(misshapen_cases(np.random.default_rng(0))))
+    def test_misshapen_argument_is_named(self, rng, name, arg):
+        call, args = misshapen_cases(rng)[name]
+        call(**args)  # the valid arguments pass
+        args[arg] = args[arg][:, :-1]
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            call(**args)
+
+    def test_so_transport_rejects_nontangent_eta(self, rng):
+        # the Chebyshev series is exact only on the algebra, so a
+        # non-tangent eta must fail before it
+        geom = SOGeometry(n=6, d=2, alpha=0.8)
+        x = random_so(rng, 6)
+        xi = random_so_tangent(rng, x)
+        with pytest.raises(ValidationError, match="^eta is not tangent"):
+            so_transport(geom, x, xi, x @ rng.standard_normal((6, 6)), 1.0)
+        with pytest.raises(ValidationError, match="^eta is not tangent"):
+            so_transport(geom, x, xi, x @ np.eye(6), 0.0)
 
 
 class TestSOGeometry:

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,16 +8,17 @@ from hypothesis import example, given, strategies as st
 
 from manitrans import oracle
 from manitrans.errors import ValidationError
-from manitrans.expaction import (dense_operator_matrix,
+from manitrans.expaction import (dense_operator_matrix, expa,
                                  one_norm_estimate_exhaustive,
                                  select_taylor_params)
-from manitrans.forms import AlgebraSplit, MetricParams, beta_form
+from manitrans.forms import (AlgebraSplit, MetricParams, beta_form,
+                             subspace_basis)
 from manitrans.gl_so import (GLGeometry, SOGeometry, gl_metric, gl_split,
                              gl_transport_operator, so_metric, so_split,
                              so_transport_operator)
 from manitrans.group_core import (
     GroupGeometry, christoffel, geodesic, geodesic_velocity, metric,
-    to_algebra, transport, transport_operator)
+    p_a_operator, to_algebra, transport, transport_operator)
 from manitrans.quotient import horizontal_transport_operator, stiefel_quotient
 from manitrans.utils import asym, lie
 
@@ -412,3 +414,131 @@ class TestTangency:
         geom = so_geom(4, 2, 0.8)
         assert classify_metric_signature(geom.split, geom.params).kind \
             == "riemannian"
+
+
+# --- the Chebyshev route on definite metrics --------------------------------
+
+LOG_PARAMETER = st.floats(-3.0, np.log10(50.0)).map(lambda e: 10.0 ** e)
+
+
+def chebyshev_case(kind, n, par, rng):
+    """(a -> P_a, its geometry, an orthonormal basis of its operand space)
+    for a definite metric: SO and the Stiefel quotient at alpha = par, GL
+    at beta = par, and a generic SO GroupGeometry at alpha = par."""
+    d = int(rng.integers(1, n))
+    if kind == "gl":
+        geom = GLGeometry(n, par)
+        return (partial(gl_transport_operator, geom), geom,
+                subspace_basis(geom.split, geom.split.proj_g))
+    if kind == "quotient":
+        q = stiefel_quotient(n, d, par, validate=False)
+        return (partial(horizontal_transport_operator, q), q.geom,
+                subspace_basis(q.geom.split, q.proj_m))
+    geom = SOGeometry(n, d, par)
+    basis = subspace_basis(geom.split, geom.split.proj_g)
+    if kind == "so":
+        return partial(so_transport_operator, geom), geom, basis
+    geom = GroupGeometry(split=geom.split, params=geom.params)
+    return partial(transport_operator, geom), geom, basis
+
+
+def random_element(rng, basis):
+    return sum(rng.standard_normal() * v for v in basis)
+
+
+def balanced_matrix(op, geom, basis):
+    """D P_a D^{-1} in an orthonormal basis of the operand space, with
+    D = sqrt|beta1| on a and sqrt|beta0| on its complement."""
+    split, params = geom.split, geom.params
+
+    def scale(m, power):
+        ma = split.proj_a(m)
+        return abs(params.beta1) ** (power / 2) * ma \
+            + abs(params.beta0) ** (power / 2) * (m - ma)
+    return np.array([[np.sum(c * scale(op.apply(scale(b, -1)), 1))
+                      for b in basis] for c in basis])
+
+
+def six_product_apply(a, beta, proj_a, b):
+    """P_a b on a group, term by term as in the group_core docstring."""
+    aa, c = proj_a(a), 1.0 + beta
+    return 0.5 * (lie(b, a) + c * (lie(aa, b) - lie(proj_a(b), a)))
+
+
+def six_product_adjoint(a, beta, proj_a, b):
+    aa, c = proj_a(a), 1.0 + beta
+    return 0.5 * (lie(b, a.T) + c * (lie(aa.T, b) - proj_a(lie(b, a.T))))
+
+
+class TestChebyshevRoute:
+    @pytest.mark.parametrize("kind", ["so", "gl", "quotient", "group"])
+    @given(n=st.integers(2, 6), par=LOG_PARAMETER, seed=st.integers(0, 10_000))
+    def test_rho_dominates_balanced_two_norm(self, kind, n, par, seed):
+        rng = np.random.default_rng(seed)
+        make, geom, basis = chebyshev_case(kind, n, par, rng)
+        op = make(random_element(rng, basis))
+        mat = balanced_matrix(op, geom, basis)
+        # the balancing makes P_a Frobenius-antisymmetric on its operands
+        assert np.linalg.norm(mat + mat.T) \
+            <= 1e-12 * max(1.0, np.linalg.norm(mat))
+        assert op.skew_two_norm_bound >= np.linalg.norm(mat, 2)
+
+    @pytest.mark.parametrize("t", [-5.0, 1.0, 20.0])
+    @pytest.mark.parametrize("par", [1e-3, 0.8, 50.0])
+    @pytest.mark.parametrize("kind", ["so", "gl", "quotient", "group"])
+    def test_expa_matches_dense_expm(self, kind, par, t):
+        rng = np.random.default_rng(7)
+        make, geom, basis = chebyshev_case(kind, 5, par, rng)
+        a = random_element(rng, basis)  # unit metric speed, as in transports
+        op = make(a / np.sqrt(beta_form(a, a, geom.split, geom.params)))
+        assert op.skew_two_norm_bound is not None
+        b = random_element(rng, basis)
+        want = (scipy.linalg.expm(t * dense_operator_matrix(op))
+                @ b.reshape(-1)).reshape(b.shape)
+        assert np.linalg.norm(expa(op, b, t) - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("beta", [-0.5, -1.0])
+    def test_negative_gl_beta_keeps_taylor(self, beta):
+        rng = np.random.default_rng(3)
+        n = 4
+        geom = GLGeometry(n, beta)
+        a, b = rng.standard_normal((2, n, n)) / n
+        op = gl_transport_operator(geom, a)
+        assert op.skew_two_norm_bound is None
+        assert not GroupGeometry(split=gl_split(n), params=geom.params).definite
+        dense = dense_operator_matrix(op)
+        for t in (-5.0, 1.0, 20.0):
+            want = (scipy.linalg.expm(t * dense) @ b.reshape(-1)).reshape(n, n)
+            assert np.linalg.norm(expa(op, b, t) - want) \
+                <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("beta0, beta1", [
+        (1.0, 0.5), (1.0, -0.5), (-0.5, 0.8), (-0.5, -0.8), (-1.0, -0.5)])
+    @pytest.mark.parametrize("split", [
+        gl_split(4), so_split(4, 2), so_split(3, 1), block_split(4, 2),
+        sl_split(4)], ids=["gl", "so", "so-empty-a", "block", "sl"])
+    def test_definite_agrees_with_dense_signature(self, split, beta0, beta1):
+        # block and sl have subalgebras of mixed symmetry; so(3) with d = 1
+        # has a zero subalgebra, whose weight constrains nothing
+        params = MetricParams(beta0, beta1)
+        signs = {np.sign(val) for val, dim in
+                 classify_metric_signature(split, params).eigen_summary if dim}
+        geom = GroupGeometry(split=split, params=params)
+        assert geom.definite == (len(signs) == 1)
+        rng = np.random.default_rng(0)
+        op = transport_operator(
+            geom, split.proj_g(rng.standard_normal((split.n, split.n))))
+        assert (op.skew_two_norm_bound is not None) == geom.definite
+
+    @pytest.mark.parametrize("beta", [-1.6, -1.0, 0.5, 3.0])
+    def test_folded_apply_equals_six_product_form(self, rng, beta):
+        for split in (gl_split(5), so_split(5, 2), block_split(5, 2),
+                      sl_split(5)):
+            a = split.proj_g(rng.standard_normal((5, 5)))
+            b = rng.standard_normal((5, 5))
+            op = p_a_operator(a, beta, split.proj_a)
+            for got, want in ((op.apply(b), six_product_apply),
+                              (op.apply_adjoint(b), six_product_adjoint)):
+                want = want(a, beta, split.proj_a, b)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

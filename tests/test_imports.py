@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package and of its tests uses each name it
+imports."""
 import ast
 import pathlib
 
@@ -6,7 +7,8 @@ import pytest
 
 import manitrans
 
-MODULES = sorted(pathlib.Path(manitrans.__file__).parent.glob("*.py"))
+MODULES = sorted(pathlib.Path(manitrans.__file__).parent.glob("*.py")) \
+    + sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _dotted(node):

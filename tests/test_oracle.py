@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from manitrans import oracle
 from manitrans.errors import ValidationError
 from manitrans.oracle import (gram_drift, integrate_transport,
                               transport_residual)
