@@ -18,7 +18,6 @@ import numpy as np
 from . import flag_grassmann as fg
 from . import gl_so, group_core, oracle, stiefel
 from .errors import ConfigError
-from .group_core import GroupGeometry
 from .stiefel import StiefelMetricParams
 from .utils import asym, sym
 
@@ -181,8 +180,6 @@ class _SOAdapter(_Unplanned):
         if not (0 < config.d < config.n):
             raise ConfigError("so needs 0 < d < n")
         self.geom = gl_so.SOGeometry(n=config.n, d=config.d, alpha=config.alpha)
-        self.group_geom = GroupGeometry(
-            split=self.geom.split, params=self.geom.params)
         self.n, self.d = config.n, config.d
         self.alpha = config.alpha
 
@@ -208,7 +205,7 @@ class _SOAdapter(_Unplanned):
         return gl_so.so_transport(self.geom, x, xi, eta, t)
 
     def christoffel(self, x, xi, eta):
-        return group_core.christoffel(self.group_geom, x, xi, eta, validate=False)
+        return group_core.christoffel(self.geom, x, xi, eta, validate=False)
 
     def tangency_residual(self, point, delta):
         m = point.T @ delta
@@ -226,8 +223,6 @@ class _GLAdapter(_Unplanned):
         if config.n < 1:
             raise ConfigError("gl needs n >= 1")
         self.geom = gl_so.GLGeometry(n=config.n, beta=config.beta)
-        self.group_geom = GroupGeometry(
-            split=self.geom.split, params=self.geom.params)
         self.n, self.d = config.n, config.n
         self.beta = config.beta
 
@@ -249,13 +244,13 @@ class _GLAdapter(_Unplanned):
         return gl_so.gl_geodesic(self.geom, x, xi, t)
 
     def geodesic_velocity(self, x, xi, t):
-        return group_core.geodesic_velocity(self.group_geom, x, xi, t)
+        return group_core.geodesic_velocity(self.geom, x, xi, t)
 
     def transport(self, x, xi, eta, t):
         return gl_so.gl_transport(self.geom, x, xi, eta, t)
 
     def christoffel(self, x, xi, eta):
-        return group_core.christoffel(self.group_geom, x, xi, eta, validate=False)
+        return group_core.christoffel(self.geom, x, xi, eta, validate=False)
 
     def tangency_residual(self, point, delta):
         # every ambient matrix is tangent on GL+; check finiteness only

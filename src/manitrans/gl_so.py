@@ -1,10 +1,13 @@
 """Fast paths for the generalized linear group (skew subalgebra) and the
 special orthogonal group (top-block skew subalgebra).
 
-Both are specializations of the group machinery; the explicit formulas
-here use the transpose as the inverse on SO(n), and P_a comes from the
-shared builder group_core.p_a_operator.  They are cross-checked against the
-generic path in the tests.
+GLGeometry and SOGeometry are GroupGeometrys, built once, so every
+group_core function takes them as they are.  The explicit formulas here
+skip group_core.to_algebra's condition estimate on GL+(n), and on SO(n)
+use the transpose as the inverse and a d x d exponential.  P_a comes from
+group_core.p_a_operator, shared with the generic and quotient paths, which
+reads the metric's definiteness from GroupGeometry.definite.  They are
+cross-checked against the generic path in the tests.
 """
 from dataclasses import dataclass
 
@@ -13,7 +16,8 @@ import numpy as np
 from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams
-from .group_core import TANGENCY_RTOL, p_a_operator
+from .group_core import (TANGENCY_RTOL, GroupGeometry, geodesic_factors,
+                         p_a_operator, solve_at)
 from .utils import (asym, check_finite, check_operand, check_square_operands,
                     coordinate_projection, hcat)
 
@@ -34,58 +38,45 @@ def so_split(n, d):
     @coordinate_projection
     def proj_a(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
-        out[:d, :d] = asym(m[:d, :d])
+        out[..., :d, :d] = asym(m[..., :d, :d])
         return out
 
     @coordinate_projection
     def proj_k(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
-        out[d:, d:] = asym(m[d:, d:])
+        out[..., d:, d:] = asym(m[..., d:, d:])
         return out
 
     return AlgebraSplit(n=n, proj_g=asym, proj_a=proj_a, proj_k=proj_k)
 
 
-@dataclass(frozen=True)
-class GLGeometry:
+@dataclass(frozen=True, init=False)
+class GLGeometry(GroupGeometry):
     """GL+(n) with the deformed trace metric, beta0 = 1, beta1 = beta."""
-    n: int
-    beta: float
 
-    def __post_init__(self):
-        if self.beta == 0:
+    def __init__(self, n, beta):
+        if beta == 0:
             raise ValidationError("beta must be nonzero")
-
-    @property
-    def params(self):
-        return MetricParams(beta0=1.0, beta1=self.beta)
-
-    @property
-    def split(self):
-        return gl_split(self.n)
+        super().__init__(gl_split(n), MetricParams(beta0=1.0, beta1=beta))
 
 
-@dataclass(frozen=True)
-class SOGeometry:
+@dataclass(frozen=True, init=False)
+class SOGeometry(GroupGeometry):
     """SO(n) with the alpha-deformed bi-invariant metric,
     beta0 = -1/2, beta1 = alpha (so beta = -2*alpha)."""
-    n: int
     d: int
-    alpha: float
 
-    def __post_init__(self):
-        if not 1 <= self.d < self.n:
-            raise ValidationError(f"need 1 <= d < n, got d={self.d}, n={self.n}")
-        if self.alpha <= 0:
+    def __init__(self, n, d, alpha):
+        if not 1 <= d < n:
+            raise ValidationError(f"need 1 <= d < n, got d={d}, n={n}")
+        if alpha <= 0:
             raise ValidationError("alpha must be positive")
+        super().__init__(so_split(n, d), MetricParams(beta0=-0.5, beta1=alpha))
+        object.__setattr__(self, "d", d)
 
     @property
-    def params(self):
-        return MetricParams(beta0=-0.5, beta1=self.alpha)
-
-    @property
-    def split(self):
-        return so_split(self.n, self.d)
+    def alpha(self):
+        return self.params.beta1
 
 
 def gl_metric(geom, g, h):
@@ -94,35 +85,26 @@ def gl_metric(geom, g, h):
     return float(np.sum(g * h.T) + (1.0 + geom.beta) * np.sum(gs * hs))
 
 
-def _gl_factors(geom, a, t):
-    bet = geom.beta
-    left = expaction.matrix_exponential(
-        0.5 * t * ((1.0 - bet) * a + (1.0 + bet) * a.T))
-    return left, expaction.matrix_exponential(t * (1.0 + bet) * asym(a))
-
-
 def gl_geodesic(geom, x, xi, t):
     """Geodesic on GL+(n): two exponential factors in a = X^{-1} xi."""
     check_finite(t, "t")
     x, xi = check_square_operands(geom.n, x=x, xi=xi)
-    left, right = _gl_factors(geom, np.linalg.solve(x, xi), t)
+    left, right = geodesic_factors(geom, solve_at(x, xi), t)
     return x @ left @ right
 
 
 def gl_transport_operator(geom, a):
-    """P_a on gl(n): b -> ([b,a] + (1+beta)*([a_skew,b] - [b_skew,a]))/2;
-    the metric is definite, and the Chebyshev bound set, for beta > 0."""
-    return p_a_operator(a, geom.beta, geom.split.proj_a,
-                        definite=geom.beta > 0)
+    """P_a on gl(n): b -> ([b,a] + (1+beta)*([a_skew,b] - [b_skew,a]))/2."""
+    return p_a_operator(geom, a)
 
 
 def gl_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the GL+(n) geodesic driven by xi."""
     check_finite(t, "t")
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a = np.linalg.solve(x, xi)
-    left, right = _gl_factors(geom, a, t)
-    w = expaction.expa(gl_transport_operator(geom, a), np.linalg.solve(x, eta), t)
+    a = solve_at(x, xi)
+    left, right = geodesic_factors(geom, a, t)
+    w = expaction.expa(gl_transport_operator(geom, a), solve_at(x, eta), t)
     return x @ left @ w @ right
 
 
@@ -152,51 +134,43 @@ def so_metric(geom, a, b):
                  + (geom.alpha - 0.5) * np.sum(a[:d, :d] * b[:d, :d]))
 
 
-def _so_factors(geom, a, t):
+def _so_setup(geom, x, xi, t):
+    """The checks and exponentials shared by the SO(n) geodesic paths:
+    the checked x, a = X^T xi, X exp(t a_alpha) with a_alpha = a but
+    2 alpha a_a on the top block, and the map that right-multiplies the
+    first d columns of its argument by exp(t (1 - 2 alpha) a_a)."""
+    check_finite(t, "t")
+    x = _check_so_point(geom, x)
+    a = _so_algebra(x, xi, "xi")
     d, alp = geom.d, geom.alpha
     a_alp = a.copy()
     a_alp[:d, :d] = 2.0 * alp * a[:d, :d]
     big = expaction.matrix_exponential(t * a_alp)
     small = expaction.matrix_exponential(t * (1.0 - 2.0 * alp) * a[:d, :d])
-    return big, small
+    return x, a, x @ big, lambda m: hcat(m[:, :d] @ small, m[:, d:])
 
 
 def so_geodesic(geom, x, xi, t):
     """Geodesic on SO(n); stays orthogonal with determinant one."""
-    check_finite(t, "t")
-    x = _check_so_point(geom, x)
-    a = _so_algebra(x, xi, "xi")
-    big, small = _so_factors(geom, a, t)
-    out = x @ big
-    return hcat(out[:, :geom.d] @ small, out[:, geom.d:])
+    _, _, gam, finish = _so_setup(geom, x, xi, t)
+    return finish(gam)
 
 
 def so_geodesic_velocity(geom, x, xi, t):
     """(gamma(t), dgamma/dt) by product-rule differentiation."""
-    check_finite(t, "t")
-    x = _check_so_point(geom, x)
-    a = _so_algebra(x, xi, "xi")
-    big, small = _so_factors(geom, a, t)
-    gam = x @ big
-    dgam = gam @ a
-    return (hcat(gam[:, :geom.d] @ small, gam[:, geom.d:]),
-            hcat(dgam[:, :geom.d] @ small, dgam[:, geom.d:]))
+    _, a, gam, finish = _so_setup(geom, x, xi, t)
+    return finish(gam), finish(gam @ a)
 
 
 def so_transport_operator(geom, a):
-    """P_a for the SO(n) split at beta = -2*alpha; the metric is definite
-    (alpha > 0), so the Chebyshev bound is set."""
-    return p_a_operator(a, -2.0 * geom.alpha, geom.split.proj_a, definite=True)
+    """P_a for the SO(n) split at beta = -2*alpha."""
+    return p_a_operator(geom, a)
 
 
 def so_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the SO(n) geodesic driven by xi;
     eta must be tangent at x, like xi."""
-    check_finite(t, "t")
-    x = _check_so_point(geom, x)
-    a = _so_algebra(x, xi, "xi")
+    x, a, gam, finish = _so_setup(geom, x, xi, t)
     b = _so_algebra(x, eta, "eta")
-    big, small = _so_factors(geom, a, t)
     w = expaction.expa(so_transport_operator(geom, a), b, t)
-    out = x @ big @ w
-    return hcat(out[:, :geom.d] @ small, out[:, geom.d:])
+    return finish(gam @ w)

@@ -8,9 +8,13 @@ transport factor in the middle is an exponential action of the operator
 
 which is antisymmetric for the deformed metric form, so transported vectors
 keep their metric norms.  pi_m is the identity on a group and the
-horizontal projection on a quotient; `p_a_operator` builds P_a for both.
-On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with c = 1+beta, so P_a
-applies as ([b, a - c a_a] - c [b_a, a]) / 2: four products, not six.
+horizontal projection on a quotient; `p_a_operator(geom, a, quotient=None)`
+builds P_a for both, reading beta, proj_a, the projection norms and
+definiteness from the geometry (and pi_m from the quotient).  GLGeometry
+and SOGeometry (gl_so.py) are GroupGeometrys, so every function here
+takes them too.  On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with
+c = 1+beta, so P_a applies as ([b, a - c a_a] - c [b_a, a]) / 2: four
+products, not six.  Operands b may carry leading batch axes.
 
 Its 1-norm bound is analytic and costs O(n^2).  With C_x(b) = [b, x],
 P_a = (pi_m C_a - c C_{a_a} - c C_a pi_a) / 2.  C_x sends E_ij to row j
@@ -19,24 +23,24 @@ of x put in row i minus column i of x put in column j, so
 (nu_m kappa(a) + |c| (kappa(a_a) + nu_a kappa(a))) / 2, where nu is the
 vectorized 1-norm of a projection (forms.projection_one_norm).
 
-Where the metric form is definite, P_a also carries a 2-norm bound and
-expa sums the Chebyshev series.  The form is then |beta1| <g_a, h_a>_F +
-|beta0| <g_p, h_p>_F up to sign, with p the complement of a, and P_a is
-antisymmetric for it: D P_a D^{-1} is Frobenius-antisymmetric for D =
-sqrt|beta1| on a and sqrt|beta0| on p.  Split b and a into their a and p
-parts.  Then 2 P_a b has a-part (1-2c)[b_a, a_a] + [b_p, a_p]_a and p-part
--beta([b_a, a_p] + [b_p, a_a]) + [b_p, a_p]_p, and ||[x, y]||_F <=
-2 ||x||_F ||y||_2.  So with A >= ||a_a||_2, B >= ||a_p||_2 and r =
-sqrt|beta|, the D-balanced 2-norm of P_a is at most the top eigenvalue of
-[[|1-2c| A, r B], [r B, |beta| A + B]] (_p_a_two_norm_bound).  It holds
-on a quotient that meets the simplified condition (quotient.py) too.
-There pi_m leaves [b_a, a_p] + [b_p, a_a] alone: it lies in [a, p], which
-misses the vertical algebra.  Unless c = 0, the vertical algebra misses a,
-so pi_m only shrinks the a-part and p-part of [b_p, a_p].  At c = 0 the
-form is a multiple of the Frobenius one, and ||P_a||_2 <= ||a||_2 <=
-A + B, below that eigenvalue.  expa's recurrence runs on the unbalanced
-P_a; only the bound uses D (expaction's docstring gives the norm of its
-tail bound).
+Where the metric form is definite, which GroupGeometry.definite alone
+decides, P_a also carries a 2-norm bound and expa sums the Chebyshev
+series.  The form is then |beta1| <g_a, h_a>_F + |beta0| <g_p, h_p>_F up to
+sign, with p the complement of a, and P_a is antisymmetric for it: D P_a
+D^{-1} is Frobenius-antisymmetric for D = sqrt|beta1| on a and sqrt|beta0|
+on p.  Split b and a into their a and p parts.  Then 2 P_a b has a-part
+(1-2c)[b_a, a_a] + [b_p, a_p]_a and p-part -beta([b_a, a_p] + [b_p, a_a]) +
+[b_p, a_p]_p, and ||[x, y]||_F <= 2 ||x||_F ||y||_2.  So with A >=
+||a_a||_2, B >= ||a_p||_2 and r = sqrt|beta|, the D-balanced 2-norm of P_a
+is at most the top eigenvalue of [[|1-2c| A, r B], [r B, |beta| A + B]]
+(_p_a_two_norm_bound).  It holds on a quotient that meets the simplified
+condition (quotient.py) too.  There pi_m leaves [b_a, a_p] + [b_p, a_a]
+alone: it lies in [a, p], which misses the vertical algebra.  Unless c = 0,
+the vertical algebra misses a, so pi_m only shrinks the a-part and p-part
+of [b_p, a_p].  At c = 0 the form is a multiple of the Frobenius one, and
+||P_a||_2 <= ||a||_2 <= A + B, below that eigenvalue.  expa's recurrence
+runs on the unbalanced P_a; only the bound uses D (expaction's docstring
+gives the norm of its tail bound).
 """
 import warnings
 from dataclasses import dataclass
@@ -66,9 +70,13 @@ class GroupGeometry:
     split: AlgebraSplit
     params: MetricParams
 
+    @property
+    def n(self):
+        return self.split.n
+
     @cached_property
     def proj_a_norm(self):
-        return projection_one_norm(self.split.n, self.split.proj_a)
+        return projection_one_norm(self.n, self.split.proj_a)
 
     @cached_property
     def definite(self):
@@ -108,6 +116,22 @@ def _symmetry(m):
     return -1 if np.linalg.norm(m + m.T) <= SYMMETRY_RTOL * scale else None
 
 
+def solve_at(x, v):
+    """X^{-1} v by one LU solve; a singular x raises ValidationError."""
+    try:
+        return np.linalg.solve(x, v)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"x is singular: {exc}") from exc
+
+
+def _check_in_algebra(split, v, message):
+    """Raise message, formatted with the residual res, unless v is in the
+    Lie algebra to TANGENCY_RTOL relative to max(1, ||v||_F)."""
+    res = np.linalg.norm(v - split.proj_g(v))
+    if not res <= TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
+        raise ValidationError(message.format(res=res))
+
+
 def to_algebra(geom, x, xi, validate=True):
     """Group-relative velocity a = X^{-1} xi, by linear solve; xi may stack
     vectors at x along a leading axis, which share one condition check.
@@ -121,19 +145,17 @@ def to_algebra(geom, x, xi, validate=True):
         warnings.warn(
             f"base point condition number {cond:.2e} exceeds {CONDITION_WARN:.0e}",
             RuntimeWarning)
-    a = np.linalg.solve(x, xi)
+    a = solve_at(x, xi)
     if validate:
         for v in a.reshape(-1, *a.shape[-2:]):
-            res = np.linalg.norm(v - geom.split.proj_g(v))
-            if not res <= TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
-                raise ValidationError(
-                    f"vector is not tangent: algebra residual {res:.3e}")
+            _check_in_algebra(geom.split, v,
+                              "vector is not tangent: algebra residual {res:.3e}")
     return a
 
 
 def metric(geom, x, xi, eta):
     """Left-invariant metric value <xi, eta> at x."""
-    x, xi, eta = check_square_operands(geom.split.n, x=x, xi=xi, eta=eta)
+    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a, b = to_algebra(geom, x, np.stack([xi, eta]))
     return beta_form(a, b, geom.split, geom.params)
 
@@ -161,7 +183,7 @@ def geodesic_factors(geom, a, t):
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
     check_finite(t, "t")
-    x, xi = check_square_operands(geom.split.n, x=x, xi=xi)
+    x, xi = check_square_operands(geom.n, x=x, xi=xi)
     left, right = geodesic_factors(geom, to_algebra(geom, x, xi), t)
     return x @ left @ right
 
@@ -169,7 +191,7 @@ def geodesic(geom, x, xi, t):
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
     check_finite(t, "t")
-    x, xi = check_square_operands(geom.split.n, x=x, xi=xi)
+    x, xi = check_square_operands(geom.n, x=x, xi=xi)
     a = to_algebra(geom, x, xi)
     left, right = geodesic_factors(geom, a, t)
     gamma = x @ left @ right
@@ -178,25 +200,21 @@ def geodesic_velocity(geom, x, xi, t):
     return gamma, dgamma
 
 
-def p_a_operator(a, beta, proj_a, proj_m=None, nu_a=None, nu_m=None,
-                 definite=False):
-    """P_a with its Frobenius adjoint, the analytic 1-norm bound and, for
-    a definite metric form, the 2-norm bound of its balanced form.
+def p_a_operator(geom, a, quotient=None):
+    """P_a for geom with its Frobenius adjoint, the analytic 1-norm bound
+    and, when geom.definite, the 2-norm bound of its balanced form (then
+    expa sums the Chebyshev series).
 
-    proj_m is the horizontal projection of a quotient (None on a group).
-    nu_a and nu_m, the vectorized 1-norms of proj_a and proj_m, default to
-    forms.projection_one_norm: free for coordinate projections, a basis
-    scan otherwise.  definite says whether the metric form of the caller's
-    geometry is definite; then skew_two_norm_bound is set and expa sums
-    the Chebyshev series.
+    On a quotient (a quotient.QuotientGeometry over geom), pi_m is its
+    horizontal projection proj_m.  The vectorized 1-norms of proj_a and
+    proj_m are cached on the geometries.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    proj_a = geom.split.proj_a
     aa = proj_a(a)
     at = a.T
-    c = 1.0 + beta
-    nu_a = projection_one_norm(n, proj_a) if nu_a is None else nu_a
-    if proj_m is None:
+    c = 1.0 + geom.beta
+    if quotient is None:
         nu_m = 1.0
         e = a - c * aa
         et = e.T
@@ -207,7 +225,7 @@ def p_a_operator(a, beta, proj_a, proj_m=None, nu_a=None, nu_m=None,
         def apply_adjoint(b):
             return 0.5 * (lie(b, et) - c * proj_a(lie(b, at)))
     else:
-        nu_m = projection_one_norm(n, proj_m) if nu_m is None else nu_m
+        proj_m, nu_m = quotient.proj_m, quotient.proj_m_norm
         aat = aa.T
 
         def apply(b):
@@ -220,12 +238,13 @@ def p_a_operator(a, beta, proj_a, proj_m=None, nu_a=None, nu_m=None,
                           + c * (lie(aat, b) - proj_a(lie(b, at))))
 
     ca = _bracket_norm(a)
-    bound = 0.5 * (nu_m * ca + abs(c) * (_bracket_norm(aa) + nu_a * ca))
+    bound = 0.5 * (nu_m * ca
+                   + abs(c) * (_bracket_norm(aa) + geom.proj_a_norm * ca))
     return expaction.LinearOperatorHandle(
         apply=apply, apply_adjoint=apply_adjoint,
-        one_norm_upper_bound=bound, domain_shape=(n, n),
-        skew_two_norm_bound=_p_a_two_norm_bound(aa, a - aa, beta)
-        if definite else None)
+        one_norm_upper_bound=bound, domain_shape=a.shape,
+        skew_two_norm_bound=_p_a_two_norm_bound(aa, a - aa, geom.beta)
+        if geom.definite else None)
 
 
 def _p_a_two_norm_bound(aa, ap, beta):
@@ -252,18 +271,15 @@ def transport_operator(geom, a):
     Its 2-norm bound, set when geom.definite, takes O(n^3).
     """
     a = np.asarray(a, dtype=float)
-    split = geom.split
-    if not np.allclose(a, split.proj_g(a),
-                       atol=TANGENCY_RTOL * max(1.0, np.linalg.norm(a))):
-        raise ValidationError("operator coefficient is not in the Lie algebra")
-    return p_a_operator(a, geom.beta, split.proj_a, nu_a=geom.proj_a_norm,
-                        definite=geom.definite)
+    _check_in_algebra(geom.split, a,
+                      "operator coefficient is not in the Lie algebra")
+    return p_a_operator(geom, a)
 
 
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
     check_finite(t, "t")
-    x, xi, eta = check_square_operands(geom.split.n, x=x, xi=xi, eta=eta)
+    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     left, right = geodesic_factors(geom, a, t)
     w = expaction.expa(transport_operator(geom, a), w0, t)

@@ -6,12 +6,15 @@ action of the horizontal operator
 
     P_a : b -> ([b, a]_m + (1+beta)([a_a, b] - [b_a, a])) / 2 ,
 
-built by group_core.p_a_operator with the horizontal projection.
+built by group_core.p_a_operator(q.geom, a, q), which reads the
+horizontal projection from the quotient and the metric's definiteness from
+the group geometry.  Whether the condition holds is derived once, when a
+QuotientGeometry is built (its simplified_ok), and cannot be set.
 
 Otherwise the middle factor solves a linear ODE with variable coefficients,
 integrated adaptively.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -34,10 +37,18 @@ PROBES = 8
 @dataclass(frozen=True)
 class QuotientGeometry:
     """A group geometry plus the vertical projection of a quotient by a
-    subgroup whose algebra splits into parts inside a and a_top."""
+    subgroup whose algebra splits into parts inside a and a_top.
+
+    simplified_ok, whether the transport has constant coefficients, is
+    derived on construction by check_simplified_condition.
+    """
     geom: GroupGeometry
     proj_k: Callable[[np.ndarray], np.ndarray]
-    simplified_ok: bool
+    simplified_ok: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "simplified_ok",
+                           check_simplified_condition(self))
 
     def proj_m(self, m):
         return self.geom.split.proj_g(m) - self.proj_k(m)
@@ -52,31 +63,28 @@ class QuotientGeometry:
         return projection_one_norm(split.n, self.proj_m)
 
 
-def make_quotient_geometry(geom, proj_k, validate=True):
+def make_quotient_geometry(geom, proj_k):
     """Build a QuotientGeometry, checking the vertical-algebra structure.
 
     Validation probes idempotence and transposability of proj_k and that
-    proj_k lands inside a + a_top (no a_join component); it scans a dense
-    subspace basis, so skip it for large n.
+    proj_k lands inside a + a_top (no a_join component); it scans dense
+    subspace bases, so its cost grows steeply with n.
     """
-    if validate:
-        rng = np.random.default_rng(PROBE_SEED)
-        n = geom.split.n
-        comps = derive_split_components(geom.split)
-        for _ in range(4):
-            w = geom.split.proj_g(rng.standard_normal((n, n)))
-            kw = proj_k(w)
-            if np.linalg.norm(proj_k(kw) - kw) > 1e-10 * max(1.0, np.linalg.norm(kw)):
-                raise ValidationError("proj_k is not idempotent")
-            if np.linalg.norm(proj_k(w.T) - kw.T) > 1e-10 * max(1.0, np.linalg.norm(kw)):
-                raise ValidationError("proj_k does not commute with transpose")
-            split_res = kw - geom.split.proj_a(kw) - comps.proj_a_top(kw)
-            if np.linalg.norm(split_res) > 1e-9 * max(1.0, np.linalg.norm(kw)):
-                raise ValidationError(
-                    "vertical algebra does not split into a and a_top parts")
-    q = QuotientGeometry(geom=geom, proj_k=proj_k, simplified_ok=False)
-    ok = check_simplified_condition(q)
-    return QuotientGeometry(geom=geom, proj_k=proj_k, simplified_ok=ok)
+    rng = np.random.default_rng(PROBE_SEED)
+    n = geom.n
+    comps = derive_split_components(geom.split)
+    for _ in range(4):
+        w = geom.split.proj_g(rng.standard_normal((n, n)))
+        kw = proj_k(w)
+        if np.linalg.norm(proj_k(kw) - kw) > 1e-10 * max(1.0, np.linalg.norm(kw)):
+            raise ValidationError("proj_k is not idempotent")
+        if np.linalg.norm(proj_k(w.T) - kw.T) > 1e-10 * max(1.0, np.linalg.norm(kw)):
+            raise ValidationError("proj_k does not commute with transpose")
+        split_res = kw - geom.split.proj_a(kw) - comps.proj_a_top(kw)
+        if np.linalg.norm(split_res) > 1e-9 * max(1.0, np.linalg.norm(kw)):
+            raise ValidationError(
+                "vertical algebra does not split into a and a_top parts")
+    return QuotientGeometry(geom=geom, proj_k=proj_k)
 
 
 def check_simplified_condition(q):
@@ -132,10 +140,7 @@ def horizontal_christoffel(q, x, xi, eta, validate=True):
 def horizontal_transport_operator(q, a):
     """The constant-coefficient operator of the simplified transport, with
     a 2-norm bound when the metric form is definite."""
-    geom = q.geom
-    return p_a_operator(a, geom.beta, geom.split.proj_a, q.proj_m,
-                        nu_a=geom.proj_a_norm, nu_m=q.proj_m_norm,
-                        definite=geom.definite)
+    return p_a_operator(q.geom, a, q)
 
 
 def _solve_w_ode(q, a, w0, t):
@@ -168,7 +173,7 @@ def quotient_transport(q, x, xi, eta, t):
     geodesic, closed form when the simplified condition holds."""
     geom = q.geom
     check_finite(t, "t")
-    x, xi, eta = check_square_operands(geom.split.n, x=x, xi=xi, eta=eta)
+    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     _check_horizontal(q, a, "xi")
     _check_horizontal(q, w0, "eta")
@@ -182,14 +187,14 @@ def quotient_transport(q, x, xi, eta, t):
     return x @ left @ w @ right
 
 
-def stiefel_quotient(n, d, alpha, validate=True):
+def stiefel_quotient(n, d, alpha):
     """SO(n)/SO(n-d) with the alpha metric: the Stiefel quotient."""
     split = so_split(n, d)
     geom = GroupGeometry(split=split, params=MetricParams(beta0=-0.5, beta1=alpha))
-    return make_quotient_geometry(geom, split.proj_k, validate=validate)
+    return make_quotient_geometry(geom, split.proj_k)
 
 
-def flag_quotient(n, d_list, alpha, validate=True):
+def flag_quotient(n, d_list, alpha):
     """SO(n)/S(O(d_1) x ... x O(d_p) x O(n-d)): the flag quotient."""
     d = int(sum(d_list))
     if d >= n:
@@ -201,8 +206,8 @@ def flag_quotient(n, d_list, alpha, validate=True):
     def proj_k(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            out[lo:hi, lo:hi] = asym(m[lo:hi, lo:hi])
+            out[..., lo:hi, lo:hi] = asym(m[..., lo:hi, lo:hi])
         return out
 
     geom = GroupGeometry(split=split, params=MetricParams(beta0=-0.5, beta1=alpha))
-    return make_quotient_geometry(geom, proj_k, validate=validate)
+    return make_quotient_geometry(geom, proj_k)

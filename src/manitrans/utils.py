@@ -16,14 +16,14 @@ def coordinate_projection(proj):
 
 @coordinate_projection
 def sym(m):
-    """Symmetric part (m + m^T)/2."""
-    return 0.5 * (m + m.T)
+    """Symmetric part (m + m^T)/2 of each trailing matrix."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 @coordinate_projection
 def asym(m):
-    """Antisymmetric part (m - m^T)/2."""
-    return 0.5 * (m - m.T)
+    """Antisymmetric part (m - m^T)/2 of each trailing matrix."""
+    return 0.5 * (m - m.swapaxes(-1, -2))
 
 
 def lie(a, b):

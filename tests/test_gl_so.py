@@ -23,6 +23,21 @@ def group_of(geom):
     return GroupGeometry(split=geom.split, params=geom.params)
 
 
+@pytest.mark.parametrize("make", [lambda: GLGeometry(5, 0.7),
+                                  lambda: SOGeometry(5, 2, 0.8)],
+                         ids=["gl", "so"])
+def test_group_core_takes_the_geometry_directly(rng, make):
+    geom = make()
+    assert isinstance(geom, GroupGeometry)
+    x = random_so(rng, 5)  # in SO(5), inside GL+(5) too
+    xi, eta = (x @ geom.split.proj_g(rng.standard_normal((5, 5)))
+               for _ in range(2))
+    for call in (lambda g: transport(g, x, xi, eta, 1.3),
+                 lambda g: geodesic(g, x, xi, 1.3),
+                 lambda g: christoffel(g, x, xi, eta)):
+        assert np.array_equal(call(geom), call(group_of(geom)))
+
+
 class TestGLGeometry:
     def test_positive_beta_is_riemannian(self):
         geom = GLGeometry(n=3, beta=0.7)

@@ -13,14 +13,16 @@ from manitrans.expaction import (dense_operator_matrix, expa,
                                  select_taylor_params)
 from manitrans.forms import (AlgebraSplit, MetricParams, beta_form,
                              subspace_basis)
-from manitrans.gl_so import (GLGeometry, SOGeometry, gl_metric, gl_split,
-                             gl_transport_operator, so_metric, so_split,
-                             so_transport_operator)
+from manitrans.gl_so import (GLGeometry, SOGeometry, gl_geodesic, gl_metric,
+                             gl_split, gl_transport, gl_transport_operator,
+                             so_metric, so_split, so_transport_operator)
 from manitrans.group_core import (
     GroupGeometry, christoffel, geodesic, geodesic_velocity, metric,
     p_a_operator, to_algebra, transport, transport_operator)
-from manitrans.quotient import horizontal_transport_operator, stiefel_quotient
-from manitrans.utils import asym, lie
+from manitrans.quotient import (QuotientGeometry, flag_quotient,
+                                horizontal_transport_operator,
+                                quotient_transport, stiefel_quotient)
+from manitrans.utils import asym, lie, sym
 
 from helpers import (classify_metric_signature, poisoned, random_glp,
                      random_so, random_so_tangent, rel_err)
@@ -206,6 +208,48 @@ class TestTransportOperator:
         with pytest.raises(ValidationError):
             transport_operator(geom, np.eye(4))
 
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_rejects_coefficient_off_the_algebra_by_1e8(self, rng, n):
+        # to_algebra's criterion: a relative residual of 1.2e-8 is out; off
+        # the diagonal, an elementwise relative test would let it in
+        a = asym(rng.standard_normal((n, n)))
+        off = sym(rng.standard_normal((n, n)))
+        np.fill_diagonal(off, 0.0)
+        a += 1.2e-8 * np.linalg.norm(a) / np.linalg.norm(off) * off
+        with pytest.raises(ValidationError, match="not in the Lie algebra"):
+            transport_operator(SOGeometry(n, n // 4, 0.8), a)
+
+
+def stacked_operator_case(kind, rng):
+    """A P_a operator of the given kind and a (3, n, n) stack of operands
+    from its operand space."""
+    if kind == "gl":
+        op = gl_transport_operator(GLGeometry(5, 0.5),
+                                   rng.standard_normal((5, 5)))
+        return op, rng.standard_normal((3, 5, 5))
+    if kind == "so":
+        op = so_transport_operator(SOGeometry(5, 2, 0.8),
+                                   asym(rng.standard_normal((5, 5))))
+        return op, asym(rng.standard_normal((3, 5, 5)))
+    q = stiefel_quotient(5, 2, 0.8) if kind == "stiefel-quotient" \
+        else flag_quotient(7, (2, 2), 0.5)
+    n = q.geom.n
+    op = horizontal_transport_operator(
+        q, q.proj_m(asym(rng.standard_normal((n, n)))))
+    return op, q.proj_m(asym(rng.standard_normal((3, n, n))))
+
+
+@pytest.mark.parametrize(
+    "kind", ["gl", "so", "stiefel-quotient", "flag-quotient"])
+def test_stacked_operands_match_slices(rng, kind):
+    op, stack = stacked_operator_case(kind, rng)
+    for fn, tol in ((op.apply, 1e-15), (op.apply_adjoint, 1e-15),
+                    (lambda b: expa(op, b, 2.5), 1e-13)):
+        got = fn(stack)
+        for b, g in zip(stack, got):
+            want = fn(b)
+            assert np.linalg.norm(g - want) <= tol * np.linalg.norm(want)
+
 
 def sl_split(n):
     """gl(n) with the traceless matrices as the subalgebra: proj_a is not a
@@ -222,8 +266,11 @@ def bound_case(kind, n, beta, rng):
         return gl_transport_operator(GLGeometry(n, beta),
                                      rng.standard_normal((n, n)))
     if kind == "quotient":
-        q = stiefel_quotient(n, int(rng.integers(1, n)), -0.5 * beta,
-                             validate=False)
+        # built without make_quotient_geometry's structure scan, which
+        # takes seconds at n = 21; the Stiefel split is known to pass it
+        split = so_split(n, int(rng.integers(1, n)))
+        q = QuotientGeometry(GroupGeometry(
+            split=split, params=MetricParams(-0.5, -0.5 * beta)), split.proj_k)
         return horizontal_transport_operator(
             q, q.proj_m(asym(rng.standard_normal((n, n)))))
     split = {"so": lambda: so_split(n, int(rng.integers(1, n))),
@@ -384,6 +431,20 @@ class TestTransport:
         assert res <= 1e-6
 
 
+GL3 = GLGeometry(3, 0.7)
+SINGULAR_BASE_CALLS = {
+    "geodesic": lambda x, v: geodesic(GL3, x, v, 1.0),
+    "geodesic_velocity": lambda x, v: geodesic_velocity(GL3, x, v, 1.0),
+    "metric": lambda x, v: metric(GL3, x, v, v),
+    "christoffel": lambda x, v: christoffel(GL3, x, v, v),
+    "transport": lambda x, v: transport(GL3, x, v, v, 1.0),
+    "quotient_transport": lambda x, v: quotient_transport(
+        stiefel_quotient(3, 1, 0.8), x, v, v, 1.0),
+    "gl_geodesic": lambda x, v: gl_geodesic(GL3, x, v, 1.0),
+    "gl_transport": lambda x, v: gl_transport(GL3, x, v, v, 1.0),
+}
+
+
 class TestTangency:
     def test_group_tangent_roundtrip(self, rng):
         geom = so_geom(5, 2, 0.8)
@@ -403,12 +464,12 @@ class TestTangency:
         with pytest.warns(RuntimeWarning):
             to_algebra(geom, x, x @ np.eye(2))
 
-    def test_singular_base_raises_solve_error(self, rng):
-        geom = gl_geom(3, 0.7)
+    @pytest.mark.filterwarnings("ignore:base point condition number")
+    @pytest.mark.parametrize("call", list(SINGULAR_BASE_CALLS))
+    def test_singular_base_names_x(self, rng, call):
         x = np.diag([1.0, 1.0, 0.0])
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(np.linalg.LinAlgError):
-                geodesic(geom, x, rng.standard_normal((3, 3)), 1.0)
+        with pytest.raises(ValidationError, match="^x is singular"):
+            SINGULAR_BASE_CALLS[call](x, rng.standard_normal((3, 3)))
 
     def test_signature_recorded(self):
         geom = so_geom(4, 2, 0.8)
@@ -431,7 +492,7 @@ def chebyshev_case(kind, n, par, rng):
         return (partial(gl_transport_operator, geom), geom,
                 subspace_basis(geom.split, geom.split.proj_g))
     if kind == "quotient":
-        q = stiefel_quotient(n, d, par, validate=False)
+        q = stiefel_quotient(n, d, par)
         return (partial(horizontal_transport_operator, q), q.geom,
                 subspace_basis(q.geom.split, q.proj_m))
     geom = SOGeometry(n, d, par)
@@ -531,13 +592,25 @@ class TestChebyshevRoute:
             geom, split.proj_g(rng.standard_normal((split.n, split.n))))
         assert (op.skew_two_norm_bound is not None) == geom.definite
 
+    @pytest.mark.parametrize("beta", [-1.0, -0.5, 0.5, 3.0])
+    def test_gl_geometry_is_definite_iff_beta_positive(self, beta):
+        for n in range(2, 7):
+            assert GLGeometry(n, beta).definite == (beta > 0)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.8, 50.0])
+    def test_so_geometry_is_definite(self, alpha):
+        for n in range(2, 7):
+            for d in range(1, n):  # SO(2, 1) has an empty subalgebra
+                assert SOGeometry(n, d, alpha).definite
+
     @pytest.mark.parametrize("beta", [-1.6, -1.0, 0.5, 3.0])
     def test_folded_apply_equals_six_product_form(self, rng, beta):
         for split in (gl_split(5), so_split(5, 2), block_split(5, 2),
                       sl_split(5)):
             a = split.proj_g(rng.standard_normal((5, 5)))
             b = rng.standard_normal((5, 5))
-            op = p_a_operator(a, beta, split.proj_a)
+            op = p_a_operator(
+                GroupGeometry(split=split, params=MetricParams(1.0, beta)), a)
             for got, want in ((op.apply(b), six_product_apply),
                               (op.apply_adjoint(b), six_product_adjoint)):
                 want = want(a, beta, split.proj_a, b)

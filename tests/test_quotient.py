@@ -10,9 +10,9 @@ from manitrans.gl_so import so_split
 from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   geodesic_velocity, transport)
 from manitrans.quotient import (
-    check_simplified_condition, flag_quotient, horizontal_christoffel,
-    horizontal_transport_operator, make_quotient_geometry, quotient_transport,
-    stiefel_quotient)
+    QuotientGeometry, check_simplified_condition, flag_quotient,
+    horizontal_christoffel, horizontal_transport_operator,
+    make_quotient_geometry, quotient_transport, stiefel_quotient)
 from manitrans.stiefel import (StiefelMetricParams, project_tangent,
                                stiefel_transport)
 from manitrans.utils import asym, lie
@@ -63,6 +63,22 @@ class TestConstruction:
         got = quotient_transport(q, x, xi, eta, t)
         want = transport(geom, x, xi, eta, t)
         assert rel_err(got, want) <= 1e-10
+
+
+    def test_simplified_ok_cannot_be_set(self):
+        q = flag_quotient(7, (2, 2), 0.8)
+        with pytest.raises(TypeError):
+            QuotientGeometry(geom=q.geom, proj_k=q.proj_k, simplified_ok=True)
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: stiefel_quotient(6, 2, 0.8), True),
+        (lambda: flag_quotient(7, (2, 2), 0.5), True),
+        (lambda: flag_quotient(7, (2, 2), 0.8), False)],
+        ids=["stiefel", "flag-canonical", "flag-general"])
+    def test_simplified_ok_is_derived_on_construction(self, make, want):
+        q = make()
+        assert q.simplified_ok == want
+        assert QuotientGeometry(q.geom, q.proj_k).simplified_ok == want
 
 
 class TestHorizontalChristoffel:
