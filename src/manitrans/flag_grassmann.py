@@ -29,10 +29,15 @@ class FlagSignature:
     n: int
 
     def __post_init__(self):
+        if not self.d_list or not all(
+                isinstance(di, (int, np.integer)) for di in self.d_list):
+            raise ValidationError(
+                f"d_list must hold one or more integers, got {self.d_list}")
         if any(di < 1 for di in self.d_list):
-            raise ValidationError("all block sizes must be at least 1")
+            raise ValidationError(f"d_list blocks must be at least 1, got {self.d_list}")
         if self.d >= self.n:
-            raise ValidationError("blocks must leave n - d >= 1")
+            raise ValidationError(
+                f"d_list must leave n - d >= 1, got d={self.d}, n={self.n}")
 
     @property
     def d(self):

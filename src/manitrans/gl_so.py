@@ -30,24 +30,17 @@ def gl_split(n):
 
 
 def so_split(n, d):
-    """so(n) with the top d x d antisymmetric block as the subalgebra.
+    """so(n) with the top d x d antisymmetric block as the subalgebra."""
+    if not 1 <= d < n:
+        raise ValidationError(f"need 1 <= d < n, got d={d}, n={n}")
 
-    proj_k projects onto the bottom (n-d) x (n-d) block, the vertical
-    algebra of the Stiefel quotient.
-    """
     @coordinate_projection
     def proj_a(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
         out[..., :d, :d] = asym(m[..., :d, :d])
         return out
 
-    @coordinate_projection
-    def proj_k(m):
-        out = np.zeros_like(np.asarray(m, dtype=float))
-        out[..., d:, d:] = asym(m[..., d:, d:])
-        return out
-
-    return AlgebraSplit(n=n, proj_g=asym, proj_a=proj_a, proj_k=proj_k)
+    return AlgebraSplit(n=n, proj_g=asym, proj_a=proj_a)
 
 
 @dataclass(frozen=True, init=False)
@@ -55,6 +48,7 @@ class GLGeometry(GroupGeometry):
     """GL+(n) with the deformed trace metric, beta0 = 1, beta1 = beta."""
 
     def __init__(self, n, beta):
+        check_finite(beta, "beta")
         if beta == 0:
             raise ValidationError("beta must be nonzero")
         super().__init__(gl_split(n), MetricParams(beta0=1.0, beta1=beta))
@@ -67,8 +61,7 @@ class SOGeometry(GroupGeometry):
     d: int
 
     def __init__(self, n, d, alpha):
-        if not 1 <= d < n:
-            raise ValidationError(f"need 1 <= d < n, got d={d}, n={n}")
+        check_finite(alpha, "alpha")
         if alpha <= 0:
             raise ValidationError("alpha must be positive")
         super().__init__(so_split(n, d), MetricParams(beta0=-0.5, beta1=alpha))

@@ -8,8 +8,12 @@ action of the horizontal operator
 
 built by group_core.p_a_operator(q.geom, a, q), which reads the
 horizontal projection from the quotient and the metric's definiteness from
-the group geometry.  Whether the condition holds is derived once, when a
-QuotientGeometry is built (its simplified_ok), and cannot be set.
+the group geometry.  QuotientGeometry(geom, proj_k) is the one way to
+build a quotient: construction probes that proj_k is a transposable
+projection onto a subalgebra inside a + a_top (check_vertical_algebra), in
+O(n^3) work per probe, then derives whether the condition holds (its
+simplified_ok), which cannot be set.  stiefel_quotient and flag_quotient
+give it the block-diagonal vertical projections of their subgroups.
 
 Otherwise the middle factor solves a linear ODE with variable coefficients,
 integrated adaptively.
@@ -23,7 +27,8 @@ import scipy.integrate
 
 from . import expaction, group_core
 from .errors import NumericalError, ValidationError
-from .forms import MetricParams, derive_split_components, projection_one_norm
+from .flag_grassmann import FlagSignature
+from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import PROBE_SEED, GroupGeometry, p_a_operator, to_algebra
 from .utils import (asym, check_finite, check_square_operands,
@@ -39,14 +44,16 @@ class QuotientGeometry:
     """A group geometry plus the vertical projection of a quotient by a
     subgroup whose algebra splits into parts inside a and a_top.
 
-    simplified_ok, whether the transport has constant coefficients, is
-    derived on construction by check_simplified_condition.
+    Construction checks proj_k on PROBES fixed-seed random probes
+    (check_vertical_algebra) and derives simplified_ok, whether the
+    transport has constant coefficients, by check_simplified_condition.
     """
     geom: GroupGeometry
     proj_k: Callable[[np.ndarray], np.ndarray]
     simplified_ok: bool = field(init=False)
 
     def __post_init__(self):
+        check_vertical_algebra(self.geom.split, self.proj_k)
         object.__setattr__(self, "simplified_ok",
                            check_simplified_condition(self))
 
@@ -63,28 +70,33 @@ class QuotientGeometry:
         return projection_one_norm(split.n, self.proj_m)
 
 
-def make_quotient_geometry(geom, proj_k):
-    """Build a QuotientGeometry, checking the vertical-algebra structure.
+def check_vertical_algebra(split, proj_k):
+    """Probe that proj_k is an idempotent, transposable projection into g
+    whose range k lies in a + a_top, in O(n^3) work per probe.
 
-    Validation probes idempotence and transposability of proj_k and that
-    proj_k lands inside a + a_top (no a_join component); it scans dense
-    subspace bases, so its cost grows steeply with n.
+    With g = a + a_join + a_top orthogonally and a_join = span [a, a_perp],
+    k lies in a + a_top exactly when k is orthogonal to every [a', p].  As
+    <k, [a', p]>_F = <[a'^T, k], p>_F and a is transposable, that holds
+    when [a', k] has no a_perp part for every a' in a, which one random
+    pair (a', k) per probe tests.
     """
     rng = np.random.default_rng(PROBE_SEED)
-    n = geom.n
-    comps = derive_split_components(geom.split)
-    for _ in range(4):
-        w = geom.split.proj_g(rng.standard_normal((n, n)))
+    n = split.n
+    for _ in range(PROBES):
+        w = split.proj_g(rng.standard_normal((n, n)))
         kw = proj_k(w)
-        if np.linalg.norm(proj_k(kw) - kw) > 1e-10 * max(1.0, np.linalg.norm(kw)):
+        scale = max(1.0, np.linalg.norm(kw))
+        if np.linalg.norm(proj_k(kw) - kw) > 1e-10 * scale:
             raise ValidationError("proj_k is not idempotent")
-        if np.linalg.norm(proj_k(w.T) - kw.T) > 1e-10 * max(1.0, np.linalg.norm(kw)):
+        if np.linalg.norm(proj_k(w.T) - kw.T) > 1e-10 * scale:
             raise ValidationError("proj_k does not commute with transpose")
-        split_res = kw - geom.split.proj_a(kw) - comps.proj_a_top(kw)
-        if np.linalg.norm(split_res) > 1e-9 * max(1.0, np.linalg.norm(kw)):
+        a = split.proj_a(rng.standard_normal((n, n)))
+        br = lie(a / max(1.0, np.linalg.norm(a)), kw)
+        res = max(np.linalg.norm(split.proj_g(kw) - kw),
+                  np.linalg.norm(split.proj_g(br) - split.proj_a(br)))
+        if res > 1e-9 * scale:
             raise ValidationError(
                 "vertical algebra does not split into a and a_top parts")
-    return QuotientGeometry(geom=geom, proj_k=proj_k)
 
 
 def check_simplified_condition(q):
@@ -187,27 +199,30 @@ def quotient_transport(q, x, xi, eta, t):
     return x @ left @ w @ right
 
 
-def stiefel_quotient(n, d, alpha):
-    """SO(n)/SO(n-d) with the alpha metric: the Stiefel quotient."""
-    split = so_split(n, d)
-    geom = GroupGeometry(split=split, params=MetricParams(beta0=-0.5, beta1=alpha))
-    return make_quotient_geometry(geom, split.proj_k)
-
-
-def flag_quotient(n, d_list, alpha):
-    """SO(n)/S(O(d_1) x ... x O(d_p) x O(n-d)): the flag quotient."""
-    d = int(sum(d_list))
-    if d >= n:
-        raise ValidationError("flag blocks must leave n - d >= 1")
-    split = so_split(n, d)
-    offsets = np.concatenate([[0], np.cumsum(list(d_list) + [n - d])])
+def _block_diagonal_projection(offsets):
+    """Projection onto the antisymmetric diagonal blocks
+    [lo:hi, lo:hi] between consecutive offsets."""
+    blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     @coordinate_projection
     def proj_k(m):
         out = np.zeros_like(np.asarray(m, dtype=float))
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            out[..., lo:hi, lo:hi] = asym(m[..., lo:hi, lo:hi])
+        for b in blocks:
+            out[..., b, b] = asym(m[..., b, b])
         return out
+    return proj_k
 
-    geom = GroupGeometry(split=split, params=MetricParams(beta0=-0.5, beta1=alpha))
-    return make_quotient_geometry(geom, proj_k)
+
+def stiefel_quotient(n, d, alpha):
+    """SO(n)/SO(n-d) with the alpha metric: the Stiefel quotient."""
+    geom = GroupGeometry(split=so_split(n, d),
+                         params=MetricParams(beta0=-0.5, beta1=alpha))
+    return QuotientGeometry(geom, _block_diagonal_projection((d, n)))
+
+
+def flag_quotient(n, d_list, alpha):
+    """SO(n)/S(O(d_1) x ... x O(d_p) x O(n-d)): the flag quotient."""
+    sig = FlagSignature(tuple(d_list), n)
+    geom = GroupGeometry(split=so_split(n, sig.d),
+                         params=MetricParams(beta0=-0.5, beta1=alpha))
+    return QuotientGeometry(geom, _block_diagonal_projection(sig.offsets + (n,)))

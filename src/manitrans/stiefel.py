@@ -46,6 +46,7 @@ class StiefelMetricParams:
     alpha: float
 
     def __post_init__(self):
+        check_finite(self.alpha, "alpha")
         if self.alpha <= 0:
             raise ValidationError("alpha must be positive")
 

@@ -1,16 +1,19 @@
 """Shared constructions and reference implementations for the test suite."""
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
-from manitrans.forms import derive_split_components, subspace_basis
 from manitrans.stiefel import (
     POINT_TOL, RANK_RTOL, TangentDecomposition, check_coefficient,
     p_bal_norm_bound, project_tangent)
-from manitrans.utils import asym, check_operand, check_square, matrix_norms, sym
+from manitrans.utils import (asym, check_operand, check_square, lie,
+                             matrix_norms, sym)
+
+SUBSPACE_RANK_RTOL = 1e-10
 
 
 def random_stiefel(rng, n, d):
@@ -91,6 +94,73 @@ def identity_operator(domain_shape):
         apply_adjoint=lambda m: m.copy(),
         one_norm_upper_bound=1.0,
         domain_shape=tuple(domain_shape))
+
+
+# --- subspace scans of an algebra split ------------------------------------
+
+@dataclass(frozen=True)
+class SplitComponents:
+    """Projections onto the complement pieces of g = a + a_join + a_top."""
+    proj_a_perp: Callable[[np.ndarray], np.ndarray]
+    proj_a_join: Callable[[np.ndarray], np.ndarray]
+    proj_a_top: Callable[[np.ndarray], np.ndarray]
+
+
+def _range_basis(images):
+    """Frobenius-orthonormal basis of the span of a list of matrices."""
+    mats = [np.asarray(m, dtype=float) for m in images]
+    if not mats:
+        return []
+    shape = mats[0].shape
+    cols = np.stack([m.reshape(-1) for m in mats], axis=1)
+    colnorms = np.linalg.norm(cols, axis=0)
+    if np.max(colnorms, initial=0.0) == 0.0:
+        return []
+    q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > SUBSPACE_RANK_RTOL * diag[0]))
+    return [q[:, i].reshape(shape) for i in range(rank)]
+
+
+def subspace_basis(split, proj):
+    """Orthonormal basis of the range of a projection on n x n matrices."""
+    n = split.n
+    images = []
+    e = np.zeros((n, n))
+    for idx in range(n * n):
+        e.flat[idx] = 1.0
+        images.append(np.array(proj(e), dtype=float))  # proj may return e
+        e.flat[idx] = 0.0
+    return _range_basis(images)
+
+
+def derive_split_components(split):
+    """Projections onto a_perp, a_join = span [a, a_perp], and a_top, by a
+    dense scan: the reference for quotient.check_vertical_algebra's probes
+    and for classify_metric_signature.
+
+    a_join is orthonormalized numerically from bracket images of basis
+    pairs; a_top is its orthogonal complement inside a_perp, which by the
+    transposable-split decomposition is exactly the commutant of a.
+    """
+    def proj_a_perp(m):
+        return split.proj_g(m) - split.proj_a(m)
+
+    basis_a = subspace_basis(split, split.proj_a)
+    basis_perp = subspace_basis(split, proj_a_perp)
+    brackets = [lie(a, b) for a in basis_a for b in basis_perp]
+    basis_join = _range_basis(brackets)
+
+    def proj_a_join(m):
+        out = np.zeros_like(np.asarray(m, dtype=float))
+        for q in basis_join:
+            out += np.sum(q * m) * q
+        return out
+
+    def proj_a_top(m):
+        return proj_a_perp(m) - proj_a_join(m)
+
+    return SplitComponents(proj_a_perp, proj_a_join, proj_a_top)
 
 
 # --- forms and metric signatures --------------------------------------------

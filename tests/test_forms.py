@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manitrans.errors import DimensionError, ValidationError
-from manitrans.forms import (
-    AlgebraSplit, MetricParams, beta_form, derive_split_components,
-    subspace_basis, trace_form)
+from manitrans.forms import AlgebraSplit, MetricParams, beta_form, trace_form
 from manitrans.gl_so import gl_split, so_split
+from manitrans.quotient import stiefel_quotient
 from manitrans.utils import asym, lie
 
 from helpers import (DegenerateSubspaceError, classify_metric_signature,
-                     frobenius_form, gram_projection)
+                     derive_split_components, frobenius_form, gram_projection,
+                     subspace_basis)
 
 
 def block_split(n, k):
@@ -66,6 +66,13 @@ class TestMetricParams:
     def test_rejects_zero(self):
         with pytest.raises(ValidationError):
             MetricParams(beta0=0.0, beta1=1.0)
+
+    @pytest.mark.parametrize("name", ["beta0", "beta1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, name, value):
+        kwargs = {"beta0": 1.0, "beta1": 1.0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} has non-finite"):
+            MetricParams(**kwargs)
 
 
 class TestBetaForm:
@@ -257,7 +264,8 @@ class TestSplitInvariants:
     def test_idempotence_and_transposability(self, rng):
         split = so_split(5, 2)
         m = rng.standard_normal((5, 5))
-        for proj in (split.proj_g, split.proj_a, split.proj_k):
+        for proj in (split.proj_g, split.proj_a,
+                     stiefel_quotient(5, 2, 0.8).proj_k):
             assert np.linalg.norm(proj(proj(m)) - proj(m)) <= 1e-13
             assert np.linalg.norm(proj(m.T) - proj(m).T) <= 1e-13
 

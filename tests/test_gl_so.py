@@ -48,6 +48,11 @@ class TestGLGeometry:
         with pytest.raises(ValidationError):
             GLGeometry(n=3, beta=0.0)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_beta(self, beta):
+        with pytest.raises(ValidationError, match="^beta has non-finite"):
+            GLGeometry(n=4, beta=beta)
+
     @given(seed=st.integers(0, 10_000))
     def test_metric_identity(self, seed):
         # <g,g> = |g|_F^2 + (beta-1)|g_skew|_F^2
@@ -233,6 +238,11 @@ class TestSOGeometry:
         geom = SOGeometry(n=4, d=2, alpha=0.8)
         assert classify_metric_signature(geom.split, geom.params).kind \
             == "riemannian"
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValidationError, match="^alpha has non-finite"):
+            SOGeometry(n=5, d=2, alpha=alpha)
 
     def test_rejects_nonorthogonal_base(self, rng):
         geom = SOGeometry(n=4, d=2, alpha=0.8)

@@ -11,21 +11,20 @@ from manitrans.errors import ValidationError
 from manitrans.expaction import (dense_operator_matrix, expa,
                                  one_norm_estimate_exhaustive,
                                  select_taylor_params)
-from manitrans.forms import (AlgebraSplit, MetricParams, beta_form,
-                             subspace_basis)
+from manitrans.forms import AlgebraSplit, MetricParams, beta_form
 from manitrans.gl_so import (GLGeometry, SOGeometry, gl_geodesic, gl_metric,
                              gl_split, gl_transport, gl_transport_operator,
                              so_metric, so_split, so_transport_operator)
 from manitrans.group_core import (
     GroupGeometry, christoffel, geodesic, geodesic_velocity, metric,
     p_a_operator, to_algebra, transport, transport_operator)
-from manitrans.quotient import (QuotientGeometry, flag_quotient,
-                                horizontal_transport_operator,
+from manitrans.quotient import (flag_quotient, horizontal_transport_operator,
                                 quotient_transport, stiefel_quotient)
 from manitrans.utils import asym, lie, sym
 
-from helpers import (classify_metric_signature, poisoned, random_glp,
-                     random_so, random_so_tangent, rel_err)
+from helpers import (classify_metric_signature, derive_split_components,
+                     poisoned, random_glp, random_so, random_so_tangent,
+                     rel_err, subspace_basis)
 from test_forms import block_split
 
 
@@ -64,7 +63,6 @@ class TestChristoffel:
 
     def test_correction_term_lies_in_x_a_join(self, rng):
         # the non-trace part of the connection must have no a or a_top part
-        from manitrans.forms import derive_split_components
         geom = so_geom(5, 2, 0.8)
         comps = derive_split_components(geom.split)
         x = random_so(rng, 5)
@@ -266,11 +264,7 @@ def bound_case(kind, n, beta, rng):
         return gl_transport_operator(GLGeometry(n, beta),
                                      rng.standard_normal((n, n)))
     if kind == "quotient":
-        # built without make_quotient_geometry's structure scan, which
-        # takes seconds at n = 21; the Stiefel split is known to pass it
-        split = so_split(n, int(rng.integers(1, n)))
-        q = QuotientGeometry(GroupGeometry(
-            split=split, params=MetricParams(-0.5, -0.5 * beta)), split.proj_k)
+        q = stiefel_quotient(n, int(rng.integers(1, n)), -0.5 * beta)
         return horizontal_transport_operator(
             q, q.proj_m(asym(rng.standard_normal((n, n)))))
     split = {"so": lambda: so_split(n, int(rng.integers(1, n))),

@@ -1,15 +1,21 @@
-"""Every module of the package and of its tests uses each name it
-imports, and every top-level _private name of the package is read
-somewhere in the package or its tests."""
+"""Every module of the package, its tests and its scripts uses each name
+it imports; every top-level _private name of the package is read somewhere
+in the package or its tests, and every top-level UPPER_CASE constant of the
+package is read, as that module's name, in the package, its tests, its
+scripts or the benchmark."""
 import ast
 import pathlib
+import re
 
 import pytest
 
 import manitrans
 
+ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted(pathlib.Path(manitrans.__file__).parent.glob("*.py"))
-MODULES = SOURCES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MODULES = SOURCES + TESTS + SCRIPTS
 
 
 def _dotted(node):
@@ -51,9 +57,8 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_definitions(source):
-    """Top-level _private names (not dunders) that source binds by def,
-    class or assignment."""
+def top_level_names(source):
+    """Names that source binds at top level by def, class or assignment."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -61,7 +66,18 @@ def private_definitions(source):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(source):
+    """Top-level _private names (not dunders) of source."""
+    return [n for n in top_level_names(source)
+            if n.startswith("_") and not n.startswith("__")]
+
+
+def constant_definitions(source):
+    """Top-level UPPER_CASE names of source."""
+    return [n for n in top_level_names(source) if re.fullmatch(r"[A-Z][A-Z0-9_]*", n)]
 
 
 def read_names(source):
@@ -92,3 +108,38 @@ READS = set().union(*(read_names(path.read_text()) for path in MODULES))
 def test_every_private_name_is_read(path):
     assert [n for n in private_definitions(path.read_text())
             if n not in READS] == []
+
+
+def qualified_reads(source, module):
+    """(owner, name) pairs that source, the module named `module`, reads:
+    its own loads, names it imports from a module and attributes
+    owner.name."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and _dotted(node):
+            reads.add(tuple(_dotted(node).split(".")[-2:]))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            owner = node.module.rsplit(".", 1)[-1]
+            reads.update((owner, alias.name) for alias in node.names)
+    return reads
+
+
+def test_detects_unread_constants():
+    own = "A = 1\nB = 2\nC = 3\nD = 4\n_E = 5\nprint(A)\n"
+    other = "from pkg.own import B\nfrom . import own\nprint(own.C, D)\n"
+    reads = qualified_reads(own, "own") | qualified_reads(other, "other")
+    assert [n for n in constant_definitions(own) if ("own", n) not in reads] \
+        == ["D"]
+
+
+QUALIFIED_READS = set().union(*(
+    qualified_reads(path.read_text(), path.stem)
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py"))))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_constant_is_read(path):
+    assert [n for n in constant_definitions(path.read_text())
+            if (path.stem, n) not in QUALIFIED_READS] == []

@@ -6,23 +6,90 @@ from hypothesis import given, strategies as st
 from manitrans import oracle
 from manitrans.errors import ValidationError
 from manitrans.forms import MetricParams, beta_form
-from manitrans.gl_so import so_split
+from manitrans.gl_so import gl_split, so_split
 from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
                                   geodesic_velocity, transport)
 from manitrans.quotient import (
     QuotientGeometry, check_simplified_condition, flag_quotient,
-    horizontal_christoffel, horizontal_transport_operator,
-    make_quotient_geometry, quotient_transport, stiefel_quotient)
+    horizontal_christoffel, horizontal_transport_operator, quotient_transport,
+    stiefel_quotient)
 from manitrans.stiefel import (StiefelMetricParams, project_tangent,
                                stiefel_transport)
-from manitrans.utils import asym, lie
+from manitrans.utils import asym, lie, sym
 
-from helpers import horizontal_lift, poisoned, random_so, rel_err
+from helpers import (derive_split_components, horizontal_lift, poisoned,
+                     random_so, rel_err)
 
 
 def horizontal_vector(rng, q, x):
     n = x.shape[0]
     return x @ q.proj_m(asym(rng.standard_normal((n, n))))
+
+
+def bad_proj_k(m):
+    """A "vertical algebra" of so(5) leaking into a_join = [a, a_perp] of
+    so_split(5, 2)."""
+    out = np.zeros_like(np.asarray(m, dtype=float))
+    out[2:, :2] = m[2:, :2] / 2.0 - m[:2, 2:].T / 2.0
+    out[:2, 2:] = -out[2:, :2].T
+    return out
+
+
+def blocks_proj_k(*offsets):
+    """The antisymmetric diagonal blocks between consecutive offsets."""
+    def proj_k(m):
+        out = np.zeros_like(np.asarray(m, dtype=float))
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            out[lo:hi, lo:hi] = asym(m[lo:hi, lo:hi])
+        return out
+    return proj_k
+
+
+def so_case(n, d, proj_k=None):
+    """so_split(n, d) at alpha = 0.8 with proj_k, by default its proj_a."""
+    geom = GroupGeometry(so_split(n, d), MetricParams(-0.5, 0.8))
+    return geom, proj_k or geom.split.proj_a
+
+
+def gl_case(proj_k):
+    return GroupGeometry(gl_split(4), MetricParams(1.0, 0.5)), proj_k
+
+
+# name: (geometry and proj_k, whether k lies in a + a_top)
+SPLIT_CASES = {
+    "stiefel-5-2": (lambda: so_case(5, 2, blocks_proj_k(2, 5)), True),
+    "stiefel-12-4": (lambda: so_case(12, 4, blocks_proj_k(4, 12)), True),
+    "stiefel-21-7": (lambda: so_case(21, 7, blocks_proj_k(7, 21)), True),
+    "flag-9-2-3": (lambda: so_case(9, 5, blocks_proj_k(0, 2, 5, 9)), True),
+    "k-is-a": (lambda: so_case(5, 2), True),
+    "bottom-sub-block": (lambda: so_case(6, 2, blocks_proj_k(4, 6)), True),
+    "leaks-into-a-join": (lambda: so_case(5, 2, bad_proj_k), False),
+    "k-is-so-n": (lambda: so_case(5, 2, asym), False),
+    "gl-sym": (lambda: gl_case(sym), False),
+    "gl-skew": (lambda: gl_case(asym), True),
+    "gl-scalar": (lambda: gl_case(lambda m: np.trace(m) / 4.0 * np.eye(4)), True),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_structure_probe_agrees_with_subspace_scan(name):
+    make, want = SPLIT_CASES[name]
+    geom, proj_k = make()
+    split = geom.split
+    top = derive_split_components(split).proj_a_top
+    rng = np.random.default_rng(1)
+    scan_ok = True
+    for _ in range(4):
+        kw = proj_k(split.proj_g(rng.standard_normal((split.n, split.n))))
+        res = np.linalg.norm(kw - split.proj_a(kw) - top(kw))
+        scan_ok &= bool(res <= 1e-9 * max(1.0, np.linalg.norm(kw)))
+    try:
+        QuotientGeometry(geom, proj_k)
+        probe_ok = True
+    except ValidationError as exc:
+        assert "does not split" in str(exc)
+        probe_ok = False
+    assert probe_ok == scan_ok == want
 
 
 class TestConstruction:
@@ -39,23 +106,33 @@ class TestConstruction:
         assert not q.simplified_ok
 
     def test_rejects_bad_vertical_projection(self):
-        # a "vertical algebra" leaking into a_join violates the split
-        split = so_split(5, 2)
-
-        def bad_proj_k(m):
-            out = np.zeros_like(np.asarray(m, dtype=float))
-            out[2:, :2] = m[2:, :2] / 2.0 - m[:2, 2:].T / 2.0
-            out[:2, 2:] = -out[2:, :2].T
-            return out
-
-        geom = GroupGeometry(split=split, params=MetricParams(-0.5, 0.8))
+        geom = GroupGeometry(split=so_split(5, 2), params=MetricParams(-0.5, 0.8))
         with pytest.raises(ValidationError):
-            make_quotient_geometry(geom, bad_proj_k)
+            QuotientGeometry(geom, bad_proj_k)
+
+    @pytest.mark.parametrize("proj_k, message", [
+        (lambda m: 2.0 * asym(m), "not idempotent"),
+        (lambda m: np.triu(m, 1), "does not commute with transpose")],
+        ids=["scaled", "upper"])
+    def test_rejects_non_projection(self, proj_k, message):
+        geom = GroupGeometry(split=so_split(5, 2), params=MetricParams(-0.5, 0.8))
+        with pytest.raises(ValidationError, match=message):
+            QuotientGeometry(geom, proj_k)
+
+    @pytest.mark.parametrize("d", [0, 5, 7])
+    def test_stiefel_rejects_bad_d(self, d):
+        with pytest.raises(ValidationError, match="d="):
+            stiefel_quotient(5, d, 0.8)
+
+    @pytest.mark.parametrize("d_list", [(3, -1), (2.5, 2), (4, 3), ()])
+    def test_flag_rejects_bad_blocks(self, d_list):
+        with pytest.raises(ValidationError, match="^d_list "):
+            flag_quotient(7, d_list, 0.8)
 
     def test_trivial_vertical_space(self, rng):
         split = so_split(5, 2)
         geom = GroupGeometry(split=split, params=MetricParams(-0.5, 0.8))
-        q = make_quotient_geometry(geom, lambda m: np.zeros_like(m))
+        q = QuotientGeometry(geom, lambda m: np.zeros_like(m))
         x = random_so(rng, 5)
         xi = horizontal_vector(rng, q, x)
         eta = horizontal_vector(rng, q, x)
@@ -123,14 +200,11 @@ class TestHorizontalChristoffel:
 
 class TestSimplifiedCondition:
     def test_beta_minus_one_always_simplified(self):
-        split = so_split(6, 2)
-        geom = GroupGeometry(split=split, params=MetricParams(-0.5, 0.5))
-        q = make_quotient_geometry(geom, split.proj_k)
+        q = stiefel_quotient(6, 2, 0.5)
         assert q.simplified_ok  # alpha = 1/2 means beta = -1
 
     def test_probes_catch_broken_split(self, rng):
-        # bypass the factory and force simplified_ok on a flag split at
-        # alpha != 1/2: the numeric probes must refuse
+        # a flag split at alpha != 1/2: the numeric probes must refuse
         q = flag_quotient(7, (2, 2), 0.8)
         assert not check_simplified_condition(q)
 

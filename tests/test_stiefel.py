@@ -98,6 +98,11 @@ class TestPointAndTangent:
         with pytest.raises(ValidationError):
             StiefelMetricParams(0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValidationError, match="^alpha has non-finite"):
+            StiefelMetricParams(alpha)
+
 
 class TestMetricInner:
     def test_alpha_one_is_frobenius(self, rng):
