@@ -2,10 +2,10 @@
 their Stiefel, flag and Grassmann quotients, with an exponential-action
 kernel and a brute-force ODE verification oracle."""
 
-from . import (bench_cli, expaction, flag_grassmann, forms, gl_so,
-               group_core, oracle, quotient, stiefel)
+from . import (expaction, flag_grassmann, forms, gl_so, group_core, oracle,
+               quotient, stiefel)
 
 __all__ = [
-    "bench_cli", "expaction", "flag_grassmann", "forms", "gl_so",
-    "group_core", "oracle", "quotient", "stiefel",
+    "expaction", "flag_grassmann", "forms", "gl_so", "group_core", "oracle",
+    "quotient", "stiefel",
 ]

@@ -3,22 +3,25 @@
 Subcommands:
   bench     -- median wall time of one transport evaluation per grid time
   isometry  -- Gram-matrix drift of a transported vector set per grid time
-  verify    -- closed-form transport vs the dense ODE oracle (small sizes)
+  verify    -- closed-form transport vs the dense ODE oracle (small n, t >= 0)
 
 All results go to CSV (stdout by default).  Exit code 0 on success, 2 on a
-configuration error, 3 on a verification failure.
+configuration error (a bad option, or arguments the library rejects when
+the geometry is built), 3 on a verification failure.
 """
 import argparse
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import flag_grassmann as fg
 from . import gl_so, group_core, oracle, stiefel
-from .errors import ConfigError
-from .stiefel import StiefelMetricParams
+from .errors import ConfigError, DimensionError, ValidationError
 from .utils import asym, sym
 
 CSV_SCHEMA_COMMENT = "# manitrans-bench v1"
@@ -45,6 +48,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.manifold not in MANIFOLDS:
             raise ConfigError(f"unknown manifold {self.manifold!r}")
+        if not np.all(np.isfinite(self.t_grid)):
+            raise ConfigError(f"t_grid must be finite, got {self.t_grid}")
         if len(self.t_grid) == 0 or any(
                 b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
@@ -54,223 +59,158 @@ class BenchConfig:
             raise ConfigError("num_vectors must be at least 1")
 
 
-class _Unplanned:
-    """For geometries without a transport plan: the plan is the velocity
-    and each timed call is the full transport."""
-
-    def make_plan(self, y, xi):
-        return xi
-
-    def transport_with_plan(self, plan, y, eta, t):
-        return self.transport(y, plan, eta, t)
-
-
-class _StiefelAdapter:
-    """Bench adapter: point/tangent sampling, transport, metric, checks."""
-
-    name = "stiefel"
-
-    def __init__(self, config):
-        if not (0 < config.d < config.n):
-            raise ConfigError("stiefel needs 0 < d < n")
-        self.n, self.d = config.n, config.d
-        self.params = StiefelMetricParams(config.alpha)
-        self.alpha = config.alpha
-
-    def random_point(self, rng):
-        return np.linalg.qr(rng.standard_normal((self.n, self.d)))[0]
-
-    def random_tangent(self, rng, y):
-        return stiefel.project_tangent(y, rng.standard_normal(y.shape))
-
-    def metric(self, y, xi, eta):
-        return stiefel.metric_inner(y, xi, eta, self.params)
-
-    def geodesic(self, y, xi, t):
-        return stiefel.stiefel_geodesic(y, xi, self.params, t)
-
-    def geodesic_velocity(self, y, xi, t):
-        return stiefel.stiefel_geodesic_velocity(y, xi, self.params, t)
-
-    def make_plan(self, y, xi):
-        return stiefel.make_transport_plan(y, xi, self.params)
-
-    def transport_with_plan(self, plan, y, eta, t):
-        return stiefel.transport_with_plan(plan, y, eta, t)
-
-    def transport(self, y, xi, eta, t):
-        return stiefel.stiefel_transport(y, xi, eta, self.params, t)
-
-    def christoffel(self, y, xi, eta):
-        return stiefel.stiefel_christoffel(y, xi, eta, self.params)
-
-    def tangency_residual(self, point, delta):
-        return float(np.linalg.norm(sym(point.T @ delta)))
-
-    def describe(self):
-        return {"n": self.n, "d": self.d, "alpha": self.alpha, "beta": ""}
+@dataclass(frozen=True)
+class Adapter:
+    """One manifold's library calls, as the runners make them.  The one
+    transport seam sets up the geodesic once, then moves vector stacks."""
+    random_point: Callable       # rng -> point
+    random_tangent: Callable     # (rng, y) -> tangent at y
+    metric: Callable             # (y, xi, eta) -> float
+    geodesic_velocity: Callable  # (y, xi, t) -> (gamma(t), dgamma/dt)
+    transporter: Callable        # (y, xi) -> f(etas, t), etas stacked
+    christoffel: Callable        # (y, xi, eta), for the oracle
+    tangency_residual: Callable  # (point, delta) -> 0 for a tangent delta
+    columns: dict                # the CSV columns describing the instance
 
 
-class _FlagAdapter(_StiefelAdapter):
+def _planned(make_plan):
+    """Transporter running one Stiefel transport plan per geodesic."""
+    def transporter(y, xi):
+        plan = make_plan(y, xi)
+        # looked up per call, so the plan engine can be substituted
+        return lambda etas, t: stiefel.transport_with_plan(plan, y, etas, t)
+    return transporter
 
-    name = "flag"
 
-    def __init__(self, config):
-        if not config.d_list:
-            raise ConfigError("flag needs --d-list")
-        self.sig = fg.FlagSignature(d_list=tuple(config.d_list), n=config.n)
-        self.n, self.d = config.n, self.sig.d
-        if config.alpha != fg.CANONICAL_ALPHA:
-            raise ConfigError("closed-form flag transport needs alpha = 1/2")
-        self.alpha = config.alpha
-        self.params = StiefelMetricParams(config.alpha)
+def _stiefel_coordinates(config, d_list, params, **fields):
+    """What manifolds in Stiefel coordinates share: QR points, the metric
+    and geodesic at params, and the CSV columns, d_list joined by '+'."""
+    return Adapter(
+        random_point=lambda rng: np.linalg.qr(
+            rng.standard_normal((config.n, sum(d_list))))[0],
+        metric=partial(stiefel.metric_inner, params=params),
+        geodesic_velocity=lambda y, xi, t: stiefel.stiefel_geodesic_velocity(
+            y, xi, params, t),
+        columns={"n": config.n, "d": "+".join(map(str, d_list)),
+                 "alpha": config.alpha, "beta": ""},
+        **fields)
 
-    def random_tangent(self, rng, y):
-        return fg.flag_horizontal_project(self.sig, y, rng.standard_normal(y.shape))
 
-    def make_plan(self, y, xi):
-        return fg.flag_transport_plan(self.sig, y, xi)
+def _stiefel(config):
+    if not (0 < config.d < config.n):
+        raise ConfigError("stiefel needs 0 < d < n")
+    params = stiefel.StiefelMetricParams(config.alpha)
+    return _stiefel_coordinates(
+        config, (config.d,), params,
+        random_tangent=lambda rng, y: stiefel.project_tangent(
+            y, rng.standard_normal(y.shape)),
+        transporter=_planned(partial(stiefel.make_transport_plan, params=params)),
+        christoffel=partial(stiefel.stiefel_christoffel, params=params),
+        tangency_residual=lambda point, delta: float(
+            np.linalg.norm(sym(point.T @ delta))))
 
-    def transport(self, y, xi, eta, t):
-        return fg.flag_transport_canonical(self.sig, y, xi, eta, t)
 
-    def christoffel(self, y, xi, eta):
-        return fg.flag_christoffel(self.sig, y, xi, eta, self.params,
-                                   validate=False)
+def _canonical(config, sig, transporter, tangency_residual):
+    """Flag manifolds, Grassmann included, under the canonical metric."""
+    if config.alpha != fg.CANONICAL_ALPHA:
+        raise ConfigError(f"closed-form {config.manifold} transport needs "
+                          f"alpha = 1/2, got alpha={config.alpha}")
+    params = stiefel.StiefelMetricParams(fg.CANONICAL_ALPHA)
+    return _stiefel_coordinates(
+        config, sig.d_list, params,
+        random_tangent=lambda rng, y: fg.flag_horizontal_project(
+            sig, y, rng.standard_normal(y.shape)),
+        transporter=transporter,
+        christoffel=partial(fg.flag_christoffel, sig, params=params,
+                            validate=False),
+        tangency_residual=tangency_residual)
 
-    def tangency_residual(self, point, delta):
+
+def _flag(config):
+    if not config.d_list:
+        raise ConfigError("flag needs --d-list")
+    sig = fg.FlagSignature(d_list=tuple(config.d_list), n=config.n)
+
+    def tangency_residual(point, delta):
         coeff = point.T @ delta
         return float(max(np.linalg.norm(sym(coeff)),
-                         np.linalg.norm(asym(coeff)[self.sig.block_mask])))
+                         np.linalg.norm(asym(coeff)[sig.block_mask])))
 
-    def describe(self):
-        return {"n": self.n, "d": "+".join(str(x) for x in self.sig.d_list),
-                "alpha": self.alpha, "beta": ""}
+    return _canonical(config, sig, _planned(partial(fg.flag_transport_plan, sig)),
+                      tangency_residual)
 
 
-class _GrassmannAdapter(_Unplanned, _FlagAdapter):
+def _grassmann(config):
     """Gr(n, d) as the one-block flag, with its closed-form transport."""
-
-    name = "grassmann"
-
-    def __init__(self, config):
-        if not (0 < config.d < config.n):
-            raise ConfigError("grassmann needs 0 < d < n")
-        self.n, self.d = config.n, config.d
-        self.alpha = 0.5
-        self.params = StiefelMetricParams(0.5)
-        self.sig = fg.FlagSignature(d_list=(self.d,), n=self.n)
-
-    def random_tangent(self, rng, y):
-        w = rng.standard_normal(y.shape)
-        return w - y @ (y.T @ w)
-
-    def transport(self, y, xi, eta, t):
-        return fg.grassmann_transport(y, xi, eta, t)
-
-    def tangency_residual(self, point, delta):
-        return float(np.linalg.norm(point.T @ delta))
+    if not (0 < config.d < config.n):
+        raise ConfigError("grassmann needs 0 < d < n")
+    return _canonical(
+        config, fg.FlagSignature(d_list=(config.d,), n=config.n),
+        lambda y, xi: partial(fg.grassmann_transport, y, xi),
+        lambda point, delta: float(np.linalg.norm(point.T @ delta)))
 
 
-class _SOAdapter(_Unplanned):
-
-    name = "so"
-
-    def __init__(self, config):
-        if not (0 < config.d < config.n):
-            raise ConfigError("so needs 0 < d < n")
-        self.geom = gl_so.SOGeometry(n=config.n, d=config.d, alpha=config.alpha)
-        self.n, self.d = config.n, config.d
-        self.alpha = config.alpha
-
-    def random_point(self, rng):
-        q = np.linalg.qr(rng.standard_normal((self.n, self.n)))[0]
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        return q
-
-    def random_tangent(self, rng, x):
-        return x @ asym(rng.standard_normal((self.n, self.n)))
-
-    def metric(self, x, xi, eta):
-        return gl_so.so_metric(self.geom, x.T @ xi, x.T @ eta)
-
-    def geodesic(self, x, xi, t):
-        return gl_so.so_geodesic(self.geom, x, xi, t)
-
-    def geodesic_velocity(self, x, xi, t):
-        return gl_so.so_geodesic_velocity(self.geom, x, xi, t)
-
-    def transport(self, x, xi, eta, t):
-        return gl_so.so_transport(self.geom, x, xi, eta, t)
-
-    def christoffel(self, x, xi, eta):
-        return group_core.christoffel(self.geom, x, xi, eta, validate=False)
-
-    def tangency_residual(self, point, delta):
-        m = point.T @ delta
-        return float(np.linalg.norm(m + m.T))
-
-    def describe(self):
-        return {"n": self.n, "d": self.d, "alpha": self.alpha, "beta": ""}
+def _group(geom, transport, **fields):
+    """SO and GL: the group Christoffel function; transport runs per vector."""
+    return Adapter(
+        transporter=lambda x, xi: lambda etas, t: np.stack(
+            [transport(geom, x, xi, eta, t) for eta in etas]),
+        christoffel=partial(group_core.christoffel, geom, validate=False),
+        **fields)
 
 
-class _GLAdapter(_Unplanned):
+def _positive_det(x):
+    if np.linalg.det(x) < 0:
+        x[:, 0] = -x[:, 0]
+    return x
 
-    name = "gl"
 
-    def __init__(self, config):
-        if config.n < 1:
-            raise ConfigError("gl needs n >= 1")
-        self.geom = gl_so.GLGeometry(n=config.n, beta=config.beta)
-        self.n, self.d = config.n, config.n
-        self.beta = config.beta
+def _so(config):
+    n = config.n
+    geom = gl_so.SOGeometry(n=n, d=config.d, alpha=config.alpha)
+    return _group(
+        geom, gl_so.so_transport,
+        random_point=lambda rng: _positive_det(
+            np.linalg.qr(rng.standard_normal((n, n)))[0]),
+        random_tangent=lambda rng, x: x @ asym(rng.standard_normal((n, n))),
+        metric=lambda x, xi, eta: gl_so.so_metric(geom, x.T @ xi, x.T @ eta),
+        geodesic_velocity=partial(gl_so.so_geodesic_velocity, geom),
+        # ||X^T delta + delta^T X||_F
+        tangency_residual=lambda point, delta: 2.0 * float(
+            np.linalg.norm(sym(point.T @ delta))),
+        columns={"n": n, "d": config.d, "alpha": config.alpha, "beta": ""})
 
-    def random_point(self, rng):
-        x = rng.standard_normal((self.n, self.n)) / np.sqrt(self.n)
-        x = x + 2.0 * np.eye(self.n)  # comfortably inside GL+
-        if np.linalg.det(x) < 0:
-            x[:, 0] = -x[:, 0]
-        return x
 
-    def random_tangent(self, rng, x):
-        return x @ rng.standard_normal((self.n, self.n))
-
-    def metric(self, x, xi, eta):
-        return gl_so.gl_metric(self.geom, np.linalg.solve(x, xi),
-                               np.linalg.solve(x, eta))
-
-    def geodesic(self, x, xi, t):
-        return gl_so.gl_geodesic(self.geom, x, xi, t)
-
-    def geodesic_velocity(self, x, xi, t):
-        return group_core.geodesic_velocity(self.geom, x, xi, t)
-
-    def transport(self, x, xi, eta, t):
-        return gl_so.gl_transport(self.geom, x, xi, eta, t)
-
-    def christoffel(self, x, xi, eta):
-        return group_core.christoffel(self.geom, x, xi, eta, validate=False)
-
-    def tangency_residual(self, point, delta):
+def _gl(config):
+    if config.n < 1:
+        raise ConfigError("gl needs n >= 1")
+    n = config.n
+    geom = gl_so.GLGeometry(n=n, beta=config.beta)
+    return _group(
+        geom, gl_so.gl_transport,
+        random_point=lambda rng: _positive_det(  # comfortably inside GL+
+            rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)),
+        random_tangent=lambda rng, x: x @ rng.standard_normal((n, n)),
+        metric=lambda x, xi, eta: gl_so.gl_metric(
+            geom, np.linalg.solve(x, xi), np.linalg.solve(x, eta)),
+        geodesic_velocity=partial(group_core.geodesic_velocity, geom),
         # every ambient matrix is tangent on GL+; check finiteness only
-        return 0.0 if np.all(np.isfinite(delta)) else np.inf
+        tangency_residual=lambda point, delta: (
+            0.0 if np.all(np.isfinite(delta)) else np.inf),
+        columns={"n": n, "d": "", "alpha": "", "beta": config.beta})
 
-    def describe(self):
-        return {"n": self.n, "d": "", "alpha": "", "beta": self.beta}
 
-
-_ADAPTERS = {
-    "stiefel": _StiefelAdapter,
-    "flag": _FlagAdapter,
-    "grassmann": _GrassmannAdapter,
-    "so": _SOAdapter,
-    "gl": _GLAdapter,
-}
+_BUILDERS = {"stiefel": _stiefel, "flag": _flag, "grassmann": _grassmann,
+             "so": _so, "gl": _gl}
 
 
 def make_adapter(config):
-    return _ADAPTERS[config.manifold](config)
+    """The Adapter of config.manifold; the library's argument errors
+    become ConfigErrors carrying its message."""
+    try:
+        return _BUILDERS[config.manifold](config)
+    except (ValidationError, DimensionError) as exc:
+        raise ConfigError(f"{config.manifold}: {exc}") from exc
 
 
 def _unit_tangent(adapter, rng, y):
@@ -278,12 +218,17 @@ def _unit_tangent(adapter, rng, y):
     return xi / np.sqrt(adapter.metric(y, xi, xi))
 
 
-def _scaled_tangents(adapter, rng, y, count, lengths):
-    out = []
-    for i in range(count):
-        v = _unit_tangent(adapter, rng, y)
-        out.append(lengths[i] * v)
-    return out
+def _instance(config):
+    """Adapter, seeded generator, point y, unit velocity xi, transport."""
+    adapter = make_adapter(config)
+    rng = np.random.default_rng(config.seed)
+    y = adapter.random_point(rng)
+    xi = _unit_tangent(adapter, rng, y)
+    return adapter, rng, y, xi, adapter.transporter(y, xi)
+
+
+def _row(config, adapter, t, **values):
+    return {"manifold": config.manifold, **adapter.columns, "t": t, **values}
 
 
 def run_timing(config):
@@ -292,34 +237,25 @@ def run_timing(config):
     Every row's residual_check must pass; a failing residual aborts with a
     verification error rather than reporting the timing.
     """
-    adapter = make_adapter(config)
-    rng = np.random.default_rng(config.seed)
-    y = adapter.random_point(rng)
-    xi = _unit_tangent(adapter, rng, y)
-    eta = _unit_tangent(adapter, rng, y)
+    adapter, rng, y, xi, transport = _instance(config)
+    etas = _unit_tangent(adapter, rng, y)[None]
 
     rows = []
-    desc = adapter.describe()
-    plan = adapter.make_plan(y, xi)
-    adapter.transport_with_plan(plan, y, eta, config.t_grid[0])  # warm-up
+    transport(etas, config.t_grid[0])  # warm-up
     for t in config.t_grid:
         times = []
-        delta = None
         for _ in range(config.repeats):
             start = time.perf_counter()
-            delta = adapter.transport_with_plan(plan, y, eta, t)
+            delta = transport(etas, t)[0]
             times.append(time.perf_counter() - start)
-        gam = adapter.geodesic(y, xi, t)
+        gam = adapter.geodesic_velocity(y, xi, t)[0]
         residual = adapter.tangency_residual(gam, delta)
-        ok = residual <= TANGENCY_GATE * max(1.0, float(np.linalg.norm(delta)))
-        if not ok:
+        if not residual <= TANGENCY_GATE * max(1.0, float(np.linalg.norm(delta))):
             raise VerificationFailure(
                 f"tangency residual {residual:.3e} at t={t} fails the gate")
-        rows.append({
-            "manifold": adapter.name, **desc, "t": t,
-            "median_seconds": float(np.median(times)),
-            "residual_check": "pass",
-        })
+        rows.append(_row(config, adapter, t,
+                         median_seconds=float(np.median(times)),
+                         residual_check="pass"))
     return rows
 
 
@@ -329,38 +265,19 @@ def run_isometry(config):
     Vector lengths are integers in [1, 60] (Gaussian directions); the
     geodesic velocity has unit length.  Emits log10 of the max drift.
     """
-    adapter = make_adapter(config)
-    rng = np.random.default_rng(config.seed)
-    y = adapter.random_point(rng)
-    xi = _unit_tangent(adapter, rng, y)
+    adapter, rng, y, xi, transport = _instance(config)
     lengths = rng.integers(1, 61, size=config.num_vectors)
-    vectors = _scaled_tangents(adapter, rng, y, config.num_vectors, lengths)
+    vectors = [length * _unit_tangent(adapter, rng, y) for length in lengths]
 
-    plan = adapter.make_plan(y, xi)
     stacked = np.stack(vectors)
-    transported = []
-    points = []
-    for t in config.t_grid:
-        points.append(adapter.geodesic(y, xi, t))
-        if adapter.name in ("stiefel", "flag"):
-            moved = adapter.transport_with_plan(plan, y, stacked, t)
-            transported.append([moved[i] for i in range(len(vectors))])
-        else:
-            transported.append(
-                [adapter.transport_with_plan(plan, y, v, t) for v in vectors])
+    points = [adapter.geodesic_velocity(y, xi, t)[0] for t in config.t_grid]
+    transported = [transport(stacked, t) for t in config.t_grid]
     drifts = oracle.gram_drift(
         vectors, transported, metric=adapter.metric,
         points=points, initial_point=y)
-
-    rows = []
-    desc = adapter.describe()
-    for t, drift in zip(config.t_grid, drifts):
-        rows.append({
-            "manifold": adapter.name, **desc, "t": t,
-            "max_gram_drift": drift,
-            "log10_gram_drift": float(np.log10(drift)) if drift > 0 else -np.inf,
-        })
-    return rows
+    return [_row(config, adapter, t, max_gram_drift=drift,
+                 log10_gram_drift=float(np.log10(drift)) if drift > 0 else -np.inf)
+            for t, drift in zip(config.t_grid, drifts)]
 
 
 def run_verify(config):
@@ -369,37 +286,35 @@ def run_verify(config):
         raise ConfigError(
             f"verify caps n at {ORACLE_SIZE_CAP} for the dense oracle; "
             f"got n={config.n}")
-    adapter = make_adapter(config)
-    rng = np.random.default_rng(config.seed)
-    y = adapter.random_point(rng)
-    xi = _unit_tangent(adapter, rng, y)
+    if config.t_grid[0] < 0:
+        raise ConfigError(
+            f"verify needs t >= 0, the oracle integrating from t = 0; "
+            f"got t={config.t_grid[0]}")
+    adapter, rng, y, xi, transport = _instance(config)
     eta = _unit_tangent(adapter, rng, y)
 
-    t_grid = np.array([t for t in config.t_grid])
-    grid = np.concatenate([[0.0], t_grid])
+    t_grid = np.array(config.t_grid)
     reference = oracle.integrate_transport(
         adapter.christoffel, lambda t: adapter.geodesic_velocity(y, xi, t),
-        eta, grid)
+        eta, np.concatenate([[0.0], t_grid]))
 
     dt = 1e-3
     fd_end = max(3 * dt, min(0.1, t_grid[-1]))
     fd_grid = np.arange(0.0, fd_end + dt / 2, dt)
-    deltas = [adapter.transport(y, xi, eta, t) for t in fd_grid]
-    gammas = [adapter.geodesic(y, xi, t) for t in fd_grid]
     fd_residual = oracle.transport_residual(
-        deltas, gammas, adapter.christoffel, dt)
+        [transport(eta[None], t)[0] for t in fd_grid],
+        [adapter.geodesic_velocity(y, xi, t)[0] for t in fd_grid],
+        adapter.christoffel, dt)
 
     rows = []
-    desc = adapter.describe()
     for idx, t in enumerate(t_grid, start=1):
-        delta = adapter.transport(y, xi, eta, t)
-        gam = adapter.geodesic(y, xi, t)
-        rows.append({
-            "manifold": adapter.name, **desc, "t": t,
-            "oracle_error": float(np.linalg.norm(delta - reference[idx])),
-            "fd_residual": fd_residual,
-            "tangency_residual": adapter.tangency_residual(gam, delta),
-        })
+        delta = transport(eta[None], t)[0]
+        gam = adapter.geodesic_velocity(y, xi, t)[0]
+        rows.append(_row(
+            config, adapter, t,
+            oracle_error=float(np.linalg.norm(delta - reference[idx])),
+            fd_residual=fd_residual,
+            tangency_residual=adapter.tangency_residual(gam, delta)))
     return rows
 
 
@@ -425,62 +340,52 @@ def write_csv(rows, path=""):
         sys.stdout.write(text)
 
 
-def _parse_grid(text):
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}") from exc
+# flags whose name is not the BenchConfig field's
+_FLAGS = {"num_vectors": "--vectors", "output_path": "--out"}
 
 
-def _parse_dlist(text):
+def _parse_list(text, kind):
+    """Comma-separated values of kind; the empty string is ()."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(",")) if text else ()
     except ValueError as exc:
-        raise ConfigError(f"bad block list {text!r}") from exc
+        raise ConfigError(f"bad list {text!r}") from exc
 
 
 def build_parser():
+    """One subparser per runner; every option is a BenchConfig field, with
+    its default, and tuple fields take comma-separated lists."""
     parser = argparse.ArgumentParser(
         prog="manitrans-bench",
         description="timing, isometry and verification sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("bench", "timing grid"),
-                      ("isometry", "Gram-drift experiment"),
-                      ("verify", "oracle verification")):
+    for name, doc, runner in (("bench", "timing grid", run_timing),
+                              ("isometry", "Gram-drift experiment", run_isometry),
+                              ("verify", "oracle verification", run_verify)):
         p = sub.add_parser(name, help=doc)
+        p.set_defaults(runner=runner)
         p.add_argument("--manifold", required=True, choices=MANIFOLDS)
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--d", type=int, default=0)
-        p.add_argument("--d-list", type=str, default="")
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--t-grid", type=str, default="0.5,1,2,5,20")
-        p.add_argument("--vectors", type=int, default=20)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--repeats", type=int, default=5)
-        p.add_argument("--out", type=str, default="")
+        for field in dataclasses.fields(BenchConfig)[1:]:
+            flag = _FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+            default = field.default
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            p.add_argument(flag, dest=field.name, type=type(default),
+                           default=default)
     return parser
 
 
 def config_from_args(args):
-    return BenchConfig(
-        manifold=args.manifold, n=args.n, d=args.d,
-        d_list=_parse_dlist(args.d_list) if args.d_list else (),
-        alpha=args.alpha, beta=args.beta,
-        t_grid=_parse_grid(args.t_grid),
-        num_vectors=args.vectors, seed=args.seed, repeats=args.repeats,
-        output_path=args.out)
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(BenchConfig)}
+    return BenchConfig(**{**values, "d_list": _parse_list(args.d_list, int),
+                          "t_grid": _parse_list(args.t_grid, float)})
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        runner = {"bench": run_timing,
-                  "isometry": run_isometry,
-                  "verify": run_verify}[args.command]
-        rows = runner(config)
+        rows = args.runner(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,11 +22,14 @@ def integrate_transport(christoffel, geodesic, eta0, t_grid,
     christoffel(point, direction, vector) evaluates the Christoffel
     function; geodesic(t) returns the pair (gamma(t), dgamma/dt).
     Returns the transported matrices at each grid time (the grid must be
-    nondecreasing, starting at 0 where Delta = eta0).
+    nondecreasing, starting at or after 0, where Delta = eta0).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
         raise ValidationError("t_grid must be a nondecreasing 1-d grid")
+    if t_grid[0] < 0:
+        raise ValidationError(
+            f"t_grid must start at t >= 0, where Delta = eta0; got {t_grid[0]}")
     eta0 = np.asarray(eta0, dtype=float)
     shape = eta0.shape
 
@@ -35,13 +38,12 @@ def integrate_transport(christoffel, geodesic, eta0, t_grid,
         delta = flat.reshape(shape)
         return -christoffel(gam, dgam, delta).reshape(-1)
 
-    t0 = min(0.0, t_grid[0])
     sol = scipy.integrate.solve_ivp(
-        rhs, (t0, float(t_grid[-1]) if t_grid[-1] > t0 else t0 + 1e-30),
+        rhs, (0.0, float(t_grid[-1]) if t_grid[-1] > 0 else 1e-30),
         eta0.reshape(-1), method="RK45", rtol=rel_tol, atol=abs_tol,
         t_eval=t_grid)
     if not sol.success:
-        last = sol.t[-1] if sol.t.size else t0
+        last = sol.t[-1] if sol.t.size else 0.0
         raise NumericalError(
             f"transport integration failed at t={last}: {sol.message}")
     return [sol.y[:, i].reshape(shape) for i in range(sol.y.shape[1])]

@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import manitrans
 from manitrans.bench_cli import (
     BenchConfig, build_parser, config_from_args, main, make_adapter,
     run_isometry, run_timing, run_verify, write_csv, CSV_SCHEMA_COMMENT)
@@ -147,17 +153,47 @@ class TestCsvAndCli:
         assert code == 2
 
     def test_cli_verification_failure_exit_code(self, monkeypatch, capsys):
-        import manitrans.bench_cli as bc
+        import manitrans.stiefel
 
-        def broken_transport(self, plan, y, eta, t):
+        def broken_transport(plan, y, eta, t):
             return eta + 1.0  # loses tangency
 
-        monkeypatch.setattr(bc._StiefelAdapter, "transport_with_plan",
+        monkeypatch.setattr(manitrans.stiefel, "transport_with_plan",
                             broken_transport)
         code = main(["bench", "--manifold", "stiefel", "--n", "10", "--d", "2",
                      "--t-grid", "1", "--repeats", "1"])
         assert code == 3
         assert "verification failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--manifold", "so", "--n", "5", "--d", "2", "--alpha", "-1"],
+        ["bench", "--manifold", "gl", "--n", "4", "--beta", "0"],
+        ["bench", "--manifold", "flag", "--n", "4", "--d-list", "2,2"],
+        ["bench", "--manifold", "grassmann", "--n", "6", "--d", "2",
+         "--alpha", "0.9"],
+        ["bench", "--manifold", "so", "--n", "5", "--d", "2", "--t-grid", "nan"],
+        ["bench", "--manifold", "so", "--n", "5", "--d", "2", "--t-grid", "inf"],
+        ["verify", "--manifold", "stiefel", "--n", "6", "--d", "2",
+         "--t-grid=-1,1"],
+    ], ids=["so-alpha", "gl-beta", "flag-blocks", "grassmann-alpha",
+            "grid-nan", "grid-inf", "verify-negative-t"])
+    def test_cli_library_argument_errors_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # the package must not import bench_cli before runpy executes it
+        src = str(pathlib.Path(manitrans.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "manitrans.bench_cli", "verify", "--manifold", "so", "--n", "5",
+             "--d", "2", "--alpha", "0.8", "--t-grid", "0.5"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(CSV_SCHEMA_COMMENT)
 
     def test_parser_dlist(self):
         parser = build_parser()

@@ -92,10 +92,12 @@ class TestIntegrateTransport:
         assert np.linalg.norm(back[-1] - eta) <= 1e-6
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValidationError):
-            integrate_transport(flat_christoffel,
-                                lambda t: (np.zeros((2, 2)), np.zeros((2, 2))),
-                                np.zeros((2, 2)), [1.0, 0.5])
+        # decreasing, and starting before t = 0 where eta0 is given
+        for grid in ([1.0, 0.5], [-1.0, 0.0]):
+            with pytest.raises(ValidationError, match="t_grid"):
+                integrate_transport(flat_christoffel,
+                                    lambda t: (np.zeros((2, 2)), np.zeros((2, 2))),
+                                    np.zeros((2, 2)), grid)
 
 
 class TestTransportResidual:

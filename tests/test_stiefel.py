@@ -365,6 +365,26 @@ class TestGeodesic:
         recon = y @ decomp.a + decomp.q @ decomp.r
         assert np.linalg.norm(recon - xi) <= 1e-12 * max(1.0, np.linalg.norm(xi))
 
+    @pytest.mark.parametrize("t", [50.0, 500.0])
+    def test_long_geodesic_endpoint_passes_check_point(self, t):
+        # check_point's tolerance is absolute (POINT_TOL); at St(2000, 100)
+        # a unit-speed geodesic endpoint keeps ||Y^T Y - I||_F near 1e-13
+        # even at t = 500, so the next geodesic can start there: transport
+        # by t, then by 1 from the endpoint, is transport by t + 1
+        rng = np.random.default_rng(6)
+        y = random_stiefel(rng, 2000, 100)
+        xi = random_stiefel_tangent(rng, y)
+        xi /= np.linalg.norm(xi)
+        eta = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.5)
+        gam, vel = stiefel_geodesic_velocity(y, xi, params, t)
+        assert np.array_equal(check_point(gam), gam)
+        plan = make_transport_plan(y, xi, params)
+        onward = make_transport_plan(gam, vel, params)
+        chained = transport_with_plan(
+            onward, gam, transport_with_plan(plan, y, eta, t), 1.0)
+        assert rel_err(chained, transport_with_plan(plan, y, eta, t + 1.0)) <= 1e-10
+
     def test_plan_shared_across_threads(self, rng):
         from concurrent.futures import ThreadPoolExecutor
         y = random_stiefel(rng, 30, 4)
