@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.special
 
 from .errors import CapacityError, DimensionError, NumericalError, ValidationError
-from .utils import check_finite, check_square
+from .utils import check_finite, check_square, check_time
 
 # Constants theta_m for the truncated-Taylor backward-error criterion of
 # Al-Mohy & Higham, "Computing the Action of the Matrix Exponential" (2011).
@@ -201,8 +201,7 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
         raise DimensionError(
             f"operand shape {b.shape} does not match operator domain "
             f"{op.domain_shape}")
-    if not np.isfinite(t):
-        raise ValidationError("t must be finite")
+    t = check_time(t)
     if params is None:
         if op.skew_two_norm_bound is not None:
             return _chebyshev_expa(op, b, t, tolerance_class)

@@ -16,7 +16,7 @@ from .errors import DimensionError, ValidationError
 from .stiefel import (
     RANK_RTOL, StiefelMetricParams, check_point, decompose_tangent,
     stiefel_geodesic)
-from .utils import check_finite, check_operand, matrix_norms, sym
+from .utils import check_operand, check_size, check_time, matrix_norms, sym
 
 HORIZONTAL_TOL = 1e-9  # Grassmann; flag horizontality uses stiefel.TANGENT_RTOL
 CANONICAL_ALPHA = 0.5
@@ -29,6 +29,7 @@ class FlagSignature:
     n: int
 
     def __post_init__(self):
+        check_size(self.n, "n")
         if not self.d_list or not all(
                 isinstance(di, (int, np.integer)) for di in self.d_list):
             raise ValidationError(
@@ -93,7 +94,12 @@ def flag_christoffel(sig, y, xi, eta, params, validate=True):
 
 def flag_transport_plan(sig, y, xi):
     """Stiefel transport plan for the canonical flag transport along the
-    geodesic driven by the horizontal xi; reusable for many (eta, t)."""
+    geodesic driven by the horizontal xi; reusable for many (eta, t).
+
+    Like stiefel.make_transport_plan's, its first transport factors the
+    skew exponent arguments once, and each later t costs one real product
+    per exponential.
+    """
     y = check_point(y)
     if y.shape != (sig.n, sig.d):
         raise DimensionError(f"y has shape {y.shape}, expected {(sig.n, sig.d)}")
@@ -105,8 +111,10 @@ def flag_transport_plan(sig, y, xi):
 
 
 def flag_transport_canonical(sig, y, xi, eta, t):
-    """Parallel transport of a horizontal eta, canonical metric only."""
-    return stiefel.transport_with_plan(flag_transport_plan(sig, y, xi), y, eta, t)
+    """Parallel transport of a horizontal eta, canonical metric only; one
+    transport, so its plan takes scipy.linalg.expm (stiefel.single_time)."""
+    return stiefel.transport_with_plan(
+        stiefel.single_time(flag_transport_plan(sig, y, xi)), y, eta, t)
 
 
 def flag_geodesic(sig, y, xi, t):
@@ -124,7 +132,7 @@ def grassmann_transport(y, xi, eta, t):
     unchanged.  Directions of xi below RANK_RTOL times its largest
     singular value are dropped.
     """
-    check_finite(t, "t")
+    t = check_time(t)
     y = check_point(y)
     xi = check_operand(xi, y.shape, "xi")
     eta = check_operand(eta, y.shape, "eta", batched=True)

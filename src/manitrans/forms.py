@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .utils import check_finite, check_square
+from .utils import check_finite, check_size, check_square
 
 MEMBERSHIP_RTOL = 1e-10
 
@@ -46,6 +46,9 @@ class AlgebraSplit:
     n: int
     proj_g: Callable[[np.ndarray], np.ndarray]
     proj_a: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        check_size(self.n, "n")
 
 
 def projection_one_norm(n, proj):

@@ -18,8 +18,9 @@ from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams
 from .group_core import (TANGENCY_RTOL, GroupGeometry, geodesic_factors,
                          p_a_operator, solve_at)
-from .utils import (asym, check_finite, check_operand, check_square_operands,
-                    coordinate_projection, hcat)
+from .utils import (asym, check_finite, check_operand, check_size,
+                    check_square_operands, check_time, coordinate_projection,
+                    hcat)
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -31,7 +32,8 @@ def gl_split(n):
 
 def so_split(n, d):
     """so(n) with the top d x d antisymmetric block as the subalgebra."""
-    if not 1 <= d < n:
+    check_size(d, "d")  # n is checked by AlgebraSplit
+    if not d < n:
         raise ValidationError(f"need 1 <= d < n, got d={d}, n={n}")
 
     @coordinate_projection
@@ -80,7 +82,7 @@ def gl_metric(geom, g, h):
 
 def gl_geodesic(geom, x, xi, t):
     """Geodesic on GL+(n): two exponential factors in a = X^{-1} xi."""
-    check_finite(t, "t")
+    t = check_time(t)
     x, xi = check_square_operands(geom.n, x=x, xi=xi)
     left, right = geodesic_factors(geom, solve_at(x, xi), t)
     return x @ left @ right
@@ -93,7 +95,7 @@ def gl_transport_operator(geom, a):
 
 def gl_transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the GL+(n) geodesic driven by xi."""
-    check_finite(t, "t")
+    t = check_time(t)
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a = solve_at(x, xi)
     left, right = geodesic_factors(geom, a, t)
@@ -132,7 +134,7 @@ def _so_setup(geom, x, xi, t):
     the checked x, a = X^T xi, X exp(t a_alpha) with a_alpha = a but
     2 alpha a_a on the top block, and the map that right-multiplies the
     first d columns of its argument by exp(t (1 - 2 alpha) a_a)."""
-    check_finite(t, "t")
+    t = check_time(t)
     x = _check_so_point(geom, x)
     a = _so_algebra(x, xi, "xi")
     d, alp = geom.d, geom.alpha

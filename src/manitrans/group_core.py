@@ -51,7 +51,7 @@ import numpy as np
 from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams, beta_form, projection_one_norm
-from .utils import (check_finite, check_square_operands, lie,
+from .utils import (check_square_operands, check_time, lie,
                     two_block_norm_bound, two_norm_bound)
 
 TANGENCY_RTOL = 1e-9
@@ -182,7 +182,7 @@ def geodesic_factors(geom, a, t):
 
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
-    check_finite(t, "t")
+    t = check_time(t)
     x, xi = check_square_operands(geom.n, x=x, xi=xi)
     left, right = geodesic_factors(geom, to_algebra(geom, x, xi), t)
     return x @ left @ right
@@ -190,7 +190,7 @@ def geodesic(geom, x, xi, t):
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
-    check_finite(t, "t")
+    t = check_time(t)
     x, xi = check_square_operands(geom.n, x=x, xi=xi)
     a = to_algebra(geom, x, xi)
     left, right = geodesic_factors(geom, a, t)
@@ -278,7 +278,7 @@ def transport_operator(geom, a):
 
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
-    check_finite(t, "t")
+    t = check_time(t)
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     left, right = geodesic_factors(geom, a, t)

@@ -31,7 +31,7 @@ from .flag_grassmann import FlagSignature
 from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import PROBE_SEED, GroupGeometry, p_a_operator, to_algebra
-from .utils import (asym, check_finite, check_square_operands,
+from .utils import (asym, check_square_operands, check_time,
                     coordinate_projection, lie)
 
 HORIZONTALITY_RTOL = 1e-9
@@ -184,7 +184,7 @@ def quotient_transport(q, x, xi, eta, t):
     """Parallel transport of a horizontal vector along the horizontal
     geodesic, closed form when the simplified condition holds."""
     geom = q.geom
-    check_finite(t, "t")
+    t = check_time(t)
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
     _check_horizontal(q, a, "xi")

@@ -1,5 +1,10 @@
 """Parallel transport on the Stiefel and flag manifolds in O(n d^2) + O(t d^3).
 
+The O(t d^3) term is the exponential action of P_AR (below).  The small
+skew exponentials add O(d^3) per t: one scipy.linalg.expm each in a
+one-shot call, and one real product each in a reused plan, after an
+orthogonal factorization made once per plan (SkewExponential).
+
 A tangent vector xi at Y splits as xi = Y A + Q R (decompose_tangent).
 Geodesics and the in-span part of transport live in the (d+k)-column
 subspace [Y|Q]; the out-of-span part of a transported vector only picks up
@@ -12,7 +17,9 @@ a block mask, for canonical flag plans (flag_grassmann).
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Operators and transports accept leading batch axes on the vectors.
 """
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -21,8 +28,9 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
-from .utils import (asym, check_finite, check_operand, hcat, matrix_norms, sym,
-                    two_block_norm_bound, two_norm_bound)
+from .utils import (as_real, asym, check_finite, check_operand, check_time,
+                    hcat, matrix_norms, sym, two_block_norm_bound,
+                    two_norm_bound)
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
@@ -64,10 +72,61 @@ class TangentDecomposition:
         return self.a.shape[0]
 
 
+class SkewExponential:
+    """exp(s S) of one real antisymmetric m x m matrix S at any real s.
+
+    Factored once, in O(m^3), by orthogonal transformations only.  The
+    Hessenberg reduction S = Q T Q^T leaves T skew-tridiagonal, with
+    T[i+1, i] = e_i.  Taking T's even indices first gives
+    [[0, B], [-B^T, 0]] with B = T[even, odd] bidiagonal, and its SVD
+    B = U diag(sigma) W^T splits T into 2 x 2 rotations (Ward and Gray
+    1978).  With the orthonormal columns A = Q[:, even] U and
+    B' = Q[:, odd] W, zero-padded to ceil(m/2) columns,
+    exp(s S) = [A C - B' Sn | B' C + A Sn] [A^T; B'^T],
+    C = cos(s sigma), Sn = sin(s sigma): one real m x m product per s.
+    The error stays that of a backward-stable method at every s: nothing
+    is squared (the route through eigh(-S @ S) loses (s ||S||)^2 eps).
+    Against diagonalising the Hermitian i S with eigh, the same
+    exponential, it halves both the one-time work and the product per s
+    (an m x 2m by 2m x m one there).  Only sigma and [A^T; B'^T] are
+    kept.
+    """
+
+    def __init__(self, s):
+        m = s.shape[0]
+        h, q = scipy.linalg.hessenberg(s, calc_q=True)
+        # h is skew-tridiagonal up to rounding, which is dropped
+        e = 0.5 * (np.diagonal(h, -1) - np.diagonal(h, 1))
+        half, odd = (m + 1) // 2, m // 2
+        bid = np.zeros((half, odd))
+        bid[np.arange(odd), np.arange(odd)] = -e[0::2]     # T[2j, 2j+1]
+        bid[np.arange(1, half), np.arange(half - 1)] = e[1::2]  # T[2j+2, 2j+1]
+        u, sigma, wt = scipy.linalg.svd(bid)
+        self._sigma = np.zeros(half)
+        self._sigma[:odd] = sigma
+        self._right = np.zeros((2 * half, m))
+        self._right[:half] = u.T @ q[:, 0::2].T
+        self._right[half:half + odd] = wt @ q[:, 1::2].T
+
+    def __call__(self, s):
+        c = np.cos(s * self._sigma)[:, None]
+        sn = np.sin(s * self._sigma)[:, None]
+        at, bt = np.split(self._right, 2)
+        # the transpose of [A C - B' Sn | B' C + A Sn]
+        return np.concatenate([c * at - sn * bt, c * bt + sn * at]).T @ self._right
+
+
 @dataclass(frozen=True)
 class StiefelTransportPlan:
     """Precomputed pieces of the transport along one geodesic, reusable
-    for many (eta, t)."""
+    for many (eta, t).
+
+    The first transport factors big_exp_arg and A, which
+    small_exp_arg = (1-2 alpha) A and normal_exp_arg = (1-alpha) A share,
+    once each (SkewExponential, O((d+k)^3) and O(d^3)); every transport
+    then forms its exponentials by one real product each instead of a
+    scipy.linalg.expm.  A zero A is not factored.
+    """
     decomposition: TangentDecomposition
     big_exp_arg: np.ndarray     # (d+k) x (d+k), antisymmetric
     small_exp_arg: np.ndarray   # (1-2*alpha) A
@@ -77,9 +136,44 @@ class StiefelTransportPlan:
     basis: np.ndarray           # [Y|Q], cached to avoid per-call copies
     mask: np.ndarray = None     # flag diagonal blocks (flag plans only)
 
+    def exponentials(self, t):
+        """exp(t S) for S = big_exp_arg, small_exp_arg, normal_exp_arg;
+        None for a zero small or normal argument."""
+        big, a = self._factors
+        return (big(t),
+                a(t * (1.0 - 2.0 * self.alpha)) if self.small_exp_arg.any() else None,
+                a(t * (1.0 - self.alpha)) if self.normal_exp_arg.any() else None)
+
+    @cached_property
+    def _factors(self):
+        # built on first use, so building a plan costs no factorization;
+        # assigned once complete, so a concurrent first use never reads a
+        # partial factorization
+        a = self.decomposition.a
+        return (SkewExponential(self.big_exp_arg),
+                SkewExponential(a) if a.any() else None)
+
+
+class _SingleTimePlan(StiefelTransportPlan):
+    """A plan transported at one t, where one scipy.linalg.expm per
+    argument costs less than factoring it."""
+
+    def exponentials(self, t):
+        expm = scipy.linalg.expm
+        return (expm(t * self.big_exp_arg),
+                expm(t * self.small_exp_arg) if self.small_exp_arg.any() else None,
+                expm(t * self.normal_exp_arg) if self.normal_exp_arg.any() else None)
+
+
+def single_time(plan):
+    """plan for the one-shot entry points, which transport once: its
+    exponentials come from scipy.linalg.expm, unfactored."""
+    return _SingleTimePlan(**{f.name: getattr(plan, f.name)
+                              for f in dataclasses.fields(plan)})
+
 
 def check_point(y):
-    y = np.asarray(y, dtype=float)
+    y = as_real(y, "y")
     if y.ndim != 2 or y.shape[0] <= y.shape[1]:
         raise DimensionError(f"y must be n x d with n > d, got shape {y.shape}")
     check_finite(y, "y")
@@ -216,7 +310,7 @@ def _big_arg(decomp, alpha):
 def _geodesic_factors(y, xi, alpha, t):
     """[Y|Q], the decomposition of xi and the two exponentials of the
     geodesic at time t."""
-    check_finite(t, "t")
+    t = check_time(t)
     y = check_point(y)
     decomp = decompose_tangent(y, xi)
     e_big = scipy.linalg.expm(t * _big_arg(decomp, alpha))
@@ -344,7 +438,12 @@ def plan_from_decomposition(y, decomp, params, mask=None):
 
 
 def make_transport_plan(y, xi, params):
-    """Decompose the geodesic velocity once for many transports."""
+    """Decompose the geodesic velocity once for many transports.
+
+    The plan's first transport also factors its two skew exponent
+    arguments, O((d+k)^3) once; each later t then costs one real product
+    per exponential (StiefelTransportPlan), no scipy.linalg.expm.
+    """
     y = check_point(y)
     return plan_from_decomposition(y, decompose_tangent(y, xi), params)
 
@@ -360,7 +459,14 @@ def transport_with_plan(plan, y, eta, t):
     three n-sized products run per call, and [Y|Q] @ coeff accumulates into
     the result in place.  A d x d exponential whose argument is zero is
     skipped with its product.  y is not read: the plan caches [Y|Q].
+
+    The small exponentials come from plan.exponentials: for a plan from
+    make_transport_plan or flag_transport_plan, one real product each
+    after the factorization its first transport makes; for the one-shot
+    entry points' plans (single_time), scipy.linalg.expm.  t must be a
+    real finite scalar.
     """
+    t = check_time(t)
     yq = plan.basis
     d = plan.decomposition.d
     eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
@@ -376,11 +482,11 @@ def transport_with_plan(plan, y, eta, t):
     w[..., :d, :] /= salpha
 
     # yq (M) + (eta - yq w0) e_n  ==  yq (M - w0 e_n) + eta e_n
-    coeff = scipy.linalg.expm(t * plan.big_exp_arg) @ w
-    if plan.small_exp_arg.any():
-        coeff = coeff @ scipy.linalg.expm(t * plan.small_exp_arg)
-    if plan.normal_exp_arg.any():
-        e_normal = scipy.linalg.expm(t * plan.normal_exp_arg)
+    e_big, e_small, e_normal = plan.exponentials(t)
+    coeff = e_big @ w
+    if e_small is not None:
+        coeff = coeff @ e_small
+    if e_normal is not None:
         coeff -= w0 @ e_normal
         out = eta @ e_normal
     else:
@@ -395,10 +501,14 @@ def transport_with_plan(plan, y, eta, t):
 
 
 def stiefel_transport(y, xi, eta, params, t):
-    """Parallel transport of eta along the geodesic driven by xi."""
+    """Parallel transport of eta along the geodesic driven by xi.
+
+    One transport: its plan takes scipy.linalg.expm (single_time), which
+    at one t costs less than the factorization a reused plan makes.
+    """
     y = check_point(y)
     plan = plan_from_decomposition(y, decompose_tangent(y, xi), params)
-    return transport_with_plan(plan, y, eta, t)
+    return transport_with_plan(single_time(plan), y, eta, t)
 
 
 def stiefel_christoffel(y, xi, eta, params):

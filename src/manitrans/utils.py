@@ -1,4 +1,6 @@
 """Small matrix helpers used throughout the package."""
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -43,8 +45,17 @@ def matrix_norms(m):
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
+def as_real(m, name):
+    """m as a float array; a complex or non-numeric m is refused by name,
+    not cast (a cast would drop an imaginary part with only a warning)."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be real and numeric, got dtype {m.dtype}")
+    return m.astype(float, copy=False)
+
+
 def check_square(m, name="matrix"):
-    m = np.asarray(m, dtype=float)
+    m = as_real(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -56,10 +67,32 @@ def check_finite(m, name="matrix"):
     return m
 
 
+def check_time(t):
+    """t as a float, refused by name unless it is a real finite scalar: a
+    complex t or an array of times would broadcast through the
+    exponentials."""
+    value = np.asarray(t)
+    if value.ndim != 0 or value.dtype.kind not in "iuf":
+        raise ValidationError(f"t must be a real scalar, got {t!r}")
+    t = float(value)
+    if not math.isfinite(t):  # check_finite's message, without its array pass
+        raise ValidationError("t has non-finite entries")
+    return t
+
+
+def check_size(value, name):
+    """Refuse a size, by name, unless it is an integer (not a bool) of at
+    least 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, np.integer)) or value < 1:
+        raise ValidationError(
+            f"{name} must be an integer of at least 1, got {name}={value!r}")
+
+
 def check_operand(m, shape, name, batched=False):
     """m as a finite float array of the given shape; batched allows
     leading axes in front of it."""
-    m = np.asarray(m, dtype=float)
+    m = as_real(m, name)
     if (m.shape[m.ndim - len(shape):] if batched else m.shape) != tuple(shape):
         raise DimensionError(f"{name} has shape {m.shape}, expected {tuple(shape)}")
     return check_finite(m, name)

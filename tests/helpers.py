@@ -48,10 +48,26 @@ def rel_err(got, want):
     return float(np.linalg.norm(got - want)) / scale
 
 
+# Operand entries the package refuses, naming the operand: non-finite
+# floats, a complex entry and a string entry (held in an object array).
+BAD_VALUES = (np.nan, np.inf, 1j, "x")
+
+
+def poison_dtype(value):
+    """The dtype of an operand that holds value."""
+    return {complex: complex, str: object}.get(type(value), float)
+
+
+def refusal(value):
+    """How an operand holding value is refused, after its name."""
+    return "has non-finite" if isinstance(value, float) else "must be real"
+
+
 def poisoned(name, value=np.nan, **arrays):
-    """The keyword arrays, with one non-finite entry put into `name`."""
+    """The keyword arrays, with one bad entry (BAD_VALUES) put into
+    `name`."""
     out = dict(arrays)
-    out[name] = np.array(out[name], dtype=float)
+    out[name] = np.array(out[name], dtype=poison_dtype(value))
     out[name][0, -1] = value
     return out
 

@@ -13,8 +13,8 @@ from manitrans.stiefel import (StiefelMetricParams, metric_inner,
                                stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
-from helpers import (poisoned, random_stiefel, random_stiefel_tangent, rel_err,
-                     zero_flag_blocks)
+from helpers import (BAD_VALUES, poisoned, random_stiefel, random_stiefel_tangent,
+                     refusal, rel_err, zero_flag_blocks)
 
 
 def random_horizontal(rng, sig, y):
@@ -39,6 +39,11 @@ class TestSignature:
     def test_rejects_empty_block(self):
         with pytest.raises(ValidationError):
             FlagSignature(d_list=(2, 0), n=9)
+
+    @pytest.mark.parametrize("n", [4.5, 0, -1, True, "9"])
+    def test_rejects_bad_size(self, n):
+        with pytest.raises(ValidationError, match="^n must be an integer"):
+            FlagSignature(d_list=(2, 2), n=n)
 
 
 class TestSymf:
@@ -373,7 +378,8 @@ class TestEngine:
 
 
 class TestBadInput:
-    """Non-finite or wrongly shaped input fails fast, naming the argument."""
+    """Non-finite, complex, non-numeric or wrongly shaped input fails fast,
+    naming the argument."""
 
     def flag_args(self, rng):
         sig = FlagSignature(d_list=(2, 2), n=20)
@@ -386,11 +392,11 @@ class TestBadInput:
         return dict(y=y, xi=grassmann_horizontal(rng, y),
                     eta=grassmann_horizontal(rng, y))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", BAD_VALUES)
     @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
     def test_flag_transport_nonfinite(self, rng, arg, value):
         sig, args = self.flag_args(rng)
-        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+        with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
             flag_transport_canonical(sig, t=1.0, **poisoned(arg, value, **args))
 
     @pytest.mark.parametrize("arg", ["y", "xi"])
@@ -407,11 +413,11 @@ class TestBadInput:
         with pytest.raises(DimensionError, match=f"^{arg} has shape"):
             flag_transport_canonical(sig, t=1.0, **args)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", BAD_VALUES)
     @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
     def test_grassmann_transport_nonfinite(self, rng, arg, value):
         args = poisoned(arg, value, **self.grassmann_args(rng))
-        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+        with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
             grassmann_transport(t=1.0, **args)
 
     @pytest.mark.parametrize("arg", ["xi", "eta"])

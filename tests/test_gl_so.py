@@ -15,8 +15,8 @@ from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
 from manitrans.quotient import quotient_transport, stiefel_quotient
 from manitrans.utils import asym, sym
 
-from helpers import (classify_metric_signature, poisoned, random_glp,
-                     random_so, random_so_tangent, rel_err)
+from helpers import (BAD_VALUES, classify_metric_signature, poisoned,
+                     random_glp, random_so, random_so_tangent, refusal, rel_err)
 
 
 def group_of(geom):
@@ -52,6 +52,11 @@ class TestGLGeometry:
     def test_rejects_nonfinite_beta(self, beta):
         with pytest.raises(ValidationError, match="^beta has non-finite"):
             GLGeometry(n=4, beta=beta)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(3.0)])
+    def test_rejects_bad_size(self, n):
+        with pytest.raises(ValidationError, match="^n must be an integer"):
+            GLGeometry(n=n, beta=0.5)
 
     @given(seed=st.integers(0, 10_000))
     def test_metric_identity(self, seed):
@@ -155,12 +160,14 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
     def test_gl_transport(self, rng, arg):
+        # a complex entry used to be dropped with only a ComplexWarning
         geom = GLGeometry(n=4, beta=0.7)
         x = random_glp(rng, 4)
-        args = poisoned(arg, np.inf, x=x, xi=x @ rng.standard_normal((4, 4)),
-                        eta=x @ rng.standard_normal((4, 4)))
-        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
-            gl_transport(geom, t=1.0, **args)
+        for value in BAD_VALUES:
+            args = poisoned(arg, value, x=x, xi=x @ rng.standard_normal((4, 4)),
+                            eta=x @ rng.standard_normal((4, 4)))
+            with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
+                gl_transport(geom, t=1.0, **args)
 
     @pytest.mark.parametrize("arg", ["x", "xi"])
     def test_gl_geodesic(self, rng, arg):
@@ -243,6 +250,12 @@ class TestSOGeometry:
     def test_rejects_nonfinite_alpha(self, alpha):
         with pytest.raises(ValidationError, match="^alpha has non-finite"):
             SOGeometry(n=5, d=2, alpha=alpha)
+
+    @pytest.mark.parametrize("n, d, name", [
+        (4.5, 2, "n"), (5, 2.5, "d"), (5, True, "d"), (5, 0, "d"), (5, -2, "d")])
+    def test_rejects_bad_size(self, n, d, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            SOGeometry(n=n, d=d, alpha=0.5)
 
     def test_rejects_nonorthogonal_base(self, rng):
         geom = SOGeometry(n=4, d=2, alpha=0.8)

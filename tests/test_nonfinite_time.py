@@ -1,5 +1,5 @@
-"""Every geodesic and transport entry point rejects a non-finite t up
-front, naming t."""
+"""Every geodesic and transport entry point rejects a t that is not a
+real finite scalar up front, naming t."""
 import numpy as np
 import pytest
 
@@ -62,10 +62,13 @@ def entry_points(rng):
 NAMES = list(entry_points(np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [
+    np.nan, np.inf, -np.inf, pytest.param("1.0", id="str"),
+    pytest.param(1 + 0j, id="complex"),
+    pytest.param(np.array([0.5, 1.0]), id="array")])
 @pytest.mark.parametrize("name", NAMES)
 def test_nonfinite_t_is_named(rng, name, t):
     call = entry_points(rng)[name]
     call(0.5)  # the other arguments are valid
-    with pytest.raises(ValidationError, match=r"^t (has non-finite|must be finite)"):
+    with pytest.raises(ValidationError, match=r"^t (has non-finite|must be a real scalar)"):
         call(t)

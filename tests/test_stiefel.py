@@ -11,6 +11,7 @@ from manitrans.expaction import (dense_operator_matrix, expa,
                                  one_norm_estimate_exhaustive,
                                  select_taylor_params)
 from manitrans.flag_grassmann import (FlagSignature, flag_horizontal_project,
+                                      flag_transport_canonical,
                                       flag_transport_plan)
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import so_split
@@ -23,10 +24,10 @@ from manitrans.stiefel import (
 from manitrans.utils import asym, sym
 
 from helpers import (
-    check_tangent, decompose_tangent_reference, horizontal_lift, p_ar_apply,
-    p_ar_operator, p_bal_norm_bound_display, poisoned, random_so,
-    random_stiefel, random_stiefel_tangent, rel_err, transport_reference,
-    zero_flag_blocks)
+    BAD_VALUES, check_tangent, decompose_tangent_reference, horizontal_lift,
+    p_ar_apply, p_ar_operator, p_bal_norm_bound_display, poison_dtype,
+    poisoned, random_so, random_stiefel, random_stiefel_tangent, refusal,
+    rel_err, transport_reference, zero_flag_blocks)
 
 
 def random_decomp(rng, d, k):
@@ -68,6 +69,17 @@ def prescribed_velocity(rng, y, sig, log_cond, zeros):
     v = np.linalg.qr(rng.standard_normal((d, d)))[0][:m]
     a = zero_flag_blocks(sig, asym(rng.standard_normal((d, d))))
     return y @ a + (u * s) @ v
+
+
+def velocity_of_rank(rng, y, rank, sig=None):
+    """Tangent xi = Y A + U V at Y whose Y-orthogonal part U V has the
+    given rank (horizontal for the flag signature sig)."""
+    n, d = y.shape
+    a = asym(rng.standard_normal((d, d)))
+    if sig is not None:
+        a = zero_flag_blocks(sig, a)
+    u = rng.standard_normal((n, rank))
+    return y @ a + (u - y @ (y.T @ u)) @ rng.standard_normal((rank, d))
 
 
 def pair_signature(n, d):
@@ -139,13 +151,13 @@ class TestMetricInner:
                          random_stiefel_tangent(rng, y),
                          StiefelMetricParams(1.0))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", BAD_VALUES)
     @pytest.mark.parametrize("arg", ["xi", "eta"])
     def test_rejects_nonfinite_by_name(self, rng, arg, value):
         y = random_stiefel(rng, 7, 3)
         args = poisoned(arg, value, xi=random_stiefel_tangent(rng, y),
                         eta=random_stiefel_tangent(rng, y))
-        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+        with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
             metric_inner(y, params=StiefelMetricParams(0.8), **args)
 
     @pytest.mark.parametrize("arg", ["xi", "eta"])
@@ -398,6 +410,31 @@ class TestGeodesic:
                 lambda e: transport_with_plan(plan, y, e, 1.1), etas))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
+
+    def test_first_use_shared_across_threads(self, rng):
+        # threads race to factor a fresh plan's exponent arguments; every
+        # one must see the complete factorization
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        y = random_stiefel(rng, 30, 6)
+        xi = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.8)
+        etas = [random_stiefel_tangent(rng, y) for _ in range(16)]
+        want = [transport_with_plan(make_transport_plan(y, xi, params), y, e, 2.3)
+                for e in etas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                plan = make_transport_plan(y, xi, params)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(transport_with_plan, plan, y, e, 2.3)
+                               for e in etas]
+                    got = [f.result(timeout=60) for f in futures]
+                for a, b in zip(want, got):
+                    assert np.array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPOperator:
@@ -802,31 +839,80 @@ class TestTransport:
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
     def test_plan_matches_unfused_reference(self, rng, alpha, batch):
-        # Chebyshev expa, the skipped zero exponentials and the in-place
-        # accumulation against the formula term by term
-        y = random_stiefel(rng, 12, 4)
-        plan = make_transport_plan(y, random_stiefel_tangent(rng, y),
-                                   StiefelMetricParams(alpha))
-        eta = np.stack([random_stiefel_tangent(rng, y) for _ in range(3)])
-        eta = eta[0] if batch == () else eta
-        kept = eta.copy()
-        for t in (-2.0, 0.6, 30.0):
-            got = transport_with_plan(plan, y, eta, t)
-            assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
-        assert np.array_equal(eta, kept)
+        # Chebyshev expa, the spectral exponentials, the skipped zero
+        # exponentials and the in-place accumulation against the expm
+        # formula term by term, for a full-rank, a k = 0, a rank-deficient
+        # and a d = n-1 velocity
+        for (n, d), rank in (((12, 4), 4), ((12, 4), 0), ((12, 4), 2), ((5, 4), 1)):
+            y = random_stiefel(rng, n, d)
+            plan = make_transport_plan(y, velocity_of_rank(rng, y, rank),
+                                       StiefelMetricParams(alpha))
+            assert plan.decomposition.k == rank
+            eta = np.stack([random_stiefel_tangent(rng, y) for _ in range(3)])
+            eta = eta[0] if batch == () else eta
+            kept = eta.copy()
+            for t in (-2.0, 0.6, 30.0):
+                got = transport_with_plan(plan, y, eta, t)
+                assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
+            assert np.array_equal(eta, kept)
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_flag_plan_matches_unfused_reference(self, rng, batch):
+        # as above, with a full-rank, k = 0, rank-deficient and d = n-1
+        # horizontal velocity
+        for n, rank in ((11, 5), (11, 0), (11, 2), (6, 1)):
+            sig = FlagSignature(d_list=(2, 1, 2), n=n)
+            y = random_stiefel(rng, n, 5)
+            xi = velocity_of_rank(rng, y, rank, sig)
+            plan = flag_transport_plan(sig, y, xi)
+            assert plan.decomposition.k == rank
+            eta = np.stack([flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+                            for _ in range(3)])
+            eta = eta[0] if batch == () else eta
+            for t in (-2.0, 0.6, 30.0):
+                got = transport_with_plan(plan, y, eta, t)
+                assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
+
+    def test_reused_plan_never_calls_expm(self, rng, monkeypatch):
+        # one-shot calls run expm and no factorization; a reused plan
+        # factors its two skew arguments once and then runs no expm
+        calls = {"eigh": 0, "hessenberg": 0, "expm": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(np.linalg, "eigh")
+        counted(scipy.linalg, "hessenberg")
+        counted(scipy.linalg, "expm")
         sig = FlagSignature(d_list=(2, 1, 2), n=11)
         y = random_stiefel(rng, 11, 5)
-        plan = flag_transport_plan(
-            sig, y, flag_horizontal_project(sig, y, rng.standard_normal(y.shape)))
-        eta = np.stack([flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
-                        for _ in range(3)])
-        eta = eta[0] if batch == () else eta
-        for t in (-2.0, 0.6, 30.0):
-            got = transport_with_plan(plan, y, eta, t)
-            assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
+        xi, eta = (flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+                   for _ in range(2))
+        params = StiefelMetricParams(0.8)
+        stiefel_transport(y, xi, eta, params, 0.7)
+        flag_transport_canonical(sig, y, xi, eta, 0.7)
+        assert calls == {"eigh": 0, "hessenberg": 0, "expm": 5}
+        for plan in (make_transport_plan(y, xi, params),
+                     flag_transport_plan(sig, y, xi)):
+            calls.update(eigh=0, hessenberg=0, expm=0)
+            for t in (0.5, 3.0, 40.0):
+                transport_with_plan(plan, y, eta, t)
+            assert calls["eigh"] + calls["hessenberg"] <= 2 and calls["expm"] == 0
+
+    def test_reused_plan_output_ignores_call_history(self, rng):
+        y = random_stiefel(rng, 12, 4)
+        xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.8)
+        used = make_transport_plan(y, xi, params)
+        transport_with_plan(used, y, eta, 5.0)
+        assert np.array_equal(transport_with_plan(used, y, eta, 0.3),
+                              transport_with_plan(make_transport_plan(y, xi, params),
+                                                  y, eta, 0.3))
 
     def test_zero_columns(self, rng):
         y = np.zeros((5, 0))
@@ -936,6 +1022,21 @@ class TestTransport:
         assert np.linalg.norm(sym(gam.T @ moved)) <= 1e-9
 
 
+class TestSkewExponential:
+    """The factored exp(s S) of a reused plan against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("m, rank", [(0, 0), (1, 0), (6, 0), (7, 2), (9, 9)])
+    def test_matches_expm(self, rng, m, rank):
+        # rank < m gives a zero eigenvalue of multiplicity m - rank
+        g = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, m))
+        s = asym(g)
+        exp = stiefel.SkewExponential(s)
+        for t in (-3.0, 0.0, 0.4, 50.0):
+            want = scipy.linalg.expm(t * s)
+            assert rel_err(exp(t), want) <= 1e-13 * max(1.0, abs(t) * np.linalg.norm(s, 2))
+            assert rel_err(exp(t).T @ exp(t), np.eye(m)) <= 1e-13
+
+
 class TestChristoffelAndLift:
     def test_zero_direction(self, rng):
         y = random_stiefel(rng, 8, 3)
@@ -1004,19 +1105,19 @@ class TestChristoffelAndLift:
 
 
 class TestBadInput:
-    """Non-finite or wrongly shaped y, xi, eta fail fast, naming the
-    argument, at every Stiefel entry point."""
+    """Non-finite, complex, non-numeric or wrongly shaped y, xi, eta fail
+    fast, naming the argument, at every Stiefel entry point."""
 
     def args(self, rng, n=20, d=4):
         y = random_stiefel(rng, n, d)
         return dict(y=y, xi=random_stiefel_tangent(rng, y),
                     eta=random_stiefel_tangent(rng, y))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", BAD_VALUES)
     @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
     def test_stiefel_transport_nonfinite(self, rng, arg, value):
         args = poisoned(arg, value, **self.args(rng))
-        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+        with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
             stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
 
     @pytest.mark.parametrize("arg", ["y", "xi"])
@@ -1026,13 +1127,13 @@ class TestBadInput:
         with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
             make_transport_plan(params=StiefelMetricParams(0.8), **args)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", BAD_VALUES)
     def test_transport_with_plan_nonfinite_eta(self, rng, value):
         args = self.args(rng)
         plan = make_transport_plan(args["y"], args["xi"], StiefelMetricParams(0.8))
-        eta = np.stack([args["eta"]] * 2)
+        eta = np.stack([args["eta"]] * 2).astype(poison_dtype(value))
         eta[1, 3, 2] = value
-        with pytest.raises(ValidationError, match="^eta has non-finite"):
+        with pytest.raises(ValidationError, match=f"^eta {refusal(value)}"):
             transport_with_plan(plan, args["y"], eta, 1.0)
 
     @pytest.mark.parametrize("arg", ["xi", "eta"])
