@@ -110,7 +110,7 @@ def _stiefel(config):
             np.linalg.norm(sym(point.T @ delta))))
 
 
-def _canonical(config, sig, transporter, tangency_residual):
+def _canonical(config, sig, tangency_residual):
     """Flag manifolds, Grassmann included, under the canonical metric."""
     if config.alpha != fg.CANONICAL_ALPHA:
         raise ConfigError(f"closed-form {config.manifold} transport needs "
@@ -120,7 +120,7 @@ def _canonical(config, sig, transporter, tangency_residual):
         config, sig.d_list, params,
         random_tangent=lambda rng, y: fg.flag_horizontal_project(
             sig, y, rng.standard_normal(y.shape)),
-        transporter=transporter,
+        transporter=_planned(partial(fg.flag_transport_plan, sig)),
         christoffel=partial(fg.flag_christoffel, sig, params=params,
                             validate=False),
         tangency_residual=tangency_residual)
@@ -136,17 +136,15 @@ def _flag(config):
         return float(max(np.linalg.norm(sym(coeff)),
                          np.linalg.norm(asym(coeff)[sig.block_mask])))
 
-    return _canonical(config, sig, _planned(partial(fg.flag_transport_plan, sig)),
-                      tangency_residual)
+    return _canonical(config, sig, tangency_residual)
 
 
 def _grassmann(config):
-    """Gr(n, d) as the one-block flag, with its closed-form transport."""
+    """Gr(n, d) as the one-block flag."""
     if not (0 < config.d < config.n):
         raise ConfigError("grassmann needs 0 < d < n")
     return _canonical(
         config, fg.FlagSignature(d_list=(config.d,), n=config.n),
-        lambda y, xi: partial(fg.grassmann_transport, y, xi),
         lambda point, delta: float(np.linalg.norm(point.T @ delta)))
 
 

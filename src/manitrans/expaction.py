@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.special
 
 from .errors import CapacityError, DimensionError, NumericalError, ValidationError
-from .utils import check_finite, check_square, check_time
+from .utils import as_real, check_finite, check_square, check_time
 
 # Constants theta_m for the truncated-Taylor backward-error criterion of
 # Al-Mohy & Higham, "Computing the Action of the Matrix Exponential" (2011).
@@ -196,7 +196,7 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
     consecutive term norms fall below the tolerance times the
     accumulated-result norm.
     """
-    b = np.asarray(b, dtype=float)
+    b = as_real(b, "b")
     if b.shape[-2:] != tuple(op.domain_shape):
         raise DimensionError(
             f"operand shape {b.shape} does not match operator domain "

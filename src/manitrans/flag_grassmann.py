@@ -1,11 +1,12 @@
-"""Flag-manifold transport in Stiefel coordinates (canonical metric) and
-the closed-form Grassmann transport.
+"""Flag-manifold transport in Stiefel coordinates (canonical metric), the
+Grassmann manifold included as the flag with one block.
 
 Horizontal vectors of the flag quotient are Stiefel tangents whose
 Y-coefficient is antisymmetric with zero flag diagonal blocks.  For the
 canonical metric the transport is the Stiefel one: flag_transport_plan
 returns a Stiefel transport plan at alpha = 1/2 whose operator has its top
 block masked on the flag diagonal, and stiefel.transport_with_plan runs it.
+Gr(n, d) is the flag with the one block (d,) (grassmann_transport).
 """
 from dataclasses import dataclass
 
@@ -14,11 +15,9 @@ import numpy as np
 from . import stiefel
 from .errors import DimensionError, ValidationError
 from .stiefel import (
-    RANK_RTOL, StiefelMetricParams, check_point, decompose_tangent,
-    stiefel_geodesic)
-from .utils import check_operand, check_size, check_time, matrix_norms, sym
+    StiefelMetricParams, check_point, decompose_tangent, stiefel_geodesic)
+from .utils import as_real, check_size, check_time, matrix_norms, sym
 
-HORIZONTAL_TOL = 1e-9  # Grassmann; flag horizontality uses stiefel.TANGENT_RTOL
 CANONICAL_ALPHA = 0.5
 
 
@@ -30,12 +29,11 @@ class FlagSignature:
 
     def __post_init__(self):
         check_size(self.n, "n")
-        if not self.d_list or not all(
-                isinstance(di, (int, np.integer)) for di in self.d_list):
+        if not self.d_list:
             raise ValidationError(
-                f"d_list must hold one or more integers, got {self.d_list}")
-        if any(di < 1 for di in self.d_list):
-            raise ValidationError(f"d_list blocks must be at least 1, got {self.d_list}")
+                f"d_list must hold one or more blocks, got {self.d_list}")
+        for di in self.d_list:
+            check_size(di, "d_list block")
         if self.d >= self.n:
             raise ValidationError(
                 f"d_list must leave n - d >= 1, got d={self.d}, n={self.n}")
@@ -57,7 +55,7 @@ class FlagSignature:
 
 def symf(sig, m):
     """Symmetrize, leaving the flag diagonal blocks unchanged."""
-    m = np.asarray(m, dtype=float)
+    m = as_real(m, "m")
     if m.shape != (sig.d, sig.d):
         raise DimensionError(f"expected {sig.d} x {sig.d}, got {m.shape}")
     return np.where(sig.block_mask, m, sym(m))
@@ -65,15 +63,16 @@ def symf(sig, m):
 
 def flag_horizontal_project(sig, y, w):
     """Project an ambient n x d matrix onto the horizontal space at Y."""
-    w = np.asarray(w, dtype=float)
+    w = as_real(w, "w")
     if w.shape != (sig.n, sig.d) or y.shape != (sig.n, sig.d):
         raise DimensionError("signature/shape mismatch")
     return w - y @ symf(sig, y.T @ w)
 
 
-def check_horizontal(sig, y, xi):
+def check_horizontal(sig, y, xi, name="xi"):
+    """Horizontality of xi at Y, batch axes allowed; refused as name."""
     stiefel.check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi),
-                              sig.block_mask)
+                              name, sig.block_mask)
 
 
 def flag_christoffel(sig, y, xi, eta, params, validate=True):
@@ -85,7 +84,7 @@ def flag_christoffel(sig, y, xi, eta, params, validate=True):
     """
     if validate:
         check_horizontal(sig, y, xi)
-        check_horizontal(sig, y, eta)
+        check_horizontal(sig, y, eta, "eta")
     alpha = params.alpha
     first = y @ symf(sig, xi.T @ eta)
     m = xi @ (eta.T @ y) + eta @ (xi.T @ y)
@@ -100,14 +99,16 @@ def flag_transport_plan(sig, y, xi):
     skew exponent arguments once, and each later t costs one real product
     per exponential.
     """
-    y = check_point(y)
+    return _plan(sig, check_point(y), xi)
+
+
+def _plan(sig, y, xi):
+    """flag_transport_plan at a checked y."""
     if y.shape != (sig.n, sig.d):
         raise DimensionError(f"y has shape {y.shape}, expected {(sig.n, sig.d)}")
-    decomp = decompose_tangent(y, xi)
-    # tangency is checked; horizontality needs the masked blocks of A too
-    stiefel.check_coefficient(decomp.a, np.linalg.norm(xi), sig.block_mask)
     return stiefel.plan_from_decomposition(
-        y, decomp, StiefelMetricParams(CANONICAL_ALPHA), mask=sig.block_mask)
+        y, decompose_tangent(y, xi, sig.block_mask),
+        StiefelMetricParams(CANONICAL_ALPHA), mask=sig.block_mask)
 
 
 def flag_transport_canonical(sig, y, xi, eta, t):
@@ -125,31 +126,13 @@ def flag_geodesic(sig, y, xi, t):
 
 
 def grassmann_transport(y, xi, eta, t):
-    """Closed-form Grassmann transport along the geodesic driven by xi.
-
-    Horizontality here means Y^T xi = 0 and Y^T eta = 0; the rotation acts
-    on the compact SVD factors of xi, everything else is carried along
-    unchanged.  Directions of xi below RANK_RTOL times its largest
-    singular value are dropped.
+    """Grassmann transport: the canonical flag transport with the one
+    block (d,).  Its mask is the whole top block, so horizontality is
+    Y^T v = 0 and A is zero: the operator and the small exponentials
+    vanish, leaving one exponential of [[0, -R^T], [R, 0]] on [Y|Q].
     """
     t = check_time(t)
     y = check_point(y)
-    xi = check_operand(xi, y.shape, "xi")
-    eta = check_operand(eta, y.shape, "eta", batched=True)
-    for name, v in (("xi", xi), ("eta", eta)):
-        # each vector of a batch against its own norm
-        tol = HORIZONTAL_TOL * np.maximum(1.0, matrix_norms(v))
-        if not np.all(matrix_norms(y.T @ v) <= tol):
-            raise ValidationError(f"{name} is not Grassmann-horizontal")
-    u, sv, vt = np.linalg.svd(xi, full_matrices=False)
-    k = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    if k == 0:
-        return np.array(eta, copy=True)
-    q = u[:, :k]
-    sig = sv[:k]
-    v = vt[:k, :].T
-    qe = q.T @ eta
-    cos_t = np.cos(t * sig)
-    sin_t = np.sin(t * sig)
-    return (y @ v) @ (-sin_t[:, None] * qe) + q @ (cos_t[:, None] * qe) \
-        + eta - q @ qe
+    sig = FlagSignature(d_list=(y.shape[1],), n=y.shape[0])
+    return stiefel.transport_with_plan(
+        stiefel.single_time(_plan(sig, y, xi)), y, eta, t)

@@ -182,12 +182,12 @@ def check_point(y):
     return y
 
 
-def check_coefficient(coeff, scale, mask=None):
-    """Tangency of vectors v from their Y-coefficients coeff = Y^T v
-    (leading batch axes allowed) and scale = ||v||, one per vector: the
-    symmetric part of each coeff must vanish, relative to its own vector,
-    and, with a flag block mask, so must its masked blocks
-    (horizontality)."""
+def check_coefficient(coeff, scale, name, mask=None):
+    """Tangency of the argument name's vectors v from coeff = Y^T v
+    (leading batch axes allowed) and scale = ||v||: the symmetric part of
+    each coeff must vanish, relative to its own vector, and, with a flag
+    block mask, so must its masked blocks (horizontality; Y^T v = 0 for
+    the full Grassmann mask)."""
     res = matrix_norms(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
     kind = "tangent"
     if mask is not None:
@@ -196,12 +196,12 @@ def check_coefficient(coeff, scale, mask=None):
     bad = np.flatnonzero(~(res <= TANGENT_RTOL * np.maximum(1.0, scale)))
     if bad.size:
         raise ValidationError(
-            f"vector is not {kind}: residual {np.ravel(res)[bad[0]]:.3e}")
+            f"{name} is not {kind}: residual {np.ravel(res)[bad[0]]:.3e}")
 
 
 def project_tangent(y, w):
     """Tangent projection W - Y sym(Y^T W)."""
-    w = np.asarray(w, dtype=float)
+    w = as_real(w, "w")
     if w.shape != y.shape:
         raise DimensionError(f"shape mismatch {w.shape} vs {y.shape}")
     return w - y @ sym(y.T @ w)
@@ -213,16 +213,18 @@ def metric_inner(y, xi, eta, params):
     eta = check_operand(eta, y.shape, "eta")
     yxi = y.T @ xi
     yeta = y.T @ eta
-    check_coefficient(yxi, np.linalg.norm(xi))
-    check_coefficient(yeta, np.linalg.norm(eta))
+    check_coefficient(yxi, np.linalg.norm(xi), "xi")
+    check_coefficient(yeta, np.linalg.norm(eta), "eta")
     return float(np.sum(xi * eta) + (params.alpha - 1.0) * np.sum(yxi * yeta))
 
 
-def decompose_tangent(y, xi):
+def decompose_tangent(y, xi, mask=None):
     """Split xi = Y A + Q R, forming Y^T xi once.
 
     Y^T xi gives the tangency check, A = asym(Y^T xi) and the Y-orthogonal
-    part perp = xi - Y Y^T xi.  k = 0 (empty Q, R) when perp is negligible.
+    part perp = xi - Y Y^T xi; a flag block mask makes the check one of
+    horizontality and zeroes A on it.  k = 0 (empty Q, R) when perp is
+    negligible.
     When n - d >= d and cond_2(perp) is below CHOLQR_MAX_COND by the bound
     of _cholesky_qr, the first Cholesky-QR step gives Q's columns and
     k = d: then sigma_min / sigma_max > RANK_RTOL, and pivoted QR, whose
@@ -238,8 +240,10 @@ def decompose_tangent(y, xi):
     n, d = y.shape
     c = y.T @ xi
     scale = np.linalg.norm(xi)
-    check_coefficient(c, scale)
+    check_coefficient(c, scale, "xi", mask)
     a = asym(c)
+    if mask is not None:
+        a[mask] = 0.0
     perp = xi - y @ c
     if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, scale):
         return TangentDecomposition(
@@ -342,11 +346,12 @@ def p_bal_operator(decomp, params, mask=None):
     under which expa sums the Chebyshev-Bessel series in about |t| rho
     applies.
 
-    mask, a d x d boolean array, clears the top block where it is True;
-    canonical flag transport passes its diagonal blocks.  Clearing entries
-    is a projection: it raises neither norm, so both bounds hold with or
-    without it, and the masked operator stays antisymmetric on the masked
-    subspace of F.
+    mask, a d x d boolean array, clears the top block of operand and
+    result where it is True; canonical flag transport passes its diagonal
+    blocks.  Clearing entries is a projection: it raises neither norm, so
+    both bounds hold with or without it, and the masked operator stays
+    antisymmetric on the masked subspace of F.  A full mask leaves only
+    w_r -> alpha w_r A, of 2-norm alpha ||A||_2 (p_bal_two_norm_bound).
     """
     a, r = decomp.a, decomp.r
     d = decomp.d
@@ -360,6 +365,8 @@ def p_bal_operator(decomp, params, mask=None):
     def apply(w):
         wa = w[..., :d, :]
         wr = w[..., d:, :]
+        if mask is not None:
+            wa = np.where(mask, 0.0, wa)
         top = skew_last(c4 * (wa @ a) + salpha * (np.swapaxes(r, -1, -2) @ wr))
         if mask is not None:
             top[..., mask] = 0.0
@@ -373,6 +380,8 @@ def p_bal_operator(decomp, params, mask=None):
         if mask is not None:
             ska[..., mask] = 0.0
         top = -c4 * (ska @ a) - salpha * (np.swapaxes(r, -1, -2) @ wr)
+        if mask is not None:
+            top[..., mask] = 0.0
         bot = salpha * (r @ ska) - alpha * (wr @ a)
         return np.concatenate([top, bot], axis=-2)
 
@@ -380,7 +389,7 @@ def p_bal_operator(decomp, params, mask=None):
         apply=apply, apply_adjoint=apply_adjoint,
         one_norm_upper_bound=p_bal_norm_bound(decomp, params),
         domain_shape=(d + decomp.k, d),
-        skew_two_norm_bound=p_bal_two_norm_bound(decomp, params))
+        skew_two_norm_bound=p_bal_two_norm_bound(decomp, params, mask))
 
 
 def p_bal_norm_bound(decomp, params):
@@ -404,19 +413,23 @@ def p_bal_norm_bound(decomp, params):
     return max(n_a, n_r)
 
 
-def p_bal_two_norm_bound(decomp, params):
-    """rho >= ||P_bal||_2, in O(d^3 + k d^2).
+def p_bal_two_norm_bound(decomp, params, mask=None):
+    """rho >= ||P_bal||_2 under the mask of p_bal_operator, in
+    O(d^3 + k d^2).
 
     For ||w_a||_F = u and ||w_r||_F = v, the top block of P_bal w has
     Frobenius norm at most |4 alpha - 1| a u + sqrt(alpha) r v and the
     bottom one sqrt(alpha) r u + alpha a v, with a >= ||A||_2 and
     r >= ||R||_2.  So rho is the top eigenvalue of
     [[|4 alpha - 1| a, sqrt(alpha) r], [sqrt(alpha) r, alpha a]]
-    (utils.two_block_norm_bound).  This holds on the whole stacked space,
-    not only on F.
+    (utils.two_block_norm_bound).  A full (Grassmann) mask clears u and
+    the top block, leaving w_r -> alpha w_r A: rho = alpha a, 0 for the
+    zero A of a Grassmann plan.  This holds on the whole stacked space.
     """
     alpha = params.alpha
     a = two_norm_bound(decomp.a)
+    if mask is not None and mask.all():
+        return two_block_norm_bound(0.0, 0.0, alpha * a)
     r = two_norm_bound(decomp.r)
     return two_block_norm_bound(abs(4.0 * alpha - 1.0) * a, np.sqrt(alpha) * r,
                                 alpha * a)
@@ -471,7 +484,7 @@ def transport_with_plan(plan, y, eta, t):
     d = plan.decomposition.d
     eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
     w0 = np.swapaxes(yq, -1, -2) @ eta
-    check_coefficient(w0[..., :d, :], matrix_norms(eta), plan.mask)
+    check_coefficient(w0[..., :d, :], matrix_norms(eta), "eta", plan.mask)
     if t == 0.0:
         return eta.copy()
     salpha = np.sqrt(plan.alpha)

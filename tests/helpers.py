@@ -51,6 +51,8 @@ def rel_err(got, want):
 # Operand entries the package refuses, naming the operand: non-finite
 # floats, a complex entry and a string entry (held in an object array).
 BAD_VALUES = (np.nan, np.inf, 1j, "x")
+# the ones a float cast would take in, silently or with a warning
+NON_REAL = tuple(v for v in BAD_VALUES if not isinstance(v, float))
 
 
 def poison_dtype(value):
@@ -81,7 +83,7 @@ def zero_flag_blocks(sig, m):
 
 def check_tangent(y, xi):
     """Tangency of xi at Y (leading batch axes allowed)."""
-    check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi))
+    check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi), "xi")
 
 
 def horizontal_lift(y, y_perp, xi):
@@ -363,3 +365,24 @@ def decompose_tangent_reference(y, xi):
         q, _ = np.linalg.qr(q)
     r = q.T @ xi
     return TangentDecomposition(a=a, q=q, r=r, k=k)
+
+
+def grassmann_transport_reference(y, xi, eta, t):
+    """Closed-form Grassmann transport along the geodesic driven by the
+    horizontal xi (Y^T xi = 0), for a horizontal eta (leading batch axes
+    allowed): the rotation acts on the compact SVD factors of xi, and the
+    part of eta outside their span is carried along unchanged.  Directions
+    of xi below RANK_RTOL times its largest singular value are dropped.
+    The reference for flag_grassmann.grassmann_transport."""
+    u, sv, vt = np.linalg.svd(xi, full_matrices=False)
+    k = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    if k == 0:
+        return np.array(eta, copy=True)
+    q = u[:, :k]
+    sig = sv[:k]
+    v = vt[:k, :].T
+    qe = q.T @ eta
+    cos_t = np.cos(t * sig)
+    sin_t = np.sin(t * sig)
+    return (y @ v) @ (-sin_t[:, None] * qe) + q @ (cos_t[:, None] * qe) \
+        + eta - q @ qe

@@ -13,7 +13,8 @@ from manitrans.expaction import (
     select_taylor_params)
 from manitrans.utils import asym
 
-from helpers import identity_operator, rel_err, zero_operator
+from helpers import (NON_REAL, identity_operator, poisoned, refusal, rel_err,
+                     zero_operator)
 
 
 def matmul_operator(m, rows, cols):
@@ -199,6 +200,11 @@ class TestExpa:
         op = zero_operator((3, 3))
         with pytest.raises(DimensionError):
             expa(op, np.zeros((2, 2)), 1.0)
+
+    @pytest.mark.parametrize("value", NON_REAL)
+    def test_refuses_non_real_operand_by_name(self, value):
+        with pytest.raises(ValidationError, match=f"^b {refusal(value)}"):
+            expa(identity_operator((2, 2)), **poisoned("b", value, b=np.eye(2)))
 
     def test_overflow_carries_params(self):
         bad = LinearOperatorHandle(

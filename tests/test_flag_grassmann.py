@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
-from manitrans import flag_grassmann, oracle
+from manitrans import flag_grassmann, oracle, stiefel
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.flag_grassmann import (
     FlagSignature, check_horizontal, flag_christoffel, flag_geodesic,
@@ -13,8 +14,9 @@ from manitrans.stiefel import (StiefelMetricParams, metric_inner,
                                stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
-from helpers import (BAD_VALUES, poisoned, random_stiefel, random_stiefel_tangent,
-                     refusal, rel_err, zero_flag_blocks)
+from helpers import (BAD_VALUES, NON_REAL, grassmann_transport_reference,
+                     poisoned, random_stiefel, random_stiefel_tangent, refusal,
+                     rel_err, zero_flag_blocks)
 
 
 def random_horizontal(rng, sig, y):
@@ -45,6 +47,12 @@ class TestSignature:
         with pytest.raises(ValidationError, match="^n must be an integer"):
             FlagSignature(d_list=(2, 2), n=n)
 
+    @pytest.mark.parametrize("d_list", [(True, 2), (2.0, 2), (0, 2)])
+    def test_rejects_bad_block(self, d_list):
+        with pytest.raises(ValidationError,
+                           match="^d_list block must be an integer of at least 1"):
+            FlagSignature(d_list=d_list, n=6)
+
 
 class TestSymf:
     def test_symmetric_fixed(self, rng):
@@ -74,6 +82,12 @@ class TestSymf:
         with pytest.raises(DimensionError):
             symf(sig, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", NON_REAL)
+    def test_refuses_non_real_by_name(self, value):
+        sig = FlagSignature(d_list=(2, 2), n=9)
+        with pytest.raises(ValidationError, match=f"^m {refusal(value)}"):
+            symf(sig, **poisoned("m", value, m=np.eye(4)))
+
 
 class TestHorizontalProjection:
     def test_vertical_direction_killed(self, rng):
@@ -89,6 +103,14 @@ class TestHorizontalProjection:
         y = random_stiefel(rng, 9, 4)
         h = random_horizontal(rng, sig, y)
         assert np.allclose(flag_horizontal_project(sig, y, h), h)
+
+    @pytest.mark.parametrize("value", NON_REAL)
+    def test_refuses_non_real_by_name(self, rng, value):
+        sig = FlagSignature(d_list=(2, 1), n=8)
+        y = random_stiefel(rng, 8, 3)
+        with pytest.raises(ValidationError, match=f"^w {refusal(value)}"):
+            flag_horizontal_project(
+                sig, y, **poisoned("w", value, w=rng.standard_normal((8, 3))))
 
     def test_output_is_horizontal(self, rng):
         sig = FlagSignature(d_list=(2, 1), n=8)
@@ -211,6 +233,14 @@ class TestFlagTransport:
                 flag_transport_canonical(sig, y, bad_xi, bad_eta, 1.0)
 
 
+def grassmann_velocity(rng, y, rank):
+    """A horizontal xi at Y of unit norm and the given rank (0 is zero)."""
+    n, d = y.shape
+    xi = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    xi -= y @ (y.T @ xi)
+    return xi / np.linalg.norm(xi) if rank else xi
+
+
 class TestGrassmann:
     def test_time_zero(self, rng):
         y = random_stiefel(rng, 9, 3)
@@ -314,11 +344,68 @@ class TestGrassmann:
         xi = grassmann_horizontal(rng, y)
         h = grassmann_horizontal(rng, y)
         batch = np.stack([1e6 * h, h + 1e-4 * y])
-        with pytest.raises(ValidationError, match="eta is not Grassmann"):
+        with pytest.raises(ValidationError, match="^eta is not horizontal"):
             grassmann_transport(y, xi, batch, 1.0)
         ok = np.stack([1e6 * h, h])
         assert rel_err(grassmann_transport(y, xi, ok, 1.0)[1],
                        grassmann_transport(y, xi, h, 1.0)) <= 1e-13
+
+    def test_whole_coefficient_is_checked(self, rng):
+        # Y^T xi with a symmetric and an antisymmetric part of 0.9e-9 each,
+        # for a unit xi: each part passes 1e-9, the whole (1.27e-9) does not
+        n, d = 9, 3
+        y = random_stiefel(rng, n, d)
+        h = grassmann_velocity(rng, y, d)
+        s, k = (m / np.linalg.norm(m) for m in
+                (sym(rng.standard_normal((d, d))), asym(rng.standard_normal((d, d)))))
+        xi = h + y @ (0.9e-9 * (s + k))
+        sig = FlagSignature(d_list=(d,), n=n)
+        for call in (lambda: flag_transport_plan(sig, y, xi),
+                     lambda: grassmann_transport(y, xi, h, 1.0)):
+            with pytest.raises(ValidationError,
+                               match="^xi is not horizontal: residual 1.27"):
+                call()
+
+    def test_runs_the_flag_plan(self, rng, monkeypatch):
+        # no SVD of its own, and y checked once
+        y = random_stiefel(rng, 9, 3)
+        xi = grassmann_horizontal(rng, y)
+        eta = grassmann_horizontal(rng, y)
+        want = grassmann_transport_reference(y, xi, eta, 1.3)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        checked = []
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+        for module in (flag_grassmann, stiefel):
+            monkeypatch.setattr(module, "check_point", lambda y, f=module.check_point:
+                                checked.append(y) or f(y))
+        got = grassmann_transport(y, xi, eta, 1.3)
+        assert len(checked) == 1
+        assert rel_err(got, want) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40), d=st.integers(1, 39),
+           rank=st.sampled_from(["full", "deficient", "zero"]),
+           batch=st.integers(1, 3),
+           ts=st.lists(st.floats(-5.0, 50.0), min_size=1, max_size=3))
+    @example(seed=1, n=2, d=1, rank="full", batch=1, ts=[50.0])
+    @example(seed=2, n=40, d=39, rank="deficient", batch=3, ts=[-5.0, 50.0])
+    def test_matches_svd_reference(self, seed, n, d, rank, batch, ts):
+        # the one-shot call, and one reused one-block plan at every t
+        d = min(d, n - 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        xi = grassmann_velocity(rng, y, {"full": d, "deficient": (d + 1) // 2,
+                                         "zero": 0}[rank])
+        etas = np.stack([grassmann_horizontal(rng, y) for _ in range(batch)])
+        plan = flag_transport_plan(FlagSignature(d_list=(d,), n=n), y, xi)
+        for t in (0.0, *ts):
+            want = grassmann_transport_reference(y, xi, etas, t)
+            assert rel_err(grassmann_transport(y, xi, etas, t), want) <= 1e-12
+            assert rel_err(transport_with_plan(plan, y, etas, t), want) <= 1e-12
 
 
 class TestEngine:
@@ -426,6 +513,22 @@ class TestBadInput:
         args[arg] = args[arg][:, :3]
         with pytest.raises(DimensionError, match=f"^{arg} has shape"):
             grassmann_transport(t=1.0, **args)
+
+    def test_checks_name_the_argument(self, rng):
+        sig, args = self.flag_args(rng)
+        y, xi, eta = args["y"], args["xi"], args["eta"]
+        vertical = y @ asym(rng.standard_normal((4, 4)))
+        params = StiefelMetricParams(0.5)
+        with pytest.raises(ValidationError, match="^eta is not horizontal"):
+            check_horizontal(sig, y, eta + vertical, "eta")
+        with pytest.raises(ValidationError, match="^eta is not horizontal"):
+            flag_christoffel(sig, y, xi, eta + vertical, params)
+        with pytest.raises(ValidationError, match="^xi is not horizontal"):
+            flag_christoffel(sig, y, xi + vertical, eta, params)
+        with pytest.raises(ValidationError, match="^xi is not horizontal"):
+            flag_transport_plan(sig, y, xi + vertical)
+        with pytest.raises(ValidationError, match="^eta is not horizontal"):
+            flag_transport_canonical(sig, y, xi, eta + vertical, 1.0)
 
     def test_check_horizontal_rejects_nan(self, rng):
         sig, args = self.flag_args(rng)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manitrans import oracle, stiefel
 from manitrans.errors import DimensionError, NumericalError, ValidationError
@@ -21,13 +21,13 @@ from manitrans.stiefel import (
     p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
     project_tangent, stiefel_christoffel, stiefel_geodesic,
     stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
-from manitrans.utils import asym, sym
+from manitrans.utils import asym, sym, two_norm_bound
 
 from helpers import (
-    BAD_VALUES, check_tangent, decompose_tangent_reference, horizontal_lift,
-    p_ar_apply, p_ar_operator, p_bal_norm_bound_display, poison_dtype,
-    poisoned, random_so, random_stiefel, random_stiefel_tangent, refusal,
-    rel_err, transport_reference, zero_flag_blocks)
+    BAD_VALUES, NON_REAL, check_tangent, decompose_tangent_reference,
+    horizontal_lift, p_ar_apply, p_ar_operator, p_bal_norm_bound_display,
+    poison_dtype, poisoned, random_so, random_stiefel, random_stiefel_tangent,
+    refusal, rel_err, transport_reference, zero_flag_blocks)
 
 
 def random_decomp(rng, d, k):
@@ -100,6 +100,12 @@ class TestPointAndTangent:
         p1 = project_tangent(y, w)
         assert np.linalg.norm(sym(y.T @ p1)) <= 1e-12
         assert np.allclose(project_tangent(y, p1), p1)
+
+    @pytest.mark.parametrize("value", NON_REAL)
+    def test_project_tangent_refuses_non_real_by_name(self, rng, value):
+        y = random_stiefel(rng, 7, 3)
+        with pytest.raises(ValidationError, match=f"^w {refusal(value)}"):
+            project_tangent(y, **poisoned("w", value, w=rng.standard_normal((7, 3))))
 
     def test_pure_normal_direction_projects_to_zero(self, rng):
         y = random_stiefel(rng, 7, 3)
@@ -174,6 +180,27 @@ class TestMetricInner:
         with pytest.raises(ValidationError, match="not tangent"):
             metric_inner(y, random_stiefel_tangent(rng, y),
                          rng.standard_normal((7, 3)), StiefelMetricParams(1.0))
+
+
+class TestCheckNames:
+    """A vector that is not tangent is refused under its argument name."""
+
+    def test_each_entry_point_names_its_argument(self, rng):
+        y = random_stiefel(rng, 7, 3)
+        xi, eta = (random_stiefel_tangent(rng, y) for _ in range(2))
+        bad = rng.standard_normal((7, 3))
+        params = StiefelMetricParams(0.8)
+        plan = make_transport_plan(y, xi, params)
+        for name, call in (
+                ("xi", lambda: metric_inner(y, bad, eta, params)),
+                ("eta", lambda: metric_inner(y, xi, bad, params)),
+                ("xi", lambda: decompose_tangent(y, bad)),
+                ("xi", lambda: make_transport_plan(y, bad, params)),
+                ("eta", lambda: transport_with_plan(plan, y, bad, 1.0)),
+                ("eta", lambda: stiefel_transport(y, xi, bad, params, 1.0))):
+            with pytest.raises(ValidationError,
+                               match=f"^{name} is not tangent: residual"):
+                call()
 
 
 class TestDecomposeTangent:
@@ -531,6 +558,23 @@ class TestPOperator:
             rhs = float(np.sum(x * op.apply_adjoint(y)))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_adjoint_pairing_full_space_masked(self, rng, full):
+        # the mask clears the top block of operand and result, in both maps
+        d, k = 4, 2
+        mask = np.ones((d, d), dtype=bool) if full else \
+            np.kron(np.eye(2), np.ones((2, 2))).astype(bool)
+        op = p_bal_operator(random_decomp(rng, d, k), StiefelMetricParams(0.8), mask)
+        x, y = (rng.standard_normal((d + k, d)) for _ in range(2))
+        lhs = float(np.sum(op.apply(x) * y))
+        rhs = float(np.sum(x * op.apply_adjoint(y)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        assert not op.apply(x)[:d][mask].any()
+        assert not op.apply_adjoint(y)[:d][mask].any()
+        bumped = x.copy()
+        bumped[:d][mask] += 1.0
+        assert np.array_equal(op.apply(x), op.apply(bumped))
+
 
 class TestNormBound:
     def test_zero_decomposition(self, rng):
@@ -601,6 +645,22 @@ class TestTwoNormBound:
         exact = np.linalg.norm(dense_operator_matrix(op), 2)
         assert np.isfinite(op.skew_two_norm_bound)
         assert op.skew_two_norm_bound >= exact
+
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 5), k=st.integers(0, 5),
+           alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    @example(seed=7, d=4, k=3, alpha=0.5)
+    def test_full_mask_leaves_alpha_a(self, seed, d, k, alpha):
+        # a full mask clears the top block of operand and result, so only
+        # w_r -> alpha w_r A is left, and rho is alpha ||A||_2 (bounded)
+        decomp = random_decomp(np.random.default_rng(seed), d, k)
+        mask = np.ones((d, d), dtype=bool)
+        op = balanced_operator(decomp, StiefelMetricParams(alpha), mask)
+        exact = np.linalg.norm(dense_operator_matrix(op), 2)
+        assert exact <= op.skew_two_norm_bound
+        assert op.skew_two_norm_bound <= alpha * two_norm_bound(decomp.a) * (1 + 1e-14)
+        no_a = dataclasses.replace(decomp, a=np.zeros((d, d)))
+        assert balanced_operator(no_a, StiefelMetricParams(alpha),
+                                 mask).skew_two_norm_bound == 0.0
 
     def test_bound_is_tight_within_a_third(self, rng):
         for alpha in (0.25, 0.5, 1.0, 2.0):
