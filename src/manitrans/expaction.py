@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 import scipy.special
+from scipy.linalg.blas import daxpy
 
 from .errors import CapacityError, DimensionError, NumericalError, ValidationError
 from .utils import as_real, check_finite, check_square, check_time
@@ -168,22 +169,21 @@ def chebyshev_terms(x, tolerance_class="double"):
 def _chebyshev_expa(op, b, t, tolerance_class):
     rho = op.skew_two_norm_bound
     x = abs(t) * rho
-    if x == 0.0:
+    if x == 0.0 or b.size == 0:
         return b.copy()
     n_terms = chebyshev_terms(x, tolerance_class)
     coef = 2.0 * scipy.special.jv(np.arange(n_terms + 1), x)
     step = np.copysign(1.0 / rho, t)
-    prev, cur = b, step * op.apply(b)
-    f = (0.5 * coef[0]) * b + coef[1] * cur
+    prev, cur = b.flatten(), step * op.apply(b).ravel()
+    f = daxpy(cur, (0.5 * coef[0]) * b.ravel(), a=coef[1])
     for c in coef[2:]:
-        nxt = (2.0 * step) * op.apply(cur)
-        nxt += prev
-        prev, cur = cur, nxt
-        f += c * cur
-    if not np.all(np.isfinite(f)):
+        prev = daxpy(op.apply(cur.reshape(b.shape)).ravel(), prev, a=2.0 * step)
+        prev, cur = cur, prev
+        f = daxpy(cur, f, a=c)
+    if not np.isfinite(f).all():
         raise NumericalError(
             f"expa overflowed with {n_terms} Chebyshev terms, rho={rho}")
-    return f
+    return f.reshape(b.shape)
 
 
 def expa(op, b, t=1.0, tolerance_class="double", params=None):
@@ -191,7 +191,9 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
 
     b may carry leading batch axes; its trailing shape must match
     op.domain_shape.  Without explicit params, a handle that sets
-    skew_two_norm_bound gets the Chebyshev-Bessel series.  Otherwise the
+    skew_two_norm_bound gets the Chebyshev-Bessel series: per term one
+    op.apply, one in-place axpy (y += a x) turning C_{k-1} into C_{k+1}
+    and one adding the weighted term to the sum.  Otherwise the
     Taylor sum inside each of the s scaling steps stops early once two
     consecutive term norms fall below the tolerance times the
     accumulated-result norm.

@@ -5,8 +5,8 @@ A split is described by projection callables rather than stored matrices,
 so block-structured cases stay cheap.  The dense subspace scans that
 check a split against its definition are reference code in the tests.
 """
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,10 +42,14 @@ class AlgebraSplit:
     proj_g and proj_a must be idempotent, Frobenius-orthogonal and commute
     with transposition.  A quotient's vertical projection belongs to its
     quotient.QuotientGeometry.
+
+    so_block is d for gl_so.so_split(n, d) (a = so(d), top left in so(n))
+    and None on any other split: only so_split can set it, not __init__.
     """
     n: int
     proj_g: Callable[[np.ndarray], np.ndarray]
     proj_a: Callable[[np.ndarray], np.ndarray]
+    so_block: Optional[int] = field(default=None, init=False)
 
     def __post_init__(self):
         check_size(self.n, "n")

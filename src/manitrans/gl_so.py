@@ -42,7 +42,9 @@ def so_split(n, d):
         out[..., :d, :d] = asym(m[..., :d, :d])
         return out
 
-    return AlgebraSplit(n=n, proj_g=asym, proj_a=proj_a)
+    split = AlgebraSplit(n=n, proj_g=asym, proj_a=proj_a)
+    object.__setattr__(split, "so_block", d)
+    return split
 
 
 @dataclass(frozen=True, init=False)

@@ -13,8 +13,9 @@ builds P_a for both, reading beta, proj_a, the projection norms and
 definiteness from the geometry (and pi_m from the quotient).  GLGeometry
 and SOGeometry (gl_so.py) are GroupGeometrys, so every function here
 takes them too.  On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with
-c = 1+beta, so P_a applies as ([b, a - c a_a] - c [b_a, a]) / 2: four
-products, not six.  Operands b may carry leading batch axes.
+c = 1+beta, so P_a applies as ([b, a - c a_a] - c [b_a, a]) / 2, with its
+1/2 and c folded into matrices made once; on so_split [b_a, a] is one
+product of d rows and one of d columns.  Operands may be batched.
 
 Its 1-norm bound is analytic and costs O(n^2).  With C_x(b) = [b, x],
 P_a = (pi_m C_a - c C_{a_a} - c C_a pi_a) / 2.  C_x sends E_ij to row j
@@ -23,38 +24,52 @@ of x put in row i minus column i of x put in column j, so
 (nu_m kappa(a) + |c| (kappa(a_a) + nu_a kappa(a))) / 2, where nu is the
 vectorized 1-norm of a projection (forms.projection_one_norm).
 
-Where the metric form is definite, which GroupGeometry.definite alone
-decides, P_a also carries a 2-norm bound and expa sums the Chebyshev
-series.  The form is then |beta1| <g_a, h_a>_F + |beta0| <g_p, h_p>_F up to
-sign, with p the complement of a, and P_a is antisymmetric for it: D P_a
-D^{-1} is Frobenius-antisymmetric for D = sqrt|beta1| on a and sqrt|beta0|
-on p.  Split b and a into their a and p parts.  Then 2 P_a b has a-part
-(1-2c)[b_a, a_a] + [b_p, a_p]_a and p-part -beta([b_a, a_p] + [b_p, a_a]) +
-[b_p, a_p]_p, and ||[x, y]||_F <= 2 ||x||_F ||y||_2.  So with A >=
-||a_a||_2, B >= ||a_p||_2 and r = sqrt|beta|, the D-balanced 2-norm of P_a
-is at most the top eigenvalue of [[|1-2c| A, r B], [r B, |beta| A + B]]
-(_p_a_two_norm_bound).  It holds on a quotient that meets the simplified
-condition (quotient.py) too.  There pi_m leaves [b_a, a_p] + [b_p, a_a]
-alone: it lies in [a, p], which misses the vertical algebra.  Unless c = 0,
-the vertical algebra misses a, so pi_m only shrinks the a-part and p-part
-of [b_p, a_p].  At c = 0 the form is a multiple of the Frobenius one, and
-||P_a||_2 <= ||a||_2 <= A + B, below that eigenvalue.  expa's recurrence
-runs on the unbalanced P_a; only the bound uses D (expaction's docstring
-gives the norm of its tail bound).
+Where the metric form is definite (GroupGeometry.definite alone decides),
+P_a carries a 2-norm bound rho and expa sums the Chebyshev series.  The
+form is then |beta1| <g_a, h_a>_F + |beta0| <g_p, h_p>_F up to sign, p the
+complement of a, and M = D P_a D^{-1} is Frobenius-antisymmetric for
+D = sqrt|beta1| on a, sqrt|beta0| on p.  With r = sqrt|beta| and u = D b,
+2 M u has a-part (1-2c)[u_a, a_a] + r [u_p, a_p]_a and p-part
+-r [u_a, a_p] - beta [u_p, a_a] + [u_p, a_p]_p.  ||[x, y]||_F <=
+2 ||x||_F ||y||_2 bounds each block of M between orthogonal parts, and
+the top eigenvalue of the matrix of block bounds bounds ||M||_2
+(utils.block_norm_bound).  With A >= ||a_a||_2, B >= ||a_p||_2 it is
+[[|1-2c| A, r B], [r B, |beta| A + B]], less the + B where proj_a is
+utils.asym (a all antisymmetric, p symmetric, as on gl(n)): [p, p] lies
+in a.  On so_split(n, d), p = o + q with o the off-diagonal blocks,
+q = so(n-d), [a, q] = 0, [a, o] + [q, o] in o, [o, o] in a + q, and an o
+element with top-right block Y has norm sqrt2 ||Y||_F.  For
+a = [[A, P], [-P^T, K]], M sends u_a = X (top block) to (1-2c)[X, A]/2 in
+a and -r X P/2 in o; u_o to r (P Y^T - Y P^T)/2 in a, (beta A Y + Y K)/2
+in o, (P^T Y - Y^T P)/2 in q; u_q = Z to -P Z/2 in o, [Z, K]/2 in q.  So
+with al, pi, ka bounding ||A||_2, ||P||_2, ||K||_2 the matrix is
+[[|1-2c| al, r pi/sqrt2, 0], [r pi/sqrt2, (|beta| al + ka)/2, pi/sqrt2],
+[0, pi/sqrt2, ka]].
+
+These hold on a quotient that meets the simplified condition (quotient.py)
+too.  Where the c terms vanish (c = 0 or a = 0), P_a = pi_m P_a^group on
+m and pi_m commutes with D.  Otherwise the vertical algebra misses a, so
+lies in the part of p orthogonal to [a, p] (q on so_split, d > 1), and
+pi_m changes only [u_p, a_p]_p (the q-row on so_split), which it shrinks.
+expa runs on the unbalanced P_a; only the bound uses D (expaction's
+docstring gives the norm of its tail bound).
 """
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams, beta_form, projection_one_norm
-from .utils import (check_square_operands, check_time, lie,
-                    two_block_norm_bound, two_norm_bound)
+from .utils import (as_real, asym, block_norm_bound, check_square_operands,
+                    check_time, lie, two_norm_bound)
 
 TANGENCY_RTOL = 1e-9
+# to_algebra warns above this 1-norm condition number ||x||_1 ||x^{-1}||_1,
+# as LAPACK's gecon estimates it from x's LU (from below, mostly within 3x)
 CONDITION_WARN = 1e12
 SYMMETRY_RTOL = 1e-10
 PROBE_SEED = 0  # random probes of the split and quotient-structure checks
@@ -124,45 +139,52 @@ def solve_at(x, v):
         raise ValidationError(f"x is singular: {exc}") from exc
 
 
-def _check_in_algebra(split, v, message):
-    """Raise message, formatted with the residual res, unless v is in the
-    Lie algebra to TANGENCY_RTOL relative to max(1, ||v||_F)."""
-    res = np.linalg.norm(v - split.proj_g(v))
-    if not res <= TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
-        raise ValidationError(message.format(res=res))
+def _check_in_algebra(split, message=None, **named):
+    """Refuse each named matrix, by name unless message is given, if it is
+    off the Lie algebra by more than TANGENCY_RTOL max(1, its norm)."""
+    for name, v in named.items():
+        res = np.linalg.norm(v - split.proj_g(v))
+        if not res <= TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
+            raise ValidationError(message or f"{name} is not tangent: "
+                                  f"algebra residual {res:.3e}")
 
 
 def to_algebra(geom, x, xi, validate=True):
-    """Group-relative velocity a = X^{-1} xi, by linear solve; xi may stack
-    vectors at x along a leading axis, which share one condition check.
-
-    Raises if a result is not in the Lie algebra; warns on an
-    ill-conditioned base point.  validate=False skips the membership check
-    (the ODE oracle probes slightly off-manifold states).
-    """
-    cond = np.linalg.cond(x)
-    if cond > CONDITION_WARN:
-        warnings.warn(
-            f"base point condition number {cond:.2e} exceeds {CONDITION_WARN:.0e}",
-            RuntimeWarning)
-    a = solve_at(x, xi)
+    """Group-relative velocity a = X^{-1} xi by one LU of x, which also
+    gives its condition estimate (CONDITION_WARN); xi may stack vectors.
+    Raises, naming xi, if a result is not in the Lie algebra, unless
+    validate=False: the ODE oracle probes off-manifold states, and callers
+    that stack xi and eta check each by name (_check_in_algebra)."""
+    lu, piv, info = dgetrf(x)
+    if info > 0:
+        raise ValidationError("x is singular: its LU factorization has a zero pivot")
+    rcond, _ = dgecon(lu, np.linalg.norm(x, 1))
+    if rcond * CONDITION_WARN < 1.0:
+        cond = 1.0 / rcond if rcond else np.inf
+        warnings.warn(f"base point condition number {cond:.2e} (1-norm "
+                      f"estimate) exceeds {CONDITION_WARN:.0e}", RuntimeWarning)
+    n = x.shape[0]
+    a, _ = dgetrs(lu, piv, np.moveaxis(xi, -2, 0).reshape(n, -1))
+    a = np.moveaxis(a.reshape(n, *xi.shape[:-2], n), 0, -2)
     if validate:
-        for v in a.reshape(-1, *a.shape[-2:]):
-            _check_in_algebra(geom.split, v,
-                              "vector is not tangent: algebra residual {res:.3e}")
+        for v in a.reshape(-1, n, n):
+            _check_in_algebra(geom.split, xi=v)
     return a
 
 
 def metric(geom, x, xi, eta):
     """Left-invariant metric value <xi, eta> at x."""
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a, b = to_algebra(geom, x, np.stack([xi, eta]))
+    a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
+    _check_in_algebra(geom.split, xi=a, eta=b)
     return beta_form(a, b, geom.split, geom.params)
 
 
 def christoffel(geom, x, xi, eta, validate=True):
     """Christoffel function of the Levi-Civita connection at x."""
-    a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=validate)
+    a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
+    if validate:
+        _check_in_algebra(geom.split, xi=a, eta=b)
     bet = geom.beta
     aa = geom.split.proj_a(a)
     ba = geom.split.proj_a(b)
@@ -209,70 +231,91 @@ def p_a_operator(geom, a, quotient=None):
     horizontal projection proj_m.  The vectorized 1-norms of proj_a and
     proj_m are cached on the geometries.
     """
-    a = np.asarray(a, dtype=float)
+    a = as_real(a, "a")
     proj_a = geom.split.proj_a
     aa = proj_a(a)
-    at = a.T
+    at, aat = a.T, aa.T
     c = 1.0 + geom.beta
+    d = geom.split.so_block
     if quotient is None:
-        nu_m = 1.0
-        e = a - c * aa
-        et = e.T
+        proj_m, nu_m = (lambda m: m), 1.0
+        e = 0.5 * (a - c * aa)
 
-        def apply(b):
-            return 0.5 * (lie(b, e) - c * lie(proj_a(b), a))
-
-        def apply_adjoint(b):
-            return 0.5 * (lie(b, et) - c * proj_a(lie(b, at)))
+        def bracket(b):  # ([b, a] + c [a_a, b]) / 2 = [b, e]
+            out = b @ e
+            out -= e @ b
+            return out
     else:
         proj_m, nu_m = quotient.proj_m, quotient.proj_m_norm
-        aat = aa.T
+        half, half_aa = 0.5 * a, (0.5 * c) * aa
+
+        def bracket(b):  # (pi_m[b, a] + c [a_a, b]) / 2
+            return proj_m(b @ half - half @ b) + lie(half_aa, b)
+
+    def apply_adjoint(b):
+        # adjoint of b -> proj_m([b, a]) is b -> [proj_m(b), a^T]
+        return 0.5 * (lie(proj_m(b), at)
+                      + c * (lie(aat, b) - proj_a(lie(b, at))))
+
+    if d is None:
+        ca = (0.5 * c) * a
 
         def apply(b):
-            return 0.5 * (proj_m(lie(b, a))
-                          + c * (lie(aa, b) - lie(proj_a(b), a)))
+            out, ba = bracket(b), proj_a(b)
+            out -= ba @ ca
+            out += ca @ ba
+            return out
+    else:  # b_a is asym(b[:d, :d]) in the top block; its 1/2 goes in here
+        rows, cols = (0.25 * c) * a[:d], (0.25 * c) * a[:, :d]
 
-        def apply_adjoint(b):
-            # adjoint of b -> proj_m([b, a]) is b -> [proj_m(b), a^T]
-            return 0.5 * (lie(proj_m(b), at)
-                          + c * (lie(aat, b) - proj_a(lie(b, at))))
+        def apply(b):
+            out = bracket(b)
+            top = b[..., :d, :d]
+            top = top - top.swapaxes(-1, -2)
+            out[..., :d, :] -= top @ rows
+            out[..., :, :d] += cols @ top
+            return out
 
-    ca = _bracket_norm(a)
-    bound = 0.5 * (nu_m * ca
-                   + abs(c) * (_bracket_norm(aa) + geom.proj_a_norm * ca))
+    kappa = _bracket_norm(a)
+    bound = 0.5 * (nu_m * kappa
+                   + abs(c) * (_bracket_norm(aa) + geom.proj_a_norm * kappa))
     return expaction.LinearOperatorHandle(
         apply=apply, apply_adjoint=apply_adjoint,
         one_norm_upper_bound=bound, domain_shape=a.shape,
-        skew_two_norm_bound=_p_a_two_norm_bound(aa, a - aa, geom.beta)
+        skew_two_norm_bound=_p_a_two_norm_bound(geom, a, aa)
         if geom.definite else None)
 
 
-def _p_a_two_norm_bound(aa, ap, beta):
+def _p_a_two_norm_bound(geom, a, aa):
     """rho >= the D-balanced 2-norm of P_a (module docstring), in O(n^3)."""
-    big_a, big_b = two_norm_bound(aa), two_norm_bound(ap)
-    mag = abs(beta)
-    return two_block_norm_bound(abs(1.0 + 2.0 * beta) * big_a,
-                                np.sqrt(mag) * big_b, mag * big_a + big_b)
+    beta, d = geom.beta, geom.split.so_block
+    mag, diag = abs(beta), abs(1.0 + 2.0 * beta)
+    if d is not None:
+        al, ka = two_norm_bound(aa[:d, :d]), two_norm_bound(a[d:, d:])
+        pi = two_norm_bound(a[:d, d:]) / np.sqrt(2.0)  # the docstring's pi/sqrt2
+        off = np.sqrt(mag) * pi
+        return block_norm_bound([[diag * al, off, 0.0],
+                                 [off, 0.5 * (mag * al + ka), pi], [0.0, pi, ka]])
+    big_a, big_b = two_norm_bound(aa), two_norm_bound(a - aa)
+    off, cartan = np.sqrt(mag) * big_b, geom.split.proj_a is asym
+    return block_norm_bound([[diag * big_a, off],
+                             [off, mag * big_a + (0.0 if cartan else big_b)]])
 
 
 def _bracket_norm(x):
     """kappa(x) = ||x||_1 + ||x||_inf, which bounds the 1-norm of
     b -> [b, x]."""
-    return float(np.linalg.norm(x, 1) + np.linalg.norm(x, np.inf))
+    mag = np.abs(x)
+    return float(mag.sum(axis=0).max() + mag.sum(axis=1).max())
 
 
 def transport_operator(geom, a):
-    """P_a for the geometry's split, by p_a_operator.
-
-    Its 1-norm bound
-    ||P_a||_1 <= (kappa(a) + |1+beta| (kappa(a_a) + nu_a kappa(a))) / 2
-    takes O(n^2) work and no operator applies; nu_a, the 1-norm of proj_a,
-    is one for the coordinate splits and cached per geometry otherwise.
-    Its 2-norm bound, set when geom.definite, takes O(n^3).
-    """
-    a = np.asarray(a, dtype=float)
-    _check_in_algebra(geom.split, a,
-                      "operator coefficient is not in the Lie algebra")
+    """P_a for the geometry's split, by p_a_operator, after checking that
+    a is in the Lie algebra: its 1-norm bound takes O(n^2) work and its
+    2-norm bound, set when geom.definite, O(n^3) (module docstring)."""
+    a = as_real(a, "a")
+    _check_in_algebra(geom.split, "operator coefficient is not in the Lie "
+                      "algebra", a=a)
     return p_a_operator(geom, a)
 
 
@@ -280,7 +323,8 @@ def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
     t = check_time(t)
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
+    a, w0 = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
+    _check_in_algebra(geom.split, xi=a, eta=w0)
     left, right = geodesic_factors(geom, a, t)
     w = expaction.expa(transport_operator(geom, a), w0, t)
     return x @ left @ w @ right

@@ -30,7 +30,8 @@ from .errors import NumericalError, ValidationError
 from .flag_grassmann import FlagSignature
 from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
-from .group_core import PROBE_SEED, GroupGeometry, p_a_operator, to_algebra
+from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
+                         p_a_operator, to_algebra)
 from .utils import (asym, check_square_operands, check_time,
                     coordinate_projection, lie)
 
@@ -134,6 +135,7 @@ def check_simplified_condition(q):
 
 
 def _check_horizontal(q, a, name):
+    _check_in_algebra(q.geom.split, **{name: a})
     res = np.linalg.norm(q.proj_k(a))
     if res > HORIZONTALITY_RTOL * max(1.0, np.linalg.norm(a)):
         raise ValidationError(f"{name} is not horizontal: residual {res:.3e}")
@@ -141,7 +143,7 @@ def _check_horizontal(q, a, name):
 
 def horizontal_christoffel(q, x, xi, eta, validate=True):
     """Group Christoffel minus the vertical correction X [a, b]_k / 2."""
-    a, b = to_algebra(q.geom, x, np.stack([xi, eta]), validate=validate)
+    a, b = to_algebra(q.geom, x, np.stack([xi, eta]), validate=False)
     if validate:
         _check_horizontal(q, a, "xi")
         _check_horizontal(q, b, "eta")
@@ -186,7 +188,7 @@ def quotient_transport(q, x, xi, eta, t):
     geom = q.geom
     t = check_time(t)
     x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a, w0 = to_algebra(geom, x, np.stack([xi, eta]))
+    a, w0 = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
     _check_horizontal(q, a, "xi")
     _check_horizontal(q, w0, "eta")
     if q.simplified_ok:

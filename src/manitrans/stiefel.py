@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
 from .utils import (as_real, asym, check_finite, check_operand, check_time,
-                    hcat, matrix_norms, sym, two_block_norm_bound,
+                    hcat, matrix_norms, sym, block_norm_bound,
                     two_norm_bound)
 
 POINT_TOL = 1e-10
@@ -359,24 +359,28 @@ def p_bal_operator(decomp, params, mask=None):
     salpha = np.sqrt(alpha)
     c4 = 4.0 * alpha - 1.0
 
-    def skew_last(m):
-        return 0.5 * (m - np.swapaxes(m, -1, -2))
+    # apply's scalars, folded once: its top block is m - m^T
+    a_top, r_top = (0.5 * c4) * a, (0.5 * salpha) * r.T
+    a_bot, r_bot = alpha * a, salpha * r
 
     def apply(w):
         wa = w[..., :d, :]
         wr = w[..., d:, :]
         if mask is not None:
             wa = np.where(mask, 0.0, wa)
-        top = skew_last(c4 * (wa @ a) + salpha * (np.swapaxes(r, -1, -2) @ wr))
+        m = wa @ a_top
+        m += r_top @ wr
+        top = m - np.swapaxes(m, -1, -2)
         if mask is not None:
             top[..., mask] = 0.0
-        bot = alpha * (wr @ a) - salpha * (r @ wa)
+        bot = wr @ a_bot
+        bot -= r_bot @ wa
         return np.concatenate([top, bot], axis=-2)
 
     def apply_adjoint(w):
         wa = w[..., :d, :]
         wr = w[..., d:, :]
-        ska = skew_last(wa)
+        ska = 0.5 * (wa - np.swapaxes(wa, -1, -2))
         if mask is not None:
             ska[..., mask] = 0.0
         top = -c4 * (ska @ a) - salpha * (np.swapaxes(r, -1, -2) @ wr)
@@ -422,17 +426,17 @@ def p_bal_two_norm_bound(decomp, params, mask=None):
     bottom one sqrt(alpha) r u + alpha a v, with a >= ||A||_2 and
     r >= ||R||_2.  So rho is the top eigenvalue of
     [[|4 alpha - 1| a, sqrt(alpha) r], [sqrt(alpha) r, alpha a]]
-    (utils.two_block_norm_bound).  A full (Grassmann) mask clears u and
+    (utils.block_norm_bound).  A full (Grassmann) mask clears u and
     the top block, leaving w_r -> alpha w_r A: rho = alpha a, 0 for the
     zero A of a Grassmann plan.  This holds on the whole stacked space.
     """
     alpha = params.alpha
     a = two_norm_bound(decomp.a)
     if mask is not None and mask.all():
-        return two_block_norm_bound(0.0, 0.0, alpha * a)
-    r = two_norm_bound(decomp.r)
-    return two_block_norm_bound(abs(4.0 * alpha - 1.0) * a, np.sqrt(alpha) * r,
-                                alpha * a)
+        return block_norm_bound([[alpha * a]])
+    off = np.sqrt(alpha) * two_norm_bound(decomp.r)
+    return block_norm_bound([[abs(4.0 * alpha - 1.0) * a, off],
+                             [off, alpha * a]])
 
 
 def plan_from_decomposition(y, decomp, params, mask=None):

@@ -62,7 +62,8 @@ def check_square(m, name="matrix"):
 
 
 def check_finite(m, name="matrix"):
-    if not np.all(np.isfinite(m)):
+    finite = math.isfinite(m) if np.ndim(m) == 0 else np.isfinite(m).all()
+    if not finite:
         raise ValidationError(f"{name} has non-finite entries")
     return m
 
@@ -114,23 +115,23 @@ def two_norm_bound(m):
     """
     if m.shape[0] < m.shape[1]:
         m = m.T
-    peak = np.max(np.abs(m), initial=0.0)
+    peak = np.abs(m).max(initial=0.0)
     if peak == 0.0:
         return 0.0
     m = m / peak
-    fro = np.linalg.norm(m)
+    fro = math.sqrt(np.vdot(m, m))
     m = m / fro
     h = m.T @ m
     h = h @ h
-    g = float(np.max(np.sum(np.abs(h @ h), axis=0)))
-    slack = (8.0 * sum(m.shape) * np.sqrt(m.shape[1]) + 16.0) * EPS
+    g = float(np.abs(h @ h).sum(axis=0).max())
+    slack = (8.0 * sum(m.shape) * math.sqrt(m.shape[1]) + 16.0) * EPS
     return peak * fro * (g + slack) ** 0.125
 
 
-def two_block_norm_bound(top, off, bot):
-    """Top eigenvalue of the nonnegative [[top, off], [off, bot]], which
-    bounds an operator whose blocks, in two orthogonal parts of its
-    domain, have 2-norms at most these; the last factor covers the
-    rounding of the inputs and of the eigenvalue."""
-    rho = 0.5 * (top + bot) + np.hypot(0.5 * (top - bot), off)
-    return float(rho) * (1.0 + 16.0 * EPS)
+def block_norm_bound(blocks):
+    """Top eigenvalue of the symmetric nonnegative `blocks`, which bounds an
+    operator whose blocks, between orthogonal parts of its domain and
+    range, have 2-norms at most these; the last factor covers the rounding
+    of the entries and of the (backward stable) eigensolver."""
+    rho = np.linalg.eigvalsh(np.array(blocks, dtype=float))[-1]
+    return float(rho) * (1.0 + 64.0 * EPS)

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from manitrans.errors import (CapacityError, DimensionError, NumericalError,
                               ValidationError)
 from manitrans.expaction import (
-    THETA_DOUBLE, THETA_SINGLE, LinearOperatorHandle, dense_operator_matrix,
-    expa, matrix_exponential, one_norm_estimate_exhaustive,
-    select_taylor_params)
+    THETA_DOUBLE, THETA_SINGLE, LinearOperatorHandle, chebyshev_terms,
+    dense_operator_matrix, expa, matrix_exponential,
+    one_norm_estimate_exhaustive, select_taylor_params)
 from manitrans.utils import asym
 
 from helpers import (NON_REAL, identity_operator, poisoned, refusal, rel_err,
@@ -300,6 +300,22 @@ class TestChebyshev:
         b = rng.standard_normal((2, 3, 4))
         want = (b.reshape(2, 12) @ scipy.linalg.expm(t * m).T).reshape(b.shape)
         assert rel_err(expa(op, b, t, tolerance_class), want) <= tol
+
+    @pytest.mark.parametrize("t", [-3.0, 0.7, 50.0])
+    def test_one_apply_per_term_and_operand_kept(self, rng, t):
+        # the loop updates its own buffers in place: a strided b stays
+        # as it was, and every term goes through op.apply once
+        _, op = self.skew_operator(rng)
+        calls = []
+        counted = dataclasses.replace(
+            op, apply=lambda v: calls.append(1) or op.apply(v))
+        b = rng.standard_normal((2, 4, 3)).swapaxes(-1, -2)
+        kept = b.copy()
+        got = expa(counted, b, t)
+        assert len(calls) == chebyshev_terms(abs(t))
+        assert np.array_equal(b, kept)
+        assert np.array_equal(got, expa(op, kept, t))
+        assert expa(op, np.zeros((0, 3, 4)), t).shape == (0, 3, 4)
 
     def test_rejects_unknown_class(self, rng):
         _, op = self.skew_operator(rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from functools import partial
 
@@ -22,9 +23,9 @@ from manitrans.quotient import (flag_quotient, horizontal_transport_operator,
                                 quotient_transport, stiefel_quotient)
 from manitrans.utils import asym, lie, sym
 
-from helpers import (classify_metric_signature, derive_split_components,
-                     poisoned, random_glp, random_so, random_so_tangent,
-                     rel_err, subspace_basis)
+from helpers import (NON_REAL, classify_metric_signature,
+                     derive_split_components, poisoned, random_glp, random_so,
+                     random_so_tangent, rel_err, subspace_basis)
 from test_forms import block_split
 
 
@@ -206,6 +207,15 @@ class TestTransportOperator:
         with pytest.raises(ValidationError):
             transport_operator(geom, np.eye(4))
 
+    @pytest.mark.parametrize("value", NON_REAL)
+    @pytest.mark.parametrize("build", [p_a_operator, transport_operator],
+                             ids=["p_a_operator", "transport_operator"])
+    def test_refuses_non_real_coefficient(self, rng, build, value):
+        # a complex a used to lose its imaginary part with a ComplexWarning
+        a = poisoned("a", value, a=asym(rng.standard_normal((5, 5))))["a"]
+        with pytest.raises(ValidationError, match="^a must be real"):
+            build(so_geom(5, 2, 0.8), a)
+
     @pytest.mark.parametrize("n", [16, 40])
     def test_rejects_coefficient_off_the_algebra_by_1e8(self, rng, n):
         # to_algebra's criterion: a relative residual of 1.2e-8 is out; off
@@ -332,6 +342,36 @@ class TestTransport:
         xi[1, 2] = np.nan
         with pytest.raises(ValidationError, match="not tangent"):
             to_algebra(geom, x, xi)
+
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    @pytest.mark.parametrize(
+        "call", ["transport", "metric", "christoffel", "quotient_transport"])
+    def test_nontangent_vector_is_named(self, rng, call, arg):
+        q = stiefel_quotient(6, 2, 0.8)
+        x = random_so(rng, 6)
+        args = {name: x @ q.proj_m(asym(rng.standard_normal((6, 6))))
+                for name in ("xi", "eta")}
+        args[arg] = x @ rng.standard_normal((6, 6))
+        fn = {"transport": partial(transport, q.geom, t=1.0),
+              "metric": partial(metric, q.geom),
+              "christoffel": partial(christoffel, q.geom),
+              "quotient_transport": partial(quotient_transport, q, t=1.0)}
+        with pytest.raises(ValidationError,
+                           match=f"^{arg} is not tangent: algebra residual"):
+            fn[call](x=x, **args)
+
+    def test_to_algebra_solves_a_stack(self, rng):
+        x = random_glp(rng, 4)
+        xi = rng.standard_normal((2, 3, 4, 4))
+        a = to_algebra(gl_geom(4, 0.7), x, xi)
+        assert a.shape == xi.shape
+        assert np.linalg.norm(x @ a - xi) <= 1e-13 * np.linalg.norm(xi)
+        assert np.array_equal(a[1, 2], to_algebra(gl_geom(4, 0.7), x, xi[1, 2]))
+
+    def test_condition_warning_names_its_norm(self):
+        with pytest.warns(RuntimeWarning,
+                          match=r"condition number 1\.00e\+14 \(1-norm"):
+            to_algebra(gl_geom(2, 0.7), np.diag([1.0, 1e-14]), np.eye(2))
 
     def test_condition_warning_once_per_call(self, rng):
         geom = gl_geom(2, 0.7)
@@ -479,16 +519,32 @@ LOG_PARAMETER = st.floats(-3.0, np.log10(50.0)).map(lambda e: 10.0 ** e)
 def chebyshev_case(kind, n, par, rng):
     """(a -> P_a, its geometry, an orthonormal basis of its operand space)
     for a definite metric: SO and the Stiefel quotient at alpha = par, GL
-    at beta = par, and a generic SO GroupGeometry at alpha = par."""
+    at beta = par, a generic SO GroupGeometry at alpha = par, the flag
+    quotient at alpha = 1/2 (where its transport has constant
+    coefficients), and definite generic geometries with |beta| = par or
+    2 par: gl(n), or so_split(n, d) rebuilt by dataclasses.replace, which
+    declares no block, under weights of either sign."""
     d = int(rng.integers(1, n))
     if kind == "gl":
         geom = GLGeometry(n, par)
         return (partial(gl_transport_operator, geom), geom,
                 subspace_basis(geom.split, geom.split.proj_g))
-    if kind == "quotient":
-        q = stiefel_quotient(n, d, par)
+    if kind in ("quotient", "flag"):
+        cuts = sorted(rng.choice(np.arange(1, d), int(rng.integers(0, d)),
+                                 replace=False)) if d > 1 else []
+        q = stiefel_quotient(n, d, par) if kind == "quotient" else \
+            flag_quotient(n, np.diff([0, *cuts, d]), 0.5)
         return (partial(horizontal_transport_operator, q), q.geom,
                 subspace_basis(q.geom.split, q.proj_m))
+    if kind == "generic":
+        sign = rng.choice([-1.0, 1.0])
+        split, params = (gl_split(n), MetricParams(sign, sign * par)) \
+            if rng.integers(2) else (dataclasses.replace(so_split(n, d)),
+                                     MetricParams(-0.5 * sign, sign * par))
+        geom = GroupGeometry(split=split, params=params)
+        assert geom.definite and split.so_block is None
+        return (partial(transport_operator, geom), geom,
+                subspace_basis(split, split.proj_g))
     geom = SOGeometry(n, d, par)
     basis = subspace_basis(geom.split, geom.split.proj_g)
     if kind == "so":
@@ -501,6 +557,15 @@ def random_element(rng, basis):
     return sum(rng.standard_normal() * v for v in basis)
 
 
+def block_part(a, d, part):
+    """a with only its so_split(n, d) block `part` kept ("all" keeps a):
+    the near-tight cases of the three-block bound."""
+    top = np.arange(a.shape[0]) < d
+    keep = {"all": np.ones(a.shape, dtype=bool), "a_a": np.outer(top, top),
+            "o": np.not_equal.outer(top, top), "q": np.outer(~top, ~top)}
+    return np.where(keep[part], a, 0.0)
+
+
 def balanced_matrix(op, geom, basis):
     """D P_a D^{-1} in an orthonormal basis of the operand space, with
     D = sqrt|beta1| on a and sqrt|beta0| on its complement."""
@@ -510,8 +575,10 @@ def balanced_matrix(op, geom, basis):
         ma = split.proj_a(m)
         return abs(params.beta1) ** (power / 2) * ma \
             + abs(params.beta0) ** (power / 2) * (m - ma)
-    return np.array([[np.sum(c * scale(op.apply(scale(b, -1)), 1))
-                      for b in basis] for c in basis])
+    flat = np.array([b.reshape(-1) for b in basis])
+    images = np.array([scale(op.apply(scale(b, -1)), 1).reshape(-1)
+                       for b in basis])
+    return flat @ images.T
 
 
 def six_product_apply(a, beta, proj_a, b):
@@ -526,17 +593,72 @@ def six_product_adjoint(a, beta, proj_a, b):
 
 
 class TestChebyshevRoute:
-    @pytest.mark.parametrize("kind", ["so", "gl", "quotient", "group"])
-    @given(n=st.integers(2, 6), par=LOG_PARAMETER, seed=st.integers(0, 10_000))
-    def test_rho_dominates_balanced_two_norm(self, kind, n, par, seed):
+    @pytest.mark.parametrize(
+        "kind", ["so", "gl", "quotient", "group", "flag", "generic"])
+    @given(n=st.integers(2, 12), par=LOG_PARAMETER,
+           part=st.sampled_from(["all", "a_a", "o", "q"]),
+           seed=st.integers(0, 10_000))
+    @example(n=12, par=1e-3, part="all", seed=0)
+    @example(n=12, par=50.0, part="all", seed=1)
+    @example(n=9, par=1e-3, part="o", seed=2)
+    @example(n=9, par=50.0, part="a_a", seed=3)
+    @example(n=9, par=0.3, part="q", seed=4)
+    def test_rho_dominates_balanced_two_norm(self, kind, n, par, part, seed):
         rng = np.random.default_rng(seed)
         make, geom, basis = chebyshev_case(kind, n, par, rng)
-        op = make(random_element(rng, basis))
+        a = random_element(rng, basis)
+        if geom.split.so_block is not None:
+            a = block_part(a, geom.split.so_block, part)
+        op = make(a)
         mat = balanced_matrix(op, geom, basis)
         # the balancing makes P_a Frobenius-antisymmetric on its operands
         assert np.linalg.norm(mat + mat.T) \
             <= 1e-12 * max(1.0, np.linalg.norm(mat))
         assert op.skew_two_norm_bound >= np.linalg.norm(mat, 2)
+
+    @pytest.mark.parametrize("kind", ["so", "group", "quotient"])
+    def test_rho_is_close_to_the_balanced_two_norm(self, kind):
+        # the generic two-block bound sits near 2x at n = 12; the
+        # so_split blocks bring the median under 1.5x
+        ratios = []
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            make, geom, basis = chebyshev_case(kind, 12, 0.8, rng)
+            op = make(random_element(rng, basis))
+            dense = np.linalg.norm(balanced_matrix(op, geom, basis), 2)
+            ratios.append(op.skew_two_norm_bound / dense)
+        assert np.median(ratios) <= 1.7
+
+    @pytest.mark.parametrize("t", [-5.0, 0.0, 1.0, 20.0])
+    @pytest.mark.parametrize("kind", ["so", "gl", "group", "generic"])
+    def test_batched_expa_matches_six_product_expm(self, kind, t):
+        rng = np.random.default_rng(11)
+        make, geom, basis = chebyshev_case(kind, 6, 0.8, rng)
+        a = random_element(rng, basis)
+        a /= np.sqrt(abs(beta_form(a, a, geom.split, geom.params)))
+        stack = np.array([random_element(rng, basis) for _ in range(3)])
+        dense = np.column_stack([
+            six_product_apply(a, geom.beta, geom.split.proj_a, e).reshape(-1)
+            for e in np.eye(36).reshape(36, 6, 6)])
+        want = stack.reshape(3, -1) @ scipy.linalg.expm(t * dense).T
+        got = expa(make(a), stack, t)
+        assert np.linalg.norm(got.reshape(3, -1) - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    def test_only_so_split_declares_its_block(self, rng):
+        split = so_split(6, 2)
+        assert split.so_block == 2 and gl_split(6).so_block is None
+        with pytest.raises(TypeError):
+            AlgebraSplit(n=6, proj_g=asym, proj_a=split.proj_a, so_block=2)
+        look_alike = dataclasses.replace(split)
+        assert look_alike.so_block is None
+        # the look-alike gets the generic bound: still sound, but looser
+        params = MetricParams(-0.5, 0.8)
+        a = asym(rng.standard_normal((6, 6)))
+        rho = [transport_operator(GroupGeometry(split=s, params=params),
+                                  a).skew_two_norm_bound
+               for s in (split, look_alike)]
+        assert rho[0] < rho[1]
 
     @pytest.mark.parametrize("t", [-5.0, 1.0, 20.0])
     @pytest.mark.parametrize("par", [1e-3, 0.8, 50.0])
