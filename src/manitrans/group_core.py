@@ -12,7 +12,20 @@ horizontal projection on a quotient; `p_a_operator(geom, a, quotient=None)`
 builds P_a for both, reading beta, proj_a, the projection norms and
 definiteness from the geometry (and pi_m from the quotient).  GLGeometry
 and SOGeometry (gl_so.py) are GroupGeometrys, so every function here
-takes them too.  On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with
+takes them too.
+
+geodesic, geodesic_velocity and transport are the one group engine; gl_so
+binds its entry points to them.  Two steps read the geometry.
+GroupGeometry.checked_algebra turns x and the named vectors into checked
+algebra elements: one LU of x with its condition estimate (to_algebra),
+or x^T as the inverse where the split declares an so_block and x is
+orthogonal; SOGeometry overrides it to refuse any other x.
+geodesic_factors gives exp(t (a - c a_a)) and the map m -> m exp(t c a_a),
+c = 1+beta; on an so_block split a_a lives in the top d x d block, so the
+map is a d x d exponential applied to the first d columns, for SO, its
+generic geometry and the Stiefel and flag quotients alike.
+
+On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with
 c = 1+beta, so P_a applies as ([b, a - c a_a] - c [b_a, a]) / 2, with its
 1/2 and c folded into matrices made once; on so_split [b_a, a] is one
 product of d rows and one of d columns.  Operands may be batched.
@@ -65,12 +78,14 @@ from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams, beta_form, projection_one_norm
 from .utils import (as_real, asym, block_norm_bound, check_square_operands,
-                    check_time, lie, two_norm_bound)
+                    check_time, hcat, lie, orthonormality_residual,
+                    two_norm_bound)
 
 TANGENCY_RTOL = 1e-9
 # to_algebra warns above this 1-norm condition number ||x||_1 ||x^{-1}||_1,
 # as LAPACK's gecon estimates it from x's LU (from below, mostly within 3x)
 CONDITION_WARN = 1e12
+ORTHOGONALITY_TOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 PROBE_SEED = 0  # random probes of the split and quotient-structure checks
 
@@ -120,6 +135,23 @@ class GroupGeometry:
     def beta(self):
         return self.params.beta
 
+    def checked_algebra(self, x, **named):
+        """x as a checked n x n float array, then X^{-1} v for each named
+        vector v, each refused by name if it is off the Lie algebra.
+
+        On a split with an so_block, an x within ORTHOGONALITY_TOL of
+        orthogonal has x^T as its inverse; otherwise one LU of x solves for
+        all of them and estimates its condition (to_algebra).
+        """
+        x, *vs = check_square_operands(self.n, x=x, **named)
+        if self.split.so_block is not None and \
+                orthonormality_residual(x) <= ORTHOGONALITY_TOL:
+            out = [x.T @ v for v in vs]
+        else:
+            out = to_algebra(self, x, np.stack(vs), validate=False)
+        _check_in_algebra(self.split, **dict(zip(named, out)))
+        return (x, *out)
+
 
 def _symmetry(m):
     """1 if m is symmetric, -1 if antisymmetric, 0 if zero, else None."""
@@ -129,14 +161,6 @@ def _symmetry(m):
     if np.linalg.norm(m - m.T) <= SYMMETRY_RTOL * scale:
         return 1
     return -1 if np.linalg.norm(m + m.T) <= SYMMETRY_RTOL * scale else None
-
-
-def solve_at(x, v):
-    """X^{-1} v by one LU solve; a singular x raises ValidationError."""
-    try:
-        return np.linalg.solve(x, v)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"x is singular: {exc}") from exc
 
 
 def _check_in_algebra(split, message=None, **named):
@@ -185,41 +209,50 @@ def christoffel(geom, x, xi, eta, validate=True):
     a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
     if validate:
         _check_in_algebra(geom.split, xi=a, eta=b)
-    bet = geom.beta
+    return _christoffel(geom, x, a, b)
+
+
+def _christoffel(geom, x, a, b):
+    """christoffel from a = X^{-1} xi and b = X^{-1} eta."""
     aa = geom.split.proj_a(a)
     ba = geom.split.proj_a(b)
     inner = -0.5 * (a @ b + b @ a) \
-        + 0.5 * (1.0 + bet) * (lie(aa, b) + lie(ba, a))
+        + 0.5 * (1.0 + geom.beta) * (lie(aa, b) + lie(ba, a))
     return x @ inner
 
 
 def geodesic_factors(geom, a, t):
-    """exp(t (a - (1+beta) a_a)) and exp(t (1+beta) a_a): the geodesic from
-    X with velocity X a is X times their product."""
+    """exp(t (a - c a_a)) and the map m -> m exp(t c a_a), c = 1+beta: the
+    geodesic from X with velocity X a is the map applied to X times the
+    first factor.  On a split with an so_block d, a_a lives in the top
+    d x d block, so the map right-multiplies the first d columns by a
+    d x d exponential."""
     aa = geom.split.proj_a(a)
-    bet = geom.beta
-    return (expaction.matrix_exponential(t * (a - (1.0 + bet) * aa)),
-            expaction.matrix_exponential(t * (1.0 + bet) * aa))
+    c = 1.0 + geom.beta
+    left = expaction.matrix_exponential(t * (a - c * aa))
+    d = geom.split.so_block
+    if d is None:
+        right = expaction.matrix_exponential(t * c * aa)
+        return left, lambda m: m @ right
+    small = expaction.matrix_exponential(t * c * aa[:d, :d])
+    return left, lambda m: hcat(m[:, :d] @ small, m[:, d:])
 
 
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
     t = check_time(t)
-    x, xi = check_square_operands(geom.n, x=x, xi=xi)
-    left, right = geodesic_factors(geom, to_algebra(geom, x, xi), t)
-    return x @ left @ right
+    x, a = geom.checked_algebra(x, xi=xi)
+    left, finish = geodesic_factors(geom, a, t)
+    return finish(x @ left)
 
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
     t = check_time(t)
-    x, xi = check_square_operands(geom.n, x=x, xi=xi)
-    a = to_algebra(geom, x, xi)
-    left, right = geodesic_factors(geom, a, t)
-    gamma = x @ left @ right
+    x, a = geom.checked_algebra(x, xi=xi)
+    left, finish = geodesic_factors(geom, a, t)
     # gamma^{-1} dgamma = right^{-1} a right, so dgamma = X left a right
-    dgamma = x @ left @ a @ right
-    return gamma, dgamma
+    return finish(x @ left), finish(x @ left @ a)
 
 
 def p_a_operator(geom, a, quotient=None):
@@ -322,9 +355,6 @@ def transport_operator(geom, a):
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
     t = check_time(t)
-    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a, w0 = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
-    _check_in_algebra(geom.split, xi=a, eta=w0)
-    left, right = geodesic_factors(geom, a, t)
-    w = expaction.expa(transport_operator(geom, a), w0, t)
-    return x @ left @ w @ right
+    x, a, w0 = geom.checked_algebra(x, xi=xi, eta=eta)
+    left, finish = geodesic_factors(geom, a, t)
+    return finish(x @ left @ expaction.expa(p_a_operator(geom, a), w0, t))

@@ -31,7 +31,7 @@ from .flag_grassmann import FlagSignature
 from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
-                         p_a_operator, to_algebra)
+                         _christoffel, p_a_operator, to_algebra)
 from .utils import (asym, check_square_operands, check_time,
                     coordinate_projection, lie)
 
@@ -147,8 +147,7 @@ def horizontal_christoffel(q, x, xi, eta, validate=True):
     if validate:
         _check_horizontal(q, a, "xi")
         _check_horizontal(q, b, "eta")
-    return group_core.christoffel(q.geom, x, xi, eta, validate=validate) \
-        - 0.5 * x @ q.proj_k(lie(a, b))
+    return _christoffel(q.geom, x, a, b) - 0.5 * x @ q.proj_k(lie(a, b))
 
 
 def horizontal_transport_operator(q, a):
@@ -197,8 +196,8 @@ def quotient_transport(q, x, xi, eta, t):
         w = w0
     else:
         w = _solve_w_ode(q, a, w0, t)
-    left, right = group_core.geodesic_factors(geom, a, t)
-    return x @ left @ w @ right
+    left, finish = group_core.geodesic_factors(geom, a, t)
+    return finish(x @ left @ w)
 
 
 def _block_diagonal_projection(offsets):

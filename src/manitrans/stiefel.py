@@ -29,8 +29,8 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
 from .utils import (as_real, asym, check_finite, check_operand, check_time,
-                    hcat, matrix_norms, sym, block_norm_bound,
-                    two_norm_bound)
+                    hcat, matrix_norms, orthonormality_residual, sym,
+                    block_norm_bound, two_norm_bound)
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
@@ -177,8 +177,9 @@ def check_point(y):
     if y.ndim != 2 or y.shape[0] <= y.shape[1]:
         raise DimensionError(f"y must be n x d with n > d, got shape {y.shape}")
     check_finite(y, "y")
-    if not np.linalg.norm(y.T @ y - np.eye(y.shape[1])) <= POINT_TOL:
-        raise ValidationError("columns are not orthonormal")
+    res = orthonormality_residual(y)
+    if not res <= POINT_TOL:
+        raise ValidationError(f"y is not orthonormal: residual {res:.3e}")
     return y
 
 

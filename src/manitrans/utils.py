@@ -45,6 +45,11 @@ def matrix_norms(m):
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
+def orthonormality_residual(m):
+    """||m^T m - I||_F: how far m's columns are from orthonormal."""
+    return np.linalg.norm(m.T @ m - np.eye(m.shape[1]))
+
+
 def as_real(m, name):
     """m as a float array; a complex or non-numeric m is refused by name,
     not cast (a cast would drop an imaginary part with only a warning)."""

@@ -262,6 +262,24 @@ class TestSOGeometry:
         with pytest.raises(ValidationError):
             so_geodesic(geom, 2.0 * np.eye(4), np.zeros((4, 4)), 1.0)
 
+    @pytest.mark.parametrize("name", ["so_transport", "so_geodesic",
+                                      "so_geodesic_velocity"])
+    def test_base_point_refusals_name_x(self, rng, name):
+        geom = SOGeometry(n=5, d=2, alpha=0.8)
+        x = random_so(rng, 5)
+        xi = random_so_tangent(rng, x)
+        call = {"so_transport": lambda x: so_transport(geom, x, xi, xi, 1.0),
+                "so_geodesic": lambda x: so_geodesic(geom, x, xi, 1.0),
+                "so_geodesic_velocity":
+                    lambda x: so_geodesic_velocity(geom, x, xi, 1.0)}[name]
+        reflected = x * np.array([-1.0, 1.0, 1.0, 1.0, 1.0])  # det -1
+        with pytest.raises(ValidationError,
+                           match="^x has nonpositive determinant"):
+            call(reflected)
+        with pytest.raises(ValidationError,
+                           match="^x is not orthogonal: residual 6.7"):
+            call(2.0 * x)
+
     def test_block_metric_on_lifted_tangents(self, rng):
         n, d = 6, 2
         geom = SOGeometry(n=n, d=d, alpha=0.8)
@@ -369,6 +387,35 @@ class TestSOTransport:
             moved = so_transport(geom, x, xi, eta, t)
             after = so_metric(geom, gam.T @ moved, gam.T @ moved)
             assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+
+
+class TestOneEngine:
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 12), data=st.data(),
+           alpha=st.sampled_from([1e-3, 0.8, 5.0]), t=st.floats(-5.0, 50.0))
+    def test_so_geometry_matches_generic_geometry(self, seed, n, data, alpha, t):
+        d = data.draw(st.integers(1, n - 1), label="d")
+        rng = np.random.default_rng(seed)
+        geom = SOGeometry(n=n, d=d, alpha=alpha)
+        x = random_so(rng, n)
+        xi, eta = (random_so_tangent(rng, x) / n for _ in range(2))
+        generic = group_of(geom)
+        for call in (lambda g, s: geodesic(g, s * x, s * xi, t),
+                     lambda g, s: geodesic_velocity(g, s * x, s * xi, t)[1],
+                     lambda g, s: transport(g, s * x, s * xi, s * eta, t)):
+            want = call(geom, 1.0)
+            assert rel_err(call(generic, 1.0), want) <= 1e-12
+            # 2x is not orthogonal, so the generic geometry solves by LU
+            assert rel_err(call(generic, 2.0) / 2.0, want) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["gl_geodesic", "gl_transport"])
+    def test_gl_warns_on_an_ill_conditioned_base(self, rng, name):
+        geom = GLGeometry(n=2, beta=0.7)
+        x = np.diag([1.0, 1e-14])
+        xi, eta = (x @ rng.standard_normal((2, 2)) for _ in range(2))
+        call = {"gl_geodesic": lambda: gl_geodesic(geom, x, xi, 0.5),
+                "gl_transport": lambda: gl_transport(geom, x, xi, eta, 0.5)}
+        with pytest.warns(RuntimeWarning, match="condition number 1.00e"):
+            call[name]()
 
 
 class TestLongAndNegativeTimes:

@@ -17,8 +17,8 @@ from manitrans.gl_so import (GLGeometry, SOGeometry, gl_geodesic, gl_metric,
                              gl_split, gl_transport, gl_transport_operator,
                              so_metric, so_split, so_transport_operator)
 from manitrans.group_core import (
-    GroupGeometry, christoffel, geodesic, geodesic_velocity, metric,
-    p_a_operator, to_algebra, transport, transport_operator)
+    GroupGeometry, christoffel, geodesic, geodesic_factors, geodesic_velocity,
+    metric, p_a_operator, to_algebra, transport, transport_operator)
 from manitrans.quotient import (flag_quotient, horizontal_transport_operator,
                                 quotient_transport, stiefel_quotient)
 from manitrans.utils import asym, lie, sym
@@ -150,6 +150,21 @@ class TestGeodesic:
         _, vel = geodesic_velocity(geom, x, xi, t)
         fd = (geodesic(geom, x, xi, t + h) - geodesic(geom, x, xi, t - h))
         assert np.linalg.norm(fd / (2 * h) - vel) <= 1e-7
+
+    @pytest.mark.parametrize("make", [
+        lambda: so_geom(7, 3, 0.8), lambda: stiefel_quotient(7, 3, 0.8).geom,
+        lambda: flag_quotient(7, (2, 1), 0.8).geom],
+        ids=["so_split", "stiefel_quotient", "flag_quotient"])
+    def test_block_right_factor_is_the_dense_exponential(self, rng, make):
+        geom = make()
+        assert geom.split.so_block == 3
+        a = geom.split.proj_g(rng.standard_normal((7, 7)))
+        m = rng.standard_normal((7, 7))
+        for t in (-5.0, 0.7, 5.0):
+            _, finish = geodesic_factors(geom, a, t)
+            right = scipy.linalg.expm(
+                t * (1.0 + geom.beta) * geom.split.proj_a(a))
+            assert rel_err(finish(m), m @ right) <= 1e-14
 
 
 class TestTransportOperator:

@@ -1,8 +1,8 @@
 """Every module of the package, its tests and its scripts uses each name
 it imports; every top-level _private name of the package is read somewhere
-in the package or its tests, and every top-level UPPER_CASE constant of the
-package is read, as that module's name, in the package, its tests, its
-scripts or the benchmark."""
+in the package or its tests, and every other top-level name of the package
+(UPPER_CASE constant, def, class or binding) is read, as that module's
+name, in the package, its tests, its scripts or the benchmark."""
 import ast
 import pathlib
 import re
@@ -142,4 +142,24 @@ QUALIFIED_READS = set().union(*(
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_constant_is_read(path):
     assert [n for n in constant_definitions(path.read_text())
+            if (path.stem, n) not in QUALIFIED_READS] == []
+
+
+def public_definitions(source):
+    """Top-level public names of source, constants aside."""
+    return [n for n in top_level_names(source) if not n.startswith("_")
+            and n not in constant_definitions(source)]
+
+
+def test_detects_unread_public_names():
+    own = "def used():\n    pass\ndef orphan():\n    pass\nalias = used\n"
+    other = "from pkg.own import alias\nprint(alias)\n"
+    reads = qualified_reads(own, "own") | qualified_reads(other, "other")
+    assert [n for n in public_definitions(own) if ("own", n) not in reads] \
+        == ["orphan"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_public_name_is_read(path):
+    assert [n for n in public_definitions(path.read_text())
             if (path.stem, n) not in QUALIFIED_READS] == []

@@ -3,12 +3,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from manitrans import oracle
+from manitrans import group_core, oracle, quotient
 from manitrans.errors import ValidationError
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import gl_split, so_split
 from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
-                                  geodesic_velocity, transport)
+                                  geodesic_velocity, to_algebra, transport)
 from manitrans.quotient import (
     QuotientGeometry, check_simplified_condition, flag_quotient,
     horizontal_christoffel, horizontal_transport_operator, quotient_transport,
@@ -166,6 +166,23 @@ class TestHorizontalChristoffel:
         got = horizontal_christoffel(q, x, xi, xi)
         want = christoffel(q.geom, x, xi, xi)
         assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_one_conversion_per_call(self, rng, monkeypatch, validate):
+        q = stiefel_quotient(6, 2, 0.8)
+        x = random_so(rng, 6)
+        xi = horizontal_vector(rng, q, x)
+        eta = horizontal_vector(rng, q, x)
+        a, b = to_algebra(q.geom, x, np.stack([xi, eta]))
+        want = christoffel(q.geom, x, xi, eta) - 0.5 * x @ q.proj_k(lie(a, b))
+        calls = []
+        for module in (group_core, quotient):
+            monkeypatch.setattr(
+                module, "to_algebra", lambda *args, real=module.to_algebra,
+                **kwargs: calls.append(1) or real(*args, **kwargs))
+        got = horizontal_christoffel(q, x, xi, eta, validate=validate)
+        assert len(calls) == 1
+        assert rel_err(got, want) <= 1e-15
 
     def test_vertical_correction_identity(self, rng):
         q = stiefel_quotient(6, 2, 0.8)

@@ -1203,6 +1203,13 @@ class TestBadInput:
         with pytest.raises(DimensionError, match=f"^{arg} has shape"):
             stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
 
+    def test_nonorthonormal_y_is_named(self, rng):
+        args = self.args(rng)
+        args["y"] = 1.01 * args["y"]
+        with pytest.raises(ValidationError,
+                           match="^y is not orthonormal: residual 4.0"):
+            stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
+
     def test_wrong_shape_y(self, rng):
         args = self.args(rng)
         args["y"] = args["y"][None]
