@@ -62,35 +62,33 @@ class BenchConfig:
 @dataclass(frozen=True)
 class Adapter:
     """One manifold's library calls, as the runners make them.  The one
-    transport seam sets up the geodesic once, then moves vector stacks."""
+    geodesic seam sets up a geodesic once and returns its transport, which
+    moves vector stacks, and its velocity."""
     random_point: Callable       # rng -> point
     random_tangent: Callable     # (rng, y) -> tangent at y
     metric: Callable             # (y, xi, eta) -> float
-    geodesic_velocity: Callable  # (y, xi, t) -> (gamma(t), dgamma/dt)
-    transporter: Callable        # (y, xi) -> f(etas, t), etas stacked
+    geodesic: Callable           # (y, xi) -> (f(etas, t), etas stacked;
+                                 #   t -> (gamma(t), dgamma/dt))
     christoffel: Callable        # (y, xi, eta), for the oracle
     tangency_residual: Callable  # (point, delta) -> 0 for a tangent delta
     columns: dict                # the CSV columns describing the instance
 
 
-def _planned(make_plan):
-    """Transporter running one Stiefel transport plan per geodesic."""
-    def transporter(y, xi):
+def _stiefel_coordinates(config, d_list, params, make_plan, **fields):
+    """What manifolds in Stiefel coordinates share: QR points, the metric
+    at params, one plan per geodesic (make_plan(y, xi)) for its transports
+    and velocity, and the CSV columns, d_list joined by '+'."""
+    def geodesic(y, xi):
         plan = make_plan(y, xi)
         # looked up per call, so the plan engine can be substituted
-        return lambda etas, t: stiefel.transport_with_plan(plan, y, etas, t)
-    return transporter
+        return (lambda etas, t: stiefel.transport_with_plan(
+            plan, plan.point, etas, t), plan.geodesic_velocity)
 
-
-def _stiefel_coordinates(config, d_list, params, **fields):
-    """What manifolds in Stiefel coordinates share: QR points, the metric
-    and geodesic at params, and the CSV columns, d_list joined by '+'."""
     return Adapter(
         random_point=lambda rng: np.linalg.qr(
             rng.standard_normal((config.n, sum(d_list))))[0],
         metric=partial(stiefel.metric_inner, params=params),
-        geodesic_velocity=lambda y, xi, t: stiefel.stiefel_geodesic_velocity(
-            y, xi, params, t),
+        geodesic=geodesic,
         columns={"n": config.n, "d": "+".join(map(str, d_list)),
                  "alpha": config.alpha, "beta": ""},
         **fields)
@@ -104,7 +102,7 @@ def _stiefel(config):
         config, (config.d,), params,
         random_tangent=lambda rng, y: stiefel.project_tangent(
             y, rng.standard_normal(y.shape)),
-        transporter=_planned(partial(stiefel.make_transport_plan, params=params)),
+        make_plan=partial(stiefel.make_transport_plan, params=params),
         christoffel=partial(stiefel.stiefel_christoffel, params=params),
         tangency_residual=lambda point, delta: float(
             np.linalg.norm(sym(point.T @ delta))))
@@ -120,7 +118,7 @@ def _canonical(config, sig, tangency_residual):
         config, sig.d_list, params,
         random_tangent=lambda rng, y: fg.flag_horizontal_project(
             sig, y, rng.standard_normal(y.shape)),
-        transporter=_planned(partial(fg.flag_transport_plan, sig)),
+        make_plan=partial(fg.flag_transport_plan, sig),
         christoffel=partial(fg.flag_christoffel, sig, params=params,
                             validate=False),
         tangency_residual=tangency_residual)
@@ -149,10 +147,13 @@ def _grassmann(config):
 
 
 def _group(geom, transport, **fields):
-    """SO and GL: the group Christoffel function; transport runs per vector."""
+    """SO and GL: the group Christoffel function and geodesic velocity;
+    transport runs per vector."""
     return Adapter(
-        transporter=lambda x, xi: lambda etas, t: np.stack(
-            [transport(geom, x, xi, eta, t) for eta in etas]),
+        geodesic=lambda x, xi: (
+            lambda etas, t: np.stack(
+                [transport(geom, x, xi, eta, t) for eta in etas]),
+            partial(group_core.geodesic_velocity, geom, x, xi)),
         christoffel=partial(group_core.christoffel, geom, validate=False),
         **fields)
 
@@ -172,7 +173,6 @@ def _so(config):
             np.linalg.qr(rng.standard_normal((n, n)))[0]),
         random_tangent=lambda rng, x: x @ asym(rng.standard_normal((n, n))),
         metric=lambda x, xi, eta: gl_so.so_metric(geom, x.T @ xi, x.T @ eta),
-        geodesic_velocity=partial(gl_so.so_geodesic_velocity, geom),
         # ||X^T delta + delta^T X||_F
         tangency_residual=lambda point, delta: 2.0 * float(
             np.linalg.norm(sym(point.T @ delta))),
@@ -191,7 +191,6 @@ def _gl(config):
         random_tangent=lambda rng, x: x @ rng.standard_normal((n, n)),
         metric=lambda x, xi, eta: gl_so.gl_metric(
             geom, np.linalg.solve(x, xi), np.linalg.solve(x, eta)),
-        geodesic_velocity=partial(group_core.geodesic_velocity, geom),
         # every ambient matrix is tangent on GL+; check finiteness only
         tangency_residual=lambda point, delta: (
             0.0 if np.all(np.isfinite(delta)) else np.inf),
@@ -217,12 +216,12 @@ def _unit_tangent(adapter, rng, y):
 
 
 def _instance(config):
-    """Adapter, seeded generator, point y, unit velocity xi, transport."""
+    """Adapter, seeded generator, point y, and the transport and velocity
+    of the geodesic from y with a unit velocity."""
     adapter = make_adapter(config)
     rng = np.random.default_rng(config.seed)
     y = adapter.random_point(rng)
-    xi = _unit_tangent(adapter, rng, y)
-    return adapter, rng, y, xi, adapter.transporter(y, xi)
+    return (adapter, rng, y, *adapter.geodesic(y, _unit_tangent(adapter, rng, y)))
 
 
 def _row(config, adapter, t, **values):
@@ -235,7 +234,7 @@ def run_timing(config):
     Every row's residual_check must pass; a failing residual aborts with a
     verification error rather than reporting the timing.
     """
-    adapter, rng, y, xi, transport = _instance(config)
+    adapter, rng, y, transport, velocity = _instance(config)
     etas = _unit_tangent(adapter, rng, y)[None]
 
     rows = []
@@ -246,7 +245,7 @@ def run_timing(config):
             start = time.perf_counter()
             delta = transport(etas, t)[0]
             times.append(time.perf_counter() - start)
-        gam = adapter.geodesic_velocity(y, xi, t)[0]
+        gam = velocity(t)[0]
         residual = adapter.tangency_residual(gam, delta)
         if not residual <= TANGENCY_GATE * max(1.0, float(np.linalg.norm(delta))):
             raise VerificationFailure(
@@ -263,12 +262,12 @@ def run_isometry(config):
     Vector lengths are integers in [1, 60] (Gaussian directions); the
     geodesic velocity has unit length.  Emits log10 of the max drift.
     """
-    adapter, rng, y, xi, transport = _instance(config)
+    adapter, rng, y, transport, velocity = _instance(config)
     lengths = rng.integers(1, 61, size=config.num_vectors)
     vectors = [length * _unit_tangent(adapter, rng, y) for length in lengths]
 
     stacked = np.stack(vectors)
-    points = [adapter.geodesic_velocity(y, xi, t)[0] for t in config.t_grid]
+    points = [velocity(t)[0] for t in config.t_grid]
     transported = [transport(stacked, t) for t in config.t_grid]
     drifts = oracle.gram_drift(
         vectors, transported, metric=adapter.metric,
@@ -288,26 +287,25 @@ def run_verify(config):
         raise ConfigError(
             f"verify needs t >= 0, the oracle integrating from t = 0; "
             f"got t={config.t_grid[0]}")
-    adapter, rng, y, xi, transport = _instance(config)
+    adapter, rng, y, transport, velocity = _instance(config)
     eta = _unit_tangent(adapter, rng, y)
 
     t_grid = np.array(config.t_grid)
     reference = oracle.integrate_transport(
-        adapter.christoffel, lambda t: adapter.geodesic_velocity(y, xi, t),
-        eta, np.concatenate([[0.0], t_grid]))
+        adapter.christoffel, velocity, eta, np.concatenate([[0.0], t_grid]))
 
     dt = 1e-3
     fd_end = max(3 * dt, min(0.1, t_grid[-1]))
     fd_grid = np.arange(0.0, fd_end + dt / 2, dt)
     fd_residual = oracle.transport_residual(
         [transport(eta[None], t)[0] for t in fd_grid],
-        [adapter.geodesic_velocity(y, xi, t)[0] for t in fd_grid],
+        [velocity(t)[0] for t in fd_grid],
         adapter.christoffel, dt)
 
     rows = []
     for idx, t in enumerate(t_grid, start=1):
         delta = transport(eta[None], t)[0]
-        gam = adapter.geodesic_velocity(y, xi, t)[0]
+        gam = velocity(t)[0]
         rows.append(_row(
             config, adapter, t,
             oracle_error=float(np.linalg.norm(delta - reference[idx])),

@@ -6,7 +6,8 @@ Y-coefficient is antisymmetric with zero flag diagonal blocks.  For the
 canonical metric the transport is the Stiefel one: flag_transport_plan
 returns a Stiefel transport plan at alpha = 1/2 whose operator has its top
 block masked on the flag diagonal, and stiefel.transport_with_plan runs it.
-Gr(n, d) is the flag with the one block (d,) (grassmann_transport).
+The flag geodesic is that plan's geodesic.  Gr(n, d) is the flag with the
+one block (d,) (grassmann_transport).
 """
 from dataclasses import dataclass
 
@@ -14,9 +15,8 @@ import numpy as np
 
 from . import stiefel
 from .errors import DimensionError, ValidationError
-from .stiefel import (
-    StiefelMetricParams, check_point, decompose_tangent, stiefel_geodesic)
-from .utils import as_real, check_size, check_time, matrix_norms, sym
+from .stiefel import StiefelMetricParams, check_point, decompose_tangent
+from .utils import as_real, check_operand, check_size, matrix_norms, sym
 
 CANONICAL_ALPHA = 0.5
 
@@ -63,9 +63,8 @@ def symf(sig, m):
 
 def flag_horizontal_project(sig, y, w):
     """Project an ambient n x d matrix onto the horizontal space at Y."""
-    w = as_real(w, "w")
-    if w.shape != (sig.n, sig.d) or y.shape != (sig.n, sig.d):
-        raise DimensionError("signature/shape mismatch")
+    y = check_operand(y, (sig.n, sig.d), "y")
+    w = check_operand(w, y.shape, "w")
     return w - y @ symf(sig, y.T @ w)
 
 
@@ -92,13 +91,9 @@ def flag_christoffel(sig, y, xi, eta, params, validate=True):
 
 
 def flag_transport_plan(sig, y, xi):
-    """Stiefel transport plan for the canonical flag transport along the
-    geodesic driven by the horizontal xi; reusable for many (eta, t).
-
-    Like stiefel.make_transport_plan's, its first transport factors the
-    skew exponent arguments once, and each later t costs one real product
-    per exponential.
-    """
+    """Stiefel transport plan for the canonical flag geodesic driven by
+    the horizontal xi; reusable for its geodesic and many (eta, t), as
+    stiefel.make_transport_plan's is."""
     return _plan(sig, check_point(y), xi)
 
 
@@ -114,15 +109,14 @@ def _plan(sig, y, xi):
 def flag_transport_canonical(sig, y, xi, eta, t):
     """Parallel transport of a horizontal eta, canonical metric only; one
     transport, so its plan takes scipy.linalg.expm (stiefel.single_time)."""
-    return stiefel.transport_with_plan(
-        stiefel.single_time(flag_transport_plan(sig, y, xi)), y, eta, t)
+    plan = stiefel.single_time(flag_transport_plan(sig, y, xi))
+    return stiefel.transport_with_plan(plan, plan.point, eta, t)
 
 
 def flag_geodesic(sig, y, xi, t):
-    """Geodesic of the canonical flag metric, identical to the Stiefel
-    formula."""
-    check_horizontal(sig, y, xi)
-    return stiefel_geodesic(y, xi, StiefelMetricParams(CANONICAL_ALPHA), t)
+    """Geodesic of the canonical flag metric: the geodesic of a one-t flag
+    plan, whose masked decomposition refuses a non-horizontal xi."""
+    return stiefel.single_time(flag_transport_plan(sig, y, xi)).geodesic(t)
 
 
 def grassmann_transport(y, xi, eta, t):
@@ -131,8 +125,6 @@ def grassmann_transport(y, xi, eta, t):
     Y^T v = 0 and A is zero: the operator and the small exponentials
     vanish, leaving one exponential of [[0, -R^T], [R, 0]] on [Y|Q].
     """
-    t = check_time(t)
     y = check_point(y)
-    sig = FlagSignature(d_list=(y.shape[1],), n=y.shape[0])
-    return stiefel.transport_with_plan(
-        stiefel.single_time(_plan(sig, y, xi)), y, eta, t)
+    plan = _plan(FlagSignature(d_list=(y.shape[1],), n=y.shape[0]), y, xi)
+    return stiefel.transport_with_plan(stiefel.single_time(plan), y, eta, t)

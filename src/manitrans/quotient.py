@@ -32,8 +32,7 @@ from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
                          _christoffel, p_a_operator, to_algebra)
-from .utils import (asym, check_square_operands, check_time,
-                    coordinate_projection, lie)
+from .utils import asym, check_time, coordinate_projection, lie
 
 HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
@@ -134,19 +133,21 @@ def check_simplified_condition(q):
     return True
 
 
-def _check_horizontal(q, a, name):
-    _check_in_algebra(q.geom.split, **{name: a})
-    res = np.linalg.norm(q.proj_k(a))
-    if res > HORIZONTALITY_RTOL * max(1.0, np.linalg.norm(a)):
-        raise ValidationError(f"{name} is not horizontal: residual {res:.3e}")
+def _check_horizontal(q, **named):
+    """Refuse each named algebra element, by name, if it is not horizontal."""
+    for name, a in named.items():
+        res = np.linalg.norm(q.proj_k(a))
+        if res > HORIZONTALITY_RTOL * max(1.0, np.linalg.norm(a)):
+            raise ValidationError(f"{name} is not horizontal: residual {res:.3e}")
 
 
 def horizontal_christoffel(q, x, xi, eta, validate=True):
-    """Group Christoffel minus the vertical correction X [a, b]_k / 2."""
+    """Group Christoffel minus the vertical correction X [a, b]_k / 2; by
+    to_algebra's LU, as the oracle calls it at off-manifold states."""
     a, b = to_algebra(q.geom, x, np.stack([xi, eta]), validate=False)
     if validate:
-        _check_horizontal(q, a, "xi")
-        _check_horizontal(q, b, "eta")
+        _check_in_algebra(q.geom.split, xi=a, eta=b)
+        _check_horizontal(q, xi=a, eta=b)
     return _christoffel(q.geom, x, a, b) - 0.5 * x @ q.proj_k(lie(a, b))
 
 
@@ -183,13 +184,12 @@ def _solve_w_ode(q, a, w0, t):
 
 def quotient_transport(q, x, xi, eta, t):
     """Parallel transport of a horizontal vector along the horizontal
-    geodesic, closed form when the simplified condition holds."""
+    geodesic, closed form when the simplified condition holds; x, xi and
+    eta are converted by GroupGeometry.checked_algebra (x^T if orthogonal)."""
     geom = q.geom
     t = check_time(t)
-    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a, w0 = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
-    _check_horizontal(q, a, "xi")
-    _check_horizontal(q, w0, "eta")
+    x, a, w0 = geom.checked_algebra(x, xi=xi, eta=eta)
+    _check_horizontal(q, xi=a, eta=w0)
     if q.simplified_ok:
         w = expaction.expa(horizontal_transport_operator(q, a), w0, t)
     elif t == 0.0:

@@ -10,9 +10,10 @@ Geodesics and the in-span part of transport live in the (d+k)-column
 subspace [Y|Q]; the out-of-span part of a transported vector only picks up
 a d x d rotation.  The transport factor in the middle is an exponential
 action of the operator P_AR over F = Skew_d x R^{k x d}, applied in its
-balanced form (p_bal_operator).  A transport plan holds these pieces for
-one geodesic and is the one transport engine, for Stiefel plans and, with
-a block mask, for canonical flag plans (flag_grassmann).
+balanced form (p_bal_operator).  A plan holds these pieces for one
+geodesic and is the one geodesic and transport engine, for Stiefel plans
+and, with a block mask, for canonical flag plans (flag_grassmann); the
+one-shot functions run a one-t plan (single_time).
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Operators and transports accept leading batch axes on the vectors.
@@ -109,6 +110,8 @@ class SkewExponential:
         self._right[half:half + odd] = wt @ q[:, 1::2].T
 
     def __call__(self, s):
+        if s == 0.0:  # exactly, as expm gives it: a geodesic starts at Y
+            return np.eye(self._right.shape[1])
         c = np.cos(s * self._sigma)[:, None]
         sn = np.sin(s * self._sigma)[:, None]
         at, bt = np.split(self._right, 2)
@@ -118,55 +121,81 @@ class SkewExponential:
 
 @dataclass(frozen=True)
 class StiefelTransportPlan:
-    """Precomputed pieces of the transport along one geodesic, reusable
-    for many (eta, t).
+    """Precomputed pieces of one geodesic, reusable for its geodesic,
+    geodesic velocity and transports at many (eta, t).
 
-    The first transport factors big_exp_arg and A, which
-    small_exp_arg = (1-2 alpha) A and normal_exp_arg = (1-alpha) A share,
-    once each (SkewExponential, O((d+k)^3) and O(d^3)); every transport
-    then forms its exponentials by one real product each instead of a
-    scipy.linalg.expm.  A zero A is not factored.
+    The first use factors big_exp_arg and A, whose multiples
+    (1-2 alpha) A and (1-alpha) A are the small exponents, once each
+    (SkewExponential, O((d+k)^3) and O(d^3)); every later t then forms its
+    exponentials by one real product each instead of a scipy.linalg.expm.
+    A zero exponent is not factored and its exponential is skipped.
     """
     decomposition: TangentDecomposition
     big_exp_arg: np.ndarray     # (d+k) x (d+k), antisymmetric
-    small_exp_arg: np.ndarray   # (1-2*alpha) A
-    normal_exp_arg: np.ndarray  # (1-alpha) A
-    p_op: expaction.LinearOperatorHandle  # balanced operator over F
     alpha: float
     basis: np.ndarray           # [Y|Q], cached to avoid per-call copies
+    point: np.ndarray           # the checked Y the plan was built at
     mask: np.ndarray = None     # flag diagonal blocks (flag plans only)
 
-    def exponentials(self, t):
-        """exp(t S) for S = big_exp_arg, small_exp_arg, normal_exp_arg;
-        None for a zero small or normal argument."""
-        big, a = self._factors
-        return (big(t),
-                a(t * (1.0 - 2.0 * self.alpha)) if self.small_exp_arg.any() else None,
-                a(t * (1.0 - self.alpha)) if self.normal_exp_arg.any() else None)
+    @cached_property
+    def p_op(self):  # the balanced operator over F; no geodesic reads it
+        return p_bal_operator(self.decomposition,
+                              StiefelMetricParams(self.alpha), self.mask)
 
     @cached_property
     def _factors(self):
         # built on first use, so building a plan costs no factorization;
         # assigned once complete, so a concurrent first use never reads a
         # partial factorization
-        a = self.decomposition.a
-        return (SkewExponential(self.big_exp_arg),
-                SkewExponential(a) if a.any() else None)
+        return _exponential_maps(self, SkewExponential)
+
+    def _geodesic_parts(self, t):
+        """exp(t big_exp_arg) and the map m -> m exp(t (1-2 alpha) A)."""
+        t = check_time(t)
+        big, small, _ = self._factors
+        e_small = small and small(t)
+        return big(t), lambda m: m if e_small is None else m @ e_small
+
+    def geodesic(self, t):
+        """The geodesic at time t,
+        gamma(t) = [Y|Q] exp(t big_exp_arg)[:, :d] exp(t (1-2 alpha) A)."""
+        e_big, right = self._geodesic_parts(t)
+        return self.basis @ right(e_big[:, :self.decomposition.d])
+
+    def geodesic_velocity(self, t):
+        """(gamma(t), dgamma/dt), by the product rule:
+        dgamma/dt = [Y|Q] exp(t big_exp_arg) [A; R] exp(t (1-2 alpha) A)."""
+        e_big, right = self._geodesic_parts(t)
+        dec = self.decomposition
+        return (self.basis @ right(e_big[:, :dec.d]),
+                self.basis @ right(e_big @ np.vstack([dec.a, dec.r])))
+
+
+def _exponential_maps(plan, factor):
+    """Maps t -> exp(t S) for S = big_exp_arg, (1-2 alpha) A and
+    (1-alpha) A, None for a zero S; factor(M) is s -> exp(s M)."""
+    a = plan.decomposition.a
+    big = factor(plan.big_exp_arg)
+    if not a.any():
+        return big, None, None
+    exp_a = factor(a)
+    small, normal = ((lambda t, c=c: exp_a(t * c)) if c else None
+                     for c in (1.0 - 2.0 * plan.alpha, 1.0 - plan.alpha))
+    return big, small, normal
 
 
 class _SingleTimePlan(StiefelTransportPlan):
-    """A plan transported at one t, where one scipy.linalg.expm per
-    argument costs less than factoring it."""
+    """A plan used at one t, where one scipy.linalg.expm per exponential
+    costs less than factoring its argument."""
 
-    def exponentials(self, t):
-        expm = scipy.linalg.expm
-        return (expm(t * self.big_exp_arg),
-                expm(t * self.small_exp_arg) if self.small_exp_arg.any() else None,
-                expm(t * self.normal_exp_arg) if self.normal_exp_arg.any() else None)
+    @property
+    def _factors(self):
+        return _exponential_maps(
+            self, lambda m: lambda s: scipy.linalg.expm(s * m))
 
 
 def single_time(plan):
-    """plan for the one-shot entry points, which transport once: its
+    """plan for the one-shot entry points, which use it once: its
     exponentials come from scipy.linalg.expm, unfactored."""
     return _SingleTimePlan(**{f.name: getattr(plan, f.name)
                               for f in dataclasses.fields(plan)})
@@ -202,9 +231,7 @@ def check_coefficient(coeff, scale, name, mask=None):
 
 def project_tangent(y, w):
     """Tangent projection W - Y sym(Y^T W)."""
-    w = as_real(w, "w")
-    if w.shape != y.shape:
-        raise DimensionError(f"shape mismatch {w.shape} vs {y.shape}")
+    w = check_operand(w, y.shape, "w")
     return w - y @ sym(y.T @ w)
 
 
@@ -233,9 +260,11 @@ def decompose_tangent(y, xi, mask=None):
     Any other xi (rank-deficient, n - d < d, ill-conditioned) takes pivoted
     QR.  Both routes end in _reorthonormalise, so the Cholesky route is
     CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014) with a
-    projection against Y between its two steps.  Every plan is built from
-    this decomposition, so this is where xi's shape and entries are
-    checked.
+    projection against Y between its two steps.  With perp ~ Q_1 T from
+    the first step (T = L_1^T, or R_p[:k] P^T from pivoted QR) and
+    Q_1 - Y Y^T Q_1 = Q L_2^T, R = Q^T perp = L_2^T T: no n-sized product.
+    Every plan is built from this decomposition, so this is where xi's
+    shape and entries are checked.
     """
     xi = check_operand(xi, y.shape, "xi")
     n, d = y.shape
@@ -249,27 +278,27 @@ def decompose_tangent(y, xi, mask=None):
     if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, scale):
         return TangentDecomposition(
             a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
-    q = _cholesky_qr(perp, CHOLQR_MAX_COND) if n - d >= d else None
-    if q is None:
-        q = _rank_revealing_basis(perp)
-    if q.shape[1]:
-        q = _reorthonormalise(y, q)
-    r = q.T @ xi
-    return TangentDecomposition(a=a, q=q, r=r, k=q.shape[1])
+    chol = _cholesky_qr(perp, CHOLQR_MAX_COND) if n - d >= d else None
+    q, tri = (chol[0], chol[1].T) if chol else _rank_revealing_basis(perp)
+    q, l2 = _reorthonormalise(y, q)
+    return TangentDecomposition(a=a, q=q, r=l2.T @ tri, k=q.shape[1])
 
 
 def _rank_revealing_basis(perp):
     """Columns of pivoted QR's Q whose pivot exceeds RANK_RTOL times the
-    largest."""
-    q, rr, _ = scipy.linalg.qr(perp, mode="economic", pivoting=True)
+    largest, and their rows of R unpivoted, T = R[:k] P^T: perp ~ Q[:, :k] T.
+    perp is not negligible, so its largest pivot is positive and k >= 1."""
+    q, rr, piv = scipy.linalg.qr(perp, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
-    k = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
-    return q[:, :k]
+    k = int(np.sum(diag > RANK_RTOL * diag[0]))
+    tri = np.empty((k, perp.shape[1]))
+    tri[:, piv] = rr[:k]
+    return q[:, :k], tri
 
 
 def _cholesky_qr(m, max_cond):
-    """One Cholesky-QR step: m L^{-T} for m^T m = L L^T, orthonormal up to
-    about cond_2(m)^2 eps.
+    """One Cholesky-QR step: the basis m L^{-T} for m^T m = L L^T,
+    orthonormal up to about cond_2(m)^2 eps, and L.
 
     None when the factorisation fails or the product of the 2-norm bounds
     of L and L^{-1} (utils.two_norm_bound), an upper bound on cond_2(m) =
@@ -284,11 +313,12 @@ def _cholesky_qr(m, max_cond):
     inv, _ = dtrtri(chol, lower=1)
     if not two_norm_bound(chol) * two_norm_bound(inv) < max_cond:
         return None
-    return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T
+    return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T, chol
 
 
 def _reorthonormalise(y, q):
-    """One projection against Y, then one Cholesky-QR step.
+    """One projection against Y, then one Cholesky-QR step: its basis and
+    its triangular factor.
 
     q is orthonormal up to a small Y-component and a small loss of
     orthogonality; on the pivoted-QR route its Y-component is about
@@ -298,45 +328,23 @@ def _reorthonormalise(y, q):
     part was lost to rounding, and this raises NumericalError.
     """
     proj = y @ (y.T @ q)
-    q = _cholesky_qr(np.subtract(q, proj, out=proj), REORTH_MAX_COND)
-    if q is None:
+    chol = _cholesky_qr(np.subtract(q, proj, out=proj), REORTH_MAX_COND)
+    if chol is None:
         raise NumericalError(
             "re-orthogonalisation failed: the Y-orthogonal part of xi is "
             "lost to rounding")
-    return q
-
-
-def _big_arg(decomp, alpha):
-    a, r, k = decomp.a, decomp.r, decomp.k
-    return np.block([[2.0 * alpha * a, -r.T],
-                     [r, np.zeros((k, k))]])
-
-
-def _geodesic_factors(y, xi, alpha, t):
-    """[Y|Q], the decomposition of xi and the two exponentials of the
-    geodesic at time t."""
-    t = check_time(t)
-    y = check_point(y)
-    decomp = decompose_tangent(y, xi)
-    e_big = scipy.linalg.expm(t * _big_arg(decomp, alpha))
-    e_small = scipy.linalg.expm(t * (1.0 - 2.0 * alpha) * decomp.a)
-    return hcat(y, decomp.q), decomp, e_big, e_small
+    return chol
 
 
 def stiefel_geodesic(y, xi, params, t):
-    """Geodesic through Y with velocity xi, evaluated at time t."""
-    yq, decomp, e_big, e_small = _geodesic_factors(y, xi, params.alpha, t)
-    return yq @ (e_big[:, :decomp.d] @ e_small)
+    """Geodesic through Y with velocity xi, evaluated at time t: the
+    geodesic of a one-t plan (single_time)."""
+    return single_time(make_transport_plan(y, xi, params)).geodesic(t)
 
 
 def stiefel_geodesic_velocity(y, xi, params, t):
-    """(gamma(t), dgamma/dt) by product-rule differentiation."""
-    yq, decomp, e_big, e_small = _geodesic_factors(y, xi, params.alpha, t)
-    d = decomp.d
-    ar = _big_arg(decomp, 0.5)  # [[A, -R^T], [R, 0]]
-    gam = yq @ (e_big[:, :d] @ e_small)
-    dgam = yq @ ((e_big @ ar)[:, :d] @ e_small)
-    return gam, dgam
+    """(gamma(t), dgamma/dt) from a one-t plan (single_time)."""
+    return single_time(make_transport_plan(y, xi, params)).geodesic_velocity(t)
 
 
 def p_bal_operator(decomp, params, mask=None):
@@ -443,24 +451,24 @@ def p_bal_two_norm_bound(decomp, params, mask=None):
 def plan_from_decomposition(y, decomp, params, mask=None):
     """Transport plan along the geodesic from Y with velocity Y A + Q R;
     mask clears the operator's top block (see p_bal_operator)."""
-    alpha = params.alpha
+    a, r, k = decomp.a, decomp.r, decomp.k
     return StiefelTransportPlan(
         decomposition=decomp,
-        big_exp_arg=_big_arg(decomp, alpha),
-        small_exp_arg=(1.0 - 2.0 * alpha) * decomp.a,
-        normal_exp_arg=(1.0 - alpha) * decomp.a,
-        p_op=p_bal_operator(decomp, params, mask),
-        alpha=alpha,
+        big_exp_arg=np.block([[2.0 * params.alpha * a, -r.T],
+                              [r, np.zeros((k, k))]]),
+        alpha=params.alpha,
         basis=hcat(y, decomp.q),
+        point=y,
         mask=mask)
 
 
 def make_transport_plan(y, xi, params):
-    """Decompose the geodesic velocity once for many transports.
+    """Decompose the geodesic velocity once for the geodesic and many
+    transports.
 
-    The plan's first transport also factors its two skew exponent
-    arguments, O((d+k)^3) once; each later t then costs one real product
-    per exponential (StiefelTransportPlan), no scipy.linalg.expm.
+    The plan's first use also factors its two skew exponent arguments,
+    O((d+k)^3) once; each later t then costs one real product per
+    exponential (StiefelTransportPlan), no scipy.linalg.expm.
     """
     y = check_point(y)
     return plan_from_decomposition(y, decompose_tangent(y, xi), params)
@@ -469,22 +477,24 @@ def make_transport_plan(y, xi, params):
 def transport_with_plan(plan, y, eta, t):
     """Transport eta (leading batch axes allowed) along the plan geodesic.
 
-    eta must be tangent at Y, and horizontal for a flag plan (plan.mask):
-    its Y-coefficient, the top d rows of [Y|Q]^T eta, is checked before
-    anything else, t = 0 included.  Never forms an n x n intermediate; the
-    largest arrays touched are the cached n x (d+k) basis and the result.
-    The out-of-span part is folded into the coefficient matrix, so at most
-    three n-sized products run per call, and [Y|Q] @ coeff accumulates into
-    the result in place.  A d x d exponential whose argument is zero is
-    skipped with its product.  y is not read: the plan caches [Y|Q].
+    y must be plan.point, the plan's base point: that object passes at
+    once, another array after an entry-wise compare.  eta must be tangent
+    at Y, and horizontal for a flag plan (plan.mask): its Y-coefficient,
+    the top d rows of [Y|Q]^T eta, is checked first, t = 0 included.
+    Never forms an n x n intermediate; the largest arrays touched are the
+    cached n x (d+k) basis and the result.  The out-of-span part is folded
+    into the coefficient matrix, so at most three n-sized products run per
+    call, and [Y|Q] @ coeff accumulates into the result in place.  A d x d
+    exponential whose argument is zero is skipped with its product.
 
-    The small exponentials come from plan.exponentials: for a plan from
-    make_transport_plan or flag_transport_plan, one real product each
-    after the factorization its first transport makes; for the one-shot
-    entry points' plans (single_time), scipy.linalg.expm.  t must be a
-    real finite scalar.
+    The small exponentials take one real product each after the
+    factorization a plan's first use makes (StiefelTransportPlan), or
+    scipy.linalg.expm for a one-shot plan (single_time).  t must be a real
+    finite scalar.
     """
     t = check_time(t)
+    if y is not plan.point and not np.array_equal(y, plan.point):
+        raise ValidationError("y is not the base point of the plan")
     yq = plan.basis
     d = plan.decomposition.d
     eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
@@ -500,7 +510,7 @@ def transport_with_plan(plan, y, eta, t):
     w[..., :d, :] /= salpha
 
     # yq (M) + (eta - yq w0) e_n  ==  yq (M - w0 e_n) + eta e_n
-    e_big, e_small, e_normal = plan.exponentials(t)
+    e_big, e_small, e_normal = (f and f(t) for f in plan._factors)
     coeff = e_big @ w
     if e_small is not None:
         coeff = coeff @ e_small
@@ -524,9 +534,8 @@ def stiefel_transport(y, xi, eta, params, t):
     One transport: its plan takes scipy.linalg.expm (single_time), which
     at one t costs less than the factorization a reused plan makes.
     """
-    y = check_point(y)
-    plan = plan_from_decomposition(y, decompose_tangent(y, xi), params)
-    return transport_with_plan(single_time(plan), y, eta, t)
+    plan = single_time(make_transport_plan(y, xi, params))
+    return transport_with_plan(plan, plan.point, eta, t)
 
 
 def stiefel_christoffel(y, xi, eta, params):

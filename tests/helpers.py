@@ -9,8 +9,8 @@ from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
 from manitrans.stiefel import (
     POINT_TOL, RANK_RTOL, TangentDecomposition, check_coefficient,
-    p_bal_norm_bound, project_tangent)
-from manitrans.utils import (asym, check_operand, check_square, lie,
+    decompose_tangent, p_bal_norm_bound, project_tangent)
+from manitrans.utils import (asym, check_operand, check_square, hcat, lie,
                              matrix_norms, sym)
 
 SUBSPACE_RANK_RTOL = 1e-10
@@ -338,10 +338,28 @@ def transport_reference(plan, eta, t):
     params = select_taylor_params(abs(t) * plan.p_op.one_norm_upper_bound)
     w = expa(plan.p_op, wb, t, params=params)
     w[..., :d, :] /= salpha
+    a = plan.decomposition.a
     e_big, e_small, e_normal = (
         scipy.linalg.expm(t * m) for m in
-        (plan.big_exp_arg, plan.small_exp_arg, plan.normal_exp_arg))
+        (plan.big_exp_arg, (1.0 - 2.0 * plan.alpha) * a, (1.0 - plan.alpha) * a))
     return yq @ (e_big @ w @ e_small) + (eta - yq @ w0) @ e_normal
+
+
+def stiefel_geodesic_reference(y, xi, alpha, t):
+    """(gamma(t), dgamma/dt) by the closed form evaluated directly:
+    xi = Y A + Q R with R = Q^T xi, E = expm(t [[2 alpha A, -R^T], [R, 0]]),
+    gamma = [Y|Q] E[:, :d] expm(t (1-2 alpha) A), and the product rule,
+    E [[A, -R^T], [R, 0]] in place of E.  The reference for the plan's
+    geodesic and geodesic velocity."""
+    dec = decompose_tangent(y, xi)
+    a, q, d, k = dec.a, dec.q, dec.d, dec.k
+    r = q.T @ xi
+    e_big = scipy.linalg.expm(t * np.block([[2.0 * alpha * a, -r.T],
+                                            [r, np.zeros((k, k))]]))
+    e_small = scipy.linalg.expm(t * (1.0 - 2.0 * alpha) * a)
+    ar = np.block([[a, -r.T], [r, np.zeros((k, k))]])
+    yq = hcat(y, q)
+    return yq @ (e_big[:, :d] @ e_small), yq @ ((e_big @ ar)[:, :d] @ e_small)
 
 
 def decompose_tangent_reference(y, xi):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import manitrans
+from manitrans import flag_grassmann, stiefel
 from manitrans.bench_cli import (
-    BenchConfig, build_parser, config_from_args, main, make_adapter,
+    Adapter, BenchConfig, build_parser, config_from_args, main, make_adapter,
     run_isometry, run_timing, run_verify, write_csv, CSV_SCHEMA_COMMENT)
 from manitrans.errors import ConfigError
 
@@ -118,6 +120,31 @@ class TestRunners:
         rows_a = run_isometry(config)
         rows_b = run_isometry(config)
         assert rows_a == rows_b
+
+
+class TestGeodesicSeam:
+    """One seam per instance gives the geodesic's transport and velocity."""
+
+    def test_adapter_has_one_geodesic_seam(self):
+        fields = {f.name for f in dataclasses.fields(Adapter)}
+        assert "geodesic" in fields
+        assert not fields & {"geodesic_velocity", "transporter"}
+
+    @pytest.mark.parametrize("runner", [run_verify, run_timing, run_isometry])
+    @pytest.mark.parametrize("manifold, size", [
+        ("stiefel", dict(n=8, d=3)), ("flag", dict(n=10, d_list=(2, 2))),
+        ("grassmann", dict(n=9, d=3))])
+    def test_one_decomposition_per_instance(self, monkeypatch, runner,
+                                            manifold, size):
+        # the RK oracle's geodesic velocity included
+        calls = []
+        real = stiefel.decompose_tangent
+        for module in (stiefel, flag_grassmann):
+            monkeypatch.setattr(module, "decompose_tangent", lambda *args, **kwargs:
+                                calls.append(1) or real(*args, **kwargs))
+        runner(BenchConfig(manifold=manifold, t_grid=(0.5, 1.0), repeats=2,
+                           num_vectors=3, seed=5, **size))
+        assert len(calls) == 1
 
 
 class TestCsvAndCli:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +18,7 @@ from manitrans.utils import asym, sym
 
 from helpers import (BAD_VALUES, NON_REAL, grassmann_transport_reference,
                      poisoned, random_stiefel, random_stiefel_tangent, refusal,
-                     rel_err, zero_flag_blocks)
+                     rel_err, stiefel_geodesic_reference, zero_flag_blocks)
 
 
 def random_horizontal(rng, sig, y):
@@ -111,6 +113,23 @@ class TestHorizontalProjection:
         with pytest.raises(ValidationError, match=f"^w {refusal(value)}"):
             flag_horizontal_project(
                 sig, y, **poisoned("w", value, w=rng.standard_normal((8, 3))))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["y", "w"])
+    def test_refuses_nonfinite_by_name(self, rng, arg, value):
+        sig = FlagSignature(d_list=(2, 1), n=8)
+        args = poisoned(arg, value, y=random_stiefel(rng, 8, 3),
+                        w=rng.standard_normal((8, 3)))
+        with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
+            flag_horizontal_project(sig, **args)
+
+    @pytest.mark.parametrize("arg", ["y", "w"])
+    def test_refuses_wrong_shape_by_name(self, rng, arg):
+        sig = FlagSignature(d_list=(2, 1), n=8)
+        args = dict(y=random_stiefel(rng, 8, 3), w=rng.standard_normal((8, 3)))
+        args[arg] = args[arg][:, :2]
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            flag_horizontal_project(sig, **args)
 
     def test_output_is_horizontal(self, rng):
         sig = FlagSignature(d_list=(2, 1), n=8)
@@ -437,6 +456,55 @@ class TestEngine:
             for eta, got in zip(etas, batch):
                 want = flag_transport_canonical(sig, y, xi, eta, t)
                 assert rel_err(got, want) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+           blocks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           t=st.floats(-20.0, 50.0))
+    @example(seed=1, n=7, blocks=[3, 3], t=50.0)
+    @example(seed=2, n=9, blocks=[3], t=-20.0)
+    def test_geodesic_is_the_plan_geodesic(self, seed, n, blocks, t):
+        # flag masks and Grassmann (one block): flag_geodesic against the
+        # Stiefel closed form at alpha = 1/2, the plan's geodesic and
+        # velocity, and transports against R = Q^T xi
+        d = sum(blocks)
+        n = max(n, d + 1)
+        rng = np.random.default_rng(seed)
+        sig = FlagSignature(d_list=tuple(blocks), n=n)
+        y = random_stiefel(rng, n, d)
+        xi = random_horizontal(rng, sig, y)
+        xi /= np.linalg.norm(xi)
+        eta = random_horizontal(rng, sig, y)
+        gam, vel = stiefel_geodesic_reference(y, xi, 0.5, t)
+        assert rel_err(flag_geodesic(sig, y, xi, t), gam) <= 1e-13
+        plan = flag_transport_plan(sig, y, xi)
+        plan.geodesic(0.1)
+        # expm's error in the reference grows with |t| ||S||_2
+        tol = 1e-13 * max(1.0, abs(t) * np.linalg.norm(plan.big_exp_arg, 2))
+        got_gam, got_vel = plan.geodesic_velocity(t)
+        assert rel_err(got_gam, gam) <= tol
+        assert rel_err(got_vel, vel) <= tol
+        dec = plan.decomposition
+        ref = stiefel.plan_from_decomposition(
+            y, dataclasses.replace(dec, r=dec.q.T @ xi),
+            StiefelMetricParams(0.5), mask=sig.block_mask)
+        tol = 1e-14 * max(1.0, abs(t) / 5.0)
+        assert rel_err(transport_with_plan(plan, y, eta, t),
+                       transport_with_plan(ref, y, eta, t)) <= tol
+        assert rel_err(flag_transport_canonical(sig, y, xi, eta, t),
+                       transport_with_plan(stiefel.single_time(ref), y, eta, t)) <= tol
+
+    def test_geodesic_checks_horizontality_in_the_decomposition(
+            self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("check_horizontal called")
+        monkeypatch.setattr(flag_grassmann, "check_horizontal", forbidden)
+        sig = FlagSignature(d_list=(2, 2), n=10)
+        y = random_stiefel(rng, 10, 4)
+        xi = random_horizontal(rng, sig, y)
+        flag_geodesic(sig, y, xi, 1.0)
+        with pytest.raises(ValidationError, match="^xi is not horizontal"):
+            flag_geodesic(sig, y, xi + y @ asym(rng.standard_normal((4, 4))), 1.0)
 
     @pytest.mark.parametrize("t", [-2.0, 200.0])
     @pytest.mark.parametrize("manifold", ["stiefel", "flag"])

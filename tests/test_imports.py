@@ -2,8 +2,10 @@
 it imports; every top-level _private name of the package is read somewhere
 in the package or its tests, and every other top-level name of the package
 (UPPER_CASE constant, def, class or binding) is read, as that module's
-name, in the package, its tests, its scripts or the benchmark."""
+name, in the package, its tests, its scripts or the benchmark.  Every
+package attribute the benchmark reads or wraps exists."""
 import ast
+import importlib
 import pathlib
 import re
 
@@ -163,3 +165,70 @@ def test_detects_unread_public_names():
 def test_every_public_name_is_read(path):
     assert [n for n in public_definitions(path.read_text())
             if (path.stem, n) not in QUALIFIED_READS] == []
+
+
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def package_reads(source):
+    """(module, attribute) pairs that source takes from the package: names
+    imported from its modules, attributes of the modules it imports, and
+    (module, "attribute", ...) tuples, the form the benchmark's tracer
+    wraps.  The package itself is the module ""."""
+    tree = ast.parse(source)
+    modules, pairs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, "") for alias in node.names
+                           if alias.name == "manitrans")
+        elif isinstance(node, ast.ImportFrom) and node.module == "manitrans":
+            modules.update((alias.asname or alias.name, alias.name)
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("manitrans."):
+            pairs.update((node.module.split(".", 1)[1], alias.name)
+                         for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            pairs.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            owner, attr = node.elts[:2]
+            if isinstance(owner, ast.Name) and owner.id in modules and \
+                    isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                pairs.add((modules[owner.id], attr.value))
+    return pairs
+
+
+def test_detects_package_reads():
+    source = ("import manitrans\nfrom manitrans import expaction as ex, stiefel\n"
+              "from manitrans.utils import asym\n"
+              "PLAIN = ((stiefel, 'check_point'),)\n"
+              "x = (ex, 'expa', None), ex.DENSE, manitrans.__file__\n")
+    assert package_reads(source) == {
+        ("utils", "asym"), ("stiefel", "check_point"), ("expaction", "expa"),
+        ("expaction", "DENSE"), ("", "__file__")}
+
+
+BENCHMARK_READS = {(path.name, *pair) for path in PERFBENCH
+                   for pair in package_reads(path.read_text())}
+
+
+def test_benchmark_reads_are_seen():
+    # the tracer's wrapped names and expa's selection, and a workload call
+    for want in (("tracer.py", "quotient", "to_algebra"),
+                 ("tracer.py", "expaction", "one_norm_estimate_exhaustive"),
+                 ("tracer.py", "expaction", "DENSE_FALLBACK_SCALINGS"),
+                 ("workloads.py", "stiefel", "transport_with_plan")):
+        assert want in BENCHMARK_READS
+
+
+def test_benchmark_reads_exist():
+    # a package change that drops one fails here, by name, not inside the
+    # traced smoke run
+    missing = sorted(
+        f"{path}: manitrans{'.' if module else ''}{module}.{attr}"
+        for path, module, attr in BENCHMARK_READS
+        if not hasattr(importlib.import_module(
+            "manitrans." + module if module else "manitrans"), attr))
+    assert missing == []

@@ -7,8 +7,10 @@ from manitrans import group_core, oracle, quotient
 from manitrans.errors import ValidationError
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import gl_split, so_split
+from manitrans.expaction import expa
 from manitrans.group_core import (GroupGeometry, christoffel, geodesic,
-                                  geodesic_velocity, to_algebra, transport)
+                                  geodesic_factors, geodesic_velocity,
+                                  to_algebra, transport)
 from manitrans.quotient import (
     QuotientGeometry, check_simplified_condition, flag_quotient,
     horizontal_christoffel, horizontal_transport_operator, quotient_transport,
@@ -250,6 +252,42 @@ class TestPOperator:
 
 
 class TestQuotientTransport:
+    @pytest.mark.parametrize("t", [-3.0, 1.0, 5.0])
+    @pytest.mark.parametrize("shape", [(6, (2,)), (12, (4,)), (7, (2, 2))],
+                             ids=["St(6,2)", "St(12,4)", "Flag(7;2,2)-ode"])
+    def test_converts_by_transpose(self, rng, monkeypatch, shape, t):
+        # an orthogonal x converts by x^T (checked_algebra), no LU; the
+        # output matches the LU conversion followed by the same formula
+        n, blocks = shape
+        q = flag_quotient(n, blocks, 0.8) if len(blocks) > 1 else \
+            stiefel_quotient(n, blocks[0], 0.8)
+        x = random_so(rng, n)
+        xi = horizontal_vector(rng, q, x)
+        eta = horizontal_vector(rng, q, x)
+        a, w0 = to_algebra(q.geom, x, np.stack([xi, eta]))
+        w = (expa(horizontal_transport_operator(q, a), w0, t) if q.simplified_ok
+             else quotient._solve_w_ode(q, a, w0, t))
+        left, finish = geodesic_factors(q.geom, a, t)
+        want = finish(x @ left @ w)
+        calls = []
+        for module in (group_core, quotient):
+            monkeypatch.setattr(
+                module, "to_algebra", lambda *args, real=module.to_algebra,
+                **kwargs: calls.append(1) or real(*args, **kwargs))
+        got = quotient_transport(q, x, xi, eta, t)
+        assert calls == []
+        assert rel_err(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    def test_rejects_nonhorizontal_by_name(self, rng, arg):
+        q = stiefel_quotient(6, 2, 0.8)
+        x = random_so(rng, 6)
+        args = dict(xi=horizontal_vector(rng, q, x),
+                    eta=horizontal_vector(rng, q, x))
+        args[arg] = x @ asym(rng.standard_normal((6, 6)))  # tangent
+        with pytest.raises(ValidationError, match=f"^{arg} is not horizontal"):
+            quotient_transport(q, x, t=1.0, **args)
+
     @pytest.mark.parametrize("arg", ["x", "xi", "eta"])
     def test_rejects_nonfinite(self, rng, arg):
         q = stiefel_quotient(6, 2, 0.8)

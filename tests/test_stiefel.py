@@ -19,7 +19,7 @@ from manitrans.stiefel import (
     CHOLQR_MAX_COND, RANK_RTOL, StiefelMetricParams, TangentDecomposition,
     check_point, decompose_tangent, make_transport_plan, metric_inner,
     p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
-    project_tangent, stiefel_christoffel, stiefel_geodesic,
+    project_tangent, single_time, stiefel_christoffel, stiefel_geodesic,
     stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym, two_norm_bound
 
@@ -27,7 +27,8 @@ from helpers import (
     BAD_VALUES, NON_REAL, check_tangent, decompose_tangent_reference,
     horizontal_lift, p_ar_apply, p_ar_operator, p_bal_norm_bound_display,
     poison_dtype, poisoned, random_so, random_stiefel, random_stiefel_tangent,
-    refusal, rel_err, transport_reference, zero_flag_blocks)
+    refusal, rel_err, stiefel_geodesic_reference, transport_reference,
+    zero_flag_blocks)
 
 
 def random_decomp(rng, d, k):
@@ -106,6 +107,17 @@ class TestPointAndTangent:
         y = random_stiefel(rng, 7, 3)
         with pytest.raises(ValidationError, match=f"^w {refusal(value)}"):
             project_tangent(y, **poisoned("w", value, w=rng.standard_normal((7, 3))))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_project_tangent_refuses_nonfinite_by_name(self, rng, value):
+        y = random_stiefel(rng, 7, 3)
+        with pytest.raises(ValidationError, match="^w has non-finite"):
+            project_tangent(y, **poisoned("w", value, w=rng.standard_normal((7, 3))))
+
+    def test_project_tangent_refuses_wrong_shape_by_name(self, rng):
+        y = random_stiefel(rng, 7, 3)
+        with pytest.raises(DimensionError, match="^w has shape"):
+            project_tangent(y, rng.standard_normal((7, 2)))
 
     def test_pure_normal_direction_projects_to_zero(self, rng):
         y = random_stiefel(rng, 7, 3)
@@ -251,6 +263,29 @@ class TestDecomposeTangent:
         recon = y @ decomp.a + decomp.q @ decomp.r
         assert np.linalg.norm(recon - xi) <= 1e-9 * max(1.0, np.linalg.norm(xi))
         assert decomp.k <= min(n - d, d)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+           d=st.integers(1, 8), log_cond=st.floats(0.0, 14.0),
+           zeros=st.integers(0, 8), span_only=st.booleans())
+    @example(seed=1, n=9, d=8, log_cond=0.0, zeros=0, span_only=False)
+    @example(seed=2, n=40, d=8, log_cond=3.0, zeros=4, span_only=False)
+    @example(seed=3, n=12, d=4, log_cond=0.0, zeros=0, span_only=True)
+    def test_r_from_triangular_factors(self, seed, n, d, log_cond, zeros,
+                                       span_only):
+        # R = L_2^T T from the factors of both routes is Q^T xi: k = 0,
+        # rank-deficient and ill-conditioned parts, and d = n - 1
+        n = max(n, d + 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        xi = prescribed_velocity(rng, y, pair_signature(n, d), log_cond, zeros)
+        if span_only:
+            xi = y @ (y.T @ xi)
+        dec = decompose_tangent(y, xi)
+        want = dec.q.T @ xi
+        assert dec.r.shape == want.shape
+        assert np.linalg.norm(dec.r - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestCholeskyQR2:
@@ -462,6 +497,139 @@ class TestGeodesic:
                     assert np.array_equal(a, b)
         finally:
             sys.setswitchinterval(interval)
+
+
+def unit_velocity(rng, y, rank):
+    """A unit tangent at Y whose Y-orthogonal part has rank `full`,
+    `deficient` (about half of that) or `zero` (k = 0)."""
+    n, d = y.shape
+    m = min(n - d, d)
+    xi = velocity_of_rank(rng, y, {"full": m, "deficient": (m + 1) // 2,
+                                   "zero": 0}[rank])
+    norm = np.linalg.norm(xi)
+    return xi / norm if norm else xi  # d = 1 has no A, so xi = 0 at k = 0
+
+
+class TestPlanGeodesic:
+    """The plan is the geodesic: its geodesic and velocity, one-shot and
+    reused, against the closed form evaluated directly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+           d=st.integers(1, 8),
+           rank=st.sampled_from(["full", "deficient", "zero"]),
+           alpha=st.sampled_from([1e-3, 0.5, 1.0, 5.0]),
+           t=st.floats(-20.0, 50.0))
+    @example(seed=1, n=9, d=8, rank="full", alpha=5.0, t=50.0)
+    @example(seed=2, n=30, d=8, rank="deficient", alpha=1e-3, t=-20.0)
+    @example(seed=3, n=12, d=4, rank="zero", alpha=1.0, t=50.0)
+    def test_matches_closed_form(self, seed, n, d, rank, alpha, t):
+        n = max(n, d + 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        xi = unit_velocity(rng, y, rank)
+        # one-shot calls take expm, as the reference does.  A reused plan
+        # takes SkewExponential, which stays near eps at any t; expm's
+        # error grows with |t| ||S||_2 (to 5.5e-12 against a 40-digit
+        # evaluation at |t| ||S||_2 = 264, where the plan's was 1.4e-13)
+        params = StiefelMetricParams(alpha)
+        gam, vel = stiefel_geodesic_reference(y, xi, alpha, t)
+        got_gam, got_vel = stiefel_geodesic_velocity(y, xi, params, t)
+        assert rel_err(got_gam, gam) <= 1e-13
+        assert rel_err(got_vel, vel) <= 1e-13
+        assert rel_err(stiefel_geodesic(y, xi, params, t), gam) <= 1e-13
+        plan = make_transport_plan(y, xi, params)
+        plan.geodesic(0.1)  # factored: later times take no expm
+        tol = 1e-13 * max(1.0, abs(t) * np.linalg.norm(plan.big_exp_arg, 2))
+        got_gam, got_vel = plan.geodesic_velocity(t)
+        assert rel_err(got_gam, gam) <= tol
+        assert rel_err(got_vel, vel) <= tol
+        assert np.array_equal(plan.geodesic(t), got_gam)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+           d=st.integers(1, 8),
+           rank=st.sampled_from(["full", "deficient", "zero"]),
+           alpha=st.sampled_from([1e-3, 0.5, 1.0, 5.0]),
+           t=st.floats(-20.0, 50.0), batch=st.sampled_from([(), (2,)]))
+    @example(seed=1, n=9, d=8, rank="full", alpha=5.0, t=50.0, batch=())
+    @example(seed=2, n=30, d=8, rank="deficient", alpha=1e-3, t=-20.0,
+             batch=(2,))
+    def test_transports_match_r_by_product(self, seed, n, d, rank, alpha, t,
+                                           batch):
+        # the same plans with R = Q^T xi: one rounding of R moves a
+        # transport by about |t| eps, so the bound grows past |t| = 5
+        n = max(n, d + 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        xi = unit_velocity(rng, y, rank)
+        eta = np.reshape([random_stiefel_tangent(rng, y)
+                          for _ in range(int(np.prod(batch)))], batch + y.shape)
+        params = StiefelMetricParams(alpha)
+        dec = decompose_tangent(y, xi)
+        ref = plan_from_decomposition(y, dataclasses.replace(dec, r=dec.q.T @ xi),
+                                      params)
+        tol = 1e-14 * max(1.0, abs(t) / 5.0)
+        assert rel_err(transport_with_plan(make_transport_plan(y, xi, params),
+                                           y, eta, t),
+                       transport_with_plan(ref, y, eta, t)) <= tol
+        if not batch:
+            assert rel_err(stiefel_transport(y, xi, eta, params, t),
+                           transport_with_plan(single_time(ref), y, eta, t)) <= tol
+
+    def test_velocity_is_the_derivative_at_a_reused_plan(self, rng):
+        y = random_stiefel(rng, 9, 4)
+        xi = random_stiefel_tangent(rng, y)
+        plan = make_transport_plan(y, xi, StiefelMetricParams(0.8))
+        plan.geodesic(0.1)
+        t, h = 1.3, 1e-5
+        _, vel = plan.geodesic_velocity(t)
+        fd = (plan.geodesic(t + h) - plan.geodesic(t - h)) / (2 * h)
+        assert np.linalg.norm(fd - vel) <= 1e-7
+
+    def test_starts_at_y_with_velocity_xi(self, rng):
+        y = random_stiefel(rng, 9, 4)
+        xi = random_stiefel_tangent(rng, y)
+        plan = make_transport_plan(y, xi, StiefelMetricParams(0.8))
+        plan.geodesic(1.0)
+        gam, vel = plan.geodesic_velocity(0.0)
+        assert np.array_equal(gam, y)
+        assert rel_err(vel, xi) <= 1e-14
+
+    @pytest.mark.parametrize("alpha, one_shot", [(0.8, 2), (1.0, 2), (0.5, 1)])
+    def test_expm_calls(self, rng, monkeypatch, alpha, one_shot):
+        # one-shot: exp(t big_exp_arg) and exp(t (1-2 alpha) A), the latter
+        # skipped when zero (alpha = 1/2); never the transport's third.
+        # A reused plan: none.
+        calls = []
+        real = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda m: calls.append(1) or real(m))
+        y = random_stiefel(rng, 9, 4)
+        xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(alpha)
+        for fn in (stiefel_geodesic, stiefel_geodesic_velocity):
+            calls.clear()
+            fn(y, xi, params, 0.7)
+            assert len(calls) == one_shot
+        plan = make_transport_plan(y, xi, params)
+        calls.clear()
+        for t in (0.5, 3.0):
+            plan.geodesic(t)
+            plan.geodesic_velocity(t)
+            transport_with_plan(plan, y, eta, t)
+        assert calls == []
+
+    def test_transport_refuses_another_base_point(self, rng):
+        y = random_stiefel(rng, 8, 3)
+        xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
+        plan = make_transport_plan(y, xi, StiefelMetricParams(0.8))
+        for other in (random_stiefel(rng, 8, 3), None):
+            with pytest.raises(ValidationError,
+                               match="^y is not the base point of the plan"):
+                transport_with_plan(plan, other, eta, 1.0)
+        assert np.array_equal(transport_with_plan(plan, y.copy(), eta, 1.0),
+                              transport_with_plan(plan, y, eta, 1.0))
 
 
 class TestPOperator:
