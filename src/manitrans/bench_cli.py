@@ -74,21 +74,26 @@ class Adapter:
     columns: dict                # the CSV columns describing the instance
 
 
-def _stiefel_coordinates(config, d_list, params, make_plan, **fields):
-    """What manifolds in Stiefel coordinates share: QR points, the metric
-    at params, one plan per geodesic (make_plan(y, xi)) for its transports
-    and velocity, and the CSV columns, d_list joined by '+'."""
+def _geodesic_seam(module, make_plan):
+    """geodesic(y, xi): one plan per geodesic (make_plan(y, xi)), whose
+    transport moves vector stacks, and its velocity."""
     def geodesic(y, xi):
         plan = make_plan(y, xi)
         # looked up per call, so the plan engine can be substituted
-        return (lambda etas, t: stiefel.transport_with_plan(
+        return (lambda etas, t: module.transport_with_plan(
             plan, plan.point, etas, t), plan.geodesic_velocity)
+    return geodesic
 
+
+def _stiefel_coordinates(config, d_list, params, make_plan, **fields):
+    """What manifolds in Stiefel coordinates share: QR points, the metric
+    at params, one Stiefel plan per geodesic and the CSV columns, d_list
+    joined by '+'."""
     return Adapter(
         random_point=lambda rng: np.linalg.qr(
             rng.standard_normal((config.n, sum(d_list))))[0],
         metric=partial(stiefel.metric_inner, params=params),
-        geodesic=geodesic,
+        geodesic=_geodesic_seam(stiefel, make_plan),
         columns={"n": config.n, "d": "+".join(map(str, d_list)),
                  "alpha": config.alpha, "beta": ""},
         **fields)
@@ -146,18 +151,6 @@ def _grassmann(config):
         lambda point, delta: float(np.linalg.norm(point.T @ delta)))
 
 
-def _group(geom, transport, **fields):
-    """SO and GL: the group Christoffel function and geodesic velocity;
-    transport runs per vector."""
-    return Adapter(
-        geodesic=lambda x, xi: (
-            lambda etas, t: np.stack(
-                [transport(geom, x, xi, eta, t) for eta in etas]),
-            partial(group_core.geodesic_velocity, geom, x, xi)),
-        christoffel=partial(group_core.christoffel, geom, validate=False),
-        **fields)
-
-
 def _positive_det(x):
     if np.linalg.det(x) < 0:
         x[:, 0] = -x[:, 0]
@@ -167,12 +160,14 @@ def _positive_det(x):
 def _so(config):
     n = config.n
     geom = gl_so.SOGeometry(n=n, d=config.d, alpha=config.alpha)
-    return _group(
-        geom, gl_so.so_transport,
+    return Adapter(
+        metric=partial(group_core.metric, geom),
+        geodesic=_geodesic_seam(
+            group_core, partial(group_core.make_transport_plan, geom)),
+        christoffel=partial(group_core.christoffel, geom, validate=False),
         random_point=lambda rng: _positive_det(
             np.linalg.qr(rng.standard_normal((n, n)))[0]),
         random_tangent=lambda rng, x: x @ asym(rng.standard_normal((n, n))),
-        metric=lambda x, xi, eta: gl_so.so_metric(geom, x.T @ xi, x.T @ eta),
         # ||X^T delta + delta^T X||_F
         tangency_residual=lambda point, delta: 2.0 * float(
             np.linalg.norm(sym(point.T @ delta))),
@@ -184,13 +179,14 @@ def _gl(config):
         raise ConfigError("gl needs n >= 1")
     n = config.n
     geom = gl_so.GLGeometry(n=n, beta=config.beta)
-    return _group(
-        geom, gl_so.gl_transport,
+    return Adapter(
+        metric=partial(group_core.metric, geom),
+        geodesic=_geodesic_seam(
+            group_core, partial(group_core.make_transport_plan, geom)),
+        christoffel=partial(group_core.christoffel, geom, validate=False),
         random_point=lambda rng: _positive_det(  # comfortably inside GL+
             rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)),
         random_tangent=lambda rng, x: x @ rng.standard_normal((n, n)),
-        metric=lambda x, xi, eta: gl_so.gl_metric(
-            geom, np.linalg.solve(x, xi), np.linalg.solve(x, eta)),
         # every ambient matrix is tangent on GL+; check finiteness only
         tangency_residual=lambda point, delta: (
             0.0 if np.all(np.isfinite(delta)) else np.inf),

@@ -14,16 +14,12 @@ definiteness from the geometry (and pi_m from the quotient).  GLGeometry
 and SOGeometry (gl_so.py) are GroupGeometrys, so every function here
 takes them too.
 
-geodesic, geodesic_velocity and transport are the one group engine; gl_so
-binds its entry points to them.  Two steps read the geometry.
-GroupGeometry.checked_algebra turns x and the named vectors into checked
-algebra elements: one LU of x with its condition estimate (to_algebra),
-or x^T as the inverse where the split declares an so_block and x is
-orthogonal; SOGeometry overrides it to refuse any other x.
-geodesic_factors gives exp(t (a - c a_a)) and the map m -> m exp(t c a_a),
-c = 1+beta; on an so_block split a_a lives in the top d x d block, so the
-map is a d x d exponential applied to the first d columns, for SO, its
-generic geometry and the Stiefel and flag quotients alike.
+A GroupTransportPlan (make_transport_plan) is the one group and quotient
+geodesic and transport engine; the one-shot entry points here, in gl_so
+and in quotient run a plan at one t.  Two steps read the geometry:
+check_point, which checks x once and keeps its map v -> X^{-1} v (x^T or
+an LU), and geodesic_factors, whose right factor on an so_block split is
+a d x d exponential applied to the first d columns.
 
 On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with
 c = 1+beta, so P_a applies as ([b, a - c a_a] - c [b_a, a]) / 2, with its
@@ -70,6 +66,7 @@ docstring gives the norm of its tail bound).
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
@@ -77,8 +74,9 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from . import expaction
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams, beta_form, projection_one_norm
-from .utils import (as_real, asym, block_norm_bound, check_square_operands,
-                    check_time, hcat, lie, orthonormality_residual,
+from .utils import (as_real, asym, block_norm_bound, check_finite,
+                    check_operand, check_time, hcat, identity, lie,
+                    matrix_norms, orthonormality_residual, refuse_residual,
                     two_norm_bound)
 
 TANGENCY_RTOL = 1e-9
@@ -99,6 +97,7 @@ class GroupGeometry:
     """
     split: AlgebraSplit
     params: MetricParams
+    special_orthogonal = False  # SOGeometry: points lie in SO(n) (check_point)
 
     @property
     def n(self):
@@ -135,23 +134,6 @@ class GroupGeometry:
     def beta(self):
         return self.params.beta
 
-    def checked_algebra(self, x, **named):
-        """x as a checked n x n float array, then X^{-1} v for each named
-        vector v, each refused by name if it is off the Lie algebra.
-
-        On a split with an so_block, an x within ORTHOGONALITY_TOL of
-        orthogonal has x^T as its inverse; otherwise one LU of x solves for
-        all of them and estimates its condition (to_algebra).
-        """
-        x, *vs = check_square_operands(self.n, x=x, **named)
-        if self.split.so_block is not None and \
-                orthonormality_residual(x) <= ORTHOGONALITY_TOL:
-            out = [x.T @ v for v in vs]
-        else:
-            out = to_algebra(self, x, np.stack(vs), validate=False)
-        _check_in_algebra(self.split, **dict(zip(named, out)))
-        return (x, *out)
-
 
 def _symmetry(m):
     """1 if m is symmetric, -1 if antisymmetric, 0 if zero, else None."""
@@ -164,21 +146,23 @@ def _symmetry(m):
 
 
 def _check_in_algebra(split, message=None, **named):
-    """Refuse each named matrix, by name unless message is given, if it is
-    off the Lie algebra by more than TANGENCY_RTOL max(1, its norm)."""
+    """Refuse each named matrix or stack, by name unless message is given,
+    if one of its matrices is off the Lie algebra by more than
+    TANGENCY_RTOL max(1, its norm); on gl(n) if one is not finite."""
     for name, v in named.items():
-        res = np.linalg.norm(v - split.proj_g(v))
-        if not res <= TANGENCY_RTOL * max(1.0, np.linalg.norm(v)):
-            raise ValidationError(message or f"{name} is not tangent: "
-                                  f"algebra residual {res:.3e}")
+        if split.proj_g is identity:
+            # gl(n): the residual v - proj_g(v) is zero on finite input
+            check_finite(v, name)
+            continue
+        off = v - split.proj_g(v)
+        if not np.linalg.norm(off) <= TANGENCY_RTOL:  # else every matrix passes
+            refuse_residual(matrix_norms(off), matrix_norms(v), TANGENCY_RTOL,
+                            message or f"{name} is not tangent: algebra residual")
 
 
-def to_algebra(geom, x, xi, validate=True):
-    """Group-relative velocity a = X^{-1} xi by one LU of x, which also
-    gives its condition estimate (CONDITION_WARN); xi may stack vectors.
-    Raises, naming xi, if a result is not in the Lie algebra, unless
-    validate=False: the ODE oracle probes off-manifold states, and callers
-    that stack xi and eta check each by name (_check_in_algebra)."""
+def _lu_solver(x):
+    """v -> X^{-1} v on stacks, by one LU of x, which also gives its
+    condition estimate (CONDITION_WARN)."""
     lu, piv, info = dgetrf(x)
     if info > 0:
         raise ValidationError("x is singular: its LU factorization has a zero pivot")
@@ -187,20 +171,57 @@ def to_algebra(geom, x, xi, validate=True):
         cond = 1.0 / rcond if rcond else np.inf
         warnings.warn(f"base point condition number {cond:.2e} (1-norm "
                       f"estimate) exceeds {CONDITION_WARN:.0e}", RuntimeWarning)
-    n = x.shape[0]
-    a, _ = dgetrs(lu, piv, np.moveaxis(xi, -2, 0).reshape(n, -1))
-    a = np.moveaxis(a.reshape(n, *xi.shape[:-2], n), 0, -2)
+
+    def solve(v, n=x.shape[0]):
+        a, _ = dgetrs(lu, piv, np.moveaxis(v, -2, 0).reshape(n, -1))
+        return np.moveaxis(a.reshape(n, *v.shape[:-2], n), 0, -2)
+    return solve
+
+
+def to_algebra(geom, x, xi, validate=True):
+    """Group-relative velocity a = X^{-1} xi by one LU of x (_lu_solver);
+    xi may stack vectors.  Raises, naming xi, if a result is not in the
+    Lie algebra, unless validate=False: the ODE oracle probes off-manifold
+    states, and callers that stack xi and eta check each by name
+    (_check_in_algebra)."""
+    a = _lu_solver(x)(xi)
     if validate:
-        for v in a.reshape(-1, n, n):
-            _check_in_algebra(geom.split, xi=v)
+        _check_in_algebra(geom.split, xi=a)
     return a
 
 
+def check_point(geom, x):
+    """x as a checked n x n float array and its map v -> X^{-1} v on
+    stacks: x^T where the split has an so_block and x is orthogonal to
+    ORTHOGONALITY_TOL (SOGeometry refuses any other x, and det x = -1),
+    else one LU (_lu_solver)."""
+    x = check_operand(x, (geom.n, geom.n), "x")
+    if geom.split.so_block is not None:
+        res = orthonormality_residual(x)
+        if res <= ORTHOGONALITY_TOL:
+            if geom.special_orthogonal and np.linalg.slogdet(x)[0] <= 0:
+                raise ValidationError("x has nonpositive determinant")
+            return x, lambda v: x.T @ v
+        if geom.special_orthogonal:
+            raise ValidationError(f"x is not orthogonal: residual {res:.3e}")
+    return x, _lu_solver(x)
+
+
+def _algebra(geom, quotient, solve, v, name, batched=True):
+    """solve(v) = X^{-1} v for a finite v of trailing shape n x n, refused
+    by name off the Lie algebra or, on a quotient, not horizontal."""
+    b = solve(check_operand(v, (geom.n, geom.n), name, batched))
+    _check_in_algebra(geom.split, **{name: b})
+    if quotient is not None:
+        quotient.check_horizontal(**{name: b})
+    return b
+
+
 def metric(geom, x, xi, eta):
-    """Left-invariant metric value <xi, eta> at x."""
-    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
-    a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
-    _check_in_algebra(geom.split, xi=a, eta=b)
+    """Left-invariant metric value <xi, eta> at x, converted by check_point."""
+    x, solve = check_point(geom, x)
+    a, b = (_algebra(geom, None, solve, v, name, batched=False)
+            for name, v in (("xi", xi), ("eta", eta)))
     return beta_form(a, b, geom.split, geom.params)
 
 
@@ -222,11 +243,11 @@ def _christoffel(geom, x, a, b):
 
 
 def geodesic_factors(geom, a, t):
-    """exp(t (a - c a_a)) and the map m -> m exp(t c a_a), c = 1+beta: the
-    geodesic from X with velocity X a is the map applied to X times the
-    first factor.  On a split with an so_block d, a_a lives in the top
-    d x d block, so the map right-multiplies the first d columns by a
-    d x d exponential."""
+    """exp(t (a - c a_a)) and the map m -> m exp(t c a_a), c = 1+beta, on
+    m or a stack of them: the geodesic from X with velocity X a is the map
+    applied to X times the first factor.  On a split with an so_block d,
+    a_a lives in the top d x d block, so the map right-multiplies the
+    first d columns by a d x d exponential."""
     aa = geom.split.proj_a(a)
     c = 1.0 + geom.beta
     left = expaction.matrix_exponential(t * (a - c * aa))
@@ -235,24 +256,76 @@ def geodesic_factors(geom, a, t):
         right = expaction.matrix_exponential(t * c * aa)
         return left, lambda m: m @ right
     small = expaction.matrix_exponential(t * c * aa[:d, :d])
-    return left, lambda m: hcat(m[:, :d] @ small, m[:, d:])
+    return left, lambda m: hcat(m[..., :d] @ small, m[..., d:])
+
+
+@dataclass(frozen=True)
+class GroupTransportPlan:
+    """One group or quotient geodesic from the checked x = point, whose map
+    v -> X^{-1} v is solve (check_point), with velocity X a; reusable for
+    its geodesic, velocity and transports at many (eta, t).  P_a is built
+    on the first transport at t != 0 without a quotient ODE."""
+    geom: GroupGeometry
+    point: np.ndarray
+    a: np.ndarray
+    solve: Callable[[np.ndarray], np.ndarray]
+    quotient: object = None     # a quotient.QuotientGeometry over geom
+
+    @cached_property
+    def p_op(self):
+        return p_a_operator(self.geom, self.a, self.quotient)
+
+    def geodesic(self, t):
+        left, finish = geodesic_factors(self.geom, self.a, check_time(t))
+        return finish(self.point @ left)
+
+    def geodesic_velocity(self, t):
+        """(gamma(t), dgamma/dt), by closed-form differentiation."""
+        left, finish = geodesic_factors(self.geom, self.a, check_time(t))
+        # gamma^{-1} dgamma = right^{-1} a right, so dgamma = X left a right
+        return finish(self.point @ left), finish(self.point @ left @ self.a)
+
+
+def make_transport_plan(geom, x, xi, quotient=None):
+    """The plan of the geodesic from x with velocity xi, each checked by
+    name; on a quotient (a quotient.QuotientGeometry over geom) xi must be
+    horizontal."""
+    x, solve = check_point(geom, x)
+    a = _algebra(geom, quotient, solve, xi, "xi", batched=False)
+    return GroupTransportPlan(geom, x, a, solve, quotient)
+
+
+def transport_with_plan(plan, x, eta, t):
+    """Transport eta (leading batch axes allowed) along the plan geodesic.
+
+    x must be plan.point: that object passes at once, another array after
+    an entry-wise compare.  eta is checked by name first, t = 0 included;
+    one expa runs over the whole stack, a quotient ODE per vector.
+    """
+    t = check_time(t)
+    if x is not plan.point and not np.array_equal(x, plan.point):
+        raise ValidationError("x is not the base point of the plan")
+    q = plan.quotient
+    w = _algebra(plan.geom, q, plan.solve, eta, "eta")
+    if q is not None and not q.simplified_ok:
+        if t != 0.0:
+            w = q.solve_transport_ode(plan.a, w, t)
+    else:  # at t = 0 expa returns a copy; making it here spares P_a
+        w = expaction.expa(plan.p_op, w, t) if t != 0.0 else w.copy()
+    left, finish = geodesic_factors(plan.geom, plan.a, t)
+    return finish(plan.point @ left @ w)
 
 
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
     t = check_time(t)
-    x, a = geom.checked_algebra(x, xi=xi)
-    left, finish = geodesic_factors(geom, a, t)
-    return finish(x @ left)
+    return make_transport_plan(geom, x, xi).geodesic(t)
 
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
     t = check_time(t)
-    x, a = geom.checked_algebra(x, xi=xi)
-    left, finish = geodesic_factors(geom, a, t)
-    # gamma^{-1} dgamma = right^{-1} a right, so dgamma = X left a right
-    return finish(x @ left), finish(x @ left @ a)
+    return make_transport_plan(geom, x, xi).geodesic_velocity(t)
 
 
 def p_a_operator(geom, a, quotient=None):
@@ -348,13 +421,12 @@ def transport_operator(geom, a):
     2-norm bound, set when geom.definite, O(n^3) (module docstring)."""
     a = as_real(a, "a")
     _check_in_algebra(geom.split, "operator coefficient is not in the Lie "
-                      "algebra", a=a)
+                      "algebra: residual", a=a)
     return p_a_operator(geom, a)
 
 
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
     t = check_time(t)
-    x, a, w0 = geom.checked_algebra(x, xi=xi, eta=eta)
-    left, finish = geodesic_factors(geom, a, t)
-    return finish(x @ left @ expaction.expa(p_a_operator(geom, a), w0, t))
+    plan = make_transport_plan(geom, x, xi)
+    return transport_with_plan(plan, plan.point, eta, t)

@@ -17,6 +17,12 @@ give it the block-diagonal vertical projections of their subgroups.
 
 Otherwise the middle factor solves a linear ODE with variable coefficients,
 integrated adaptively.
+
+Geodesics and transports run on a group_core plan built with the
+quotient, group_core.make_transport_plan(q.geom, x, xi, q): it refuses a
+non-horizontal xi or eta by name (check_horizontal) and, where the
+condition fails, solves the ODE one vector of the stack at a time
+(solve_transport_ode); quotient_transport is its one-t wrapper.
 """
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,7 +38,8 @@ from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
                          _christoffel, p_a_operator, to_algebra)
-from .utils import asym, check_time, coordinate_projection, lie
+from .utils import (block_diagonal_asym, check_time, lie, matrix_norms,
+                    refuse_residual)
 
 HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
@@ -59,6 +66,20 @@ class QuotientGeometry:
 
     def proj_m(self, m):
         return self.geom.split.proj_g(m) - self.proj_k(m)
+
+    def check_horizontal(self, **named):
+        """Refuse each named algebra element or stack, by name, if one of
+        its matrices is not horizontal."""
+        for name, a in named.items():
+            vertical = self.proj_k(a)
+            # below the tolerance every matrix passes (_check_in_algebra)
+            if not np.linalg.norm(vertical) <= HORIZONTALITY_RTOL:
+                refuse_residual(matrix_norms(vertical), matrix_norms(a),
+                                HORIZONTALITY_RTOL, f"{name} is not horizontal: residual")
+
+    def solve_transport_ode(self, a, w0, t):
+        """The middle transport factor where simplified_ok fails."""
+        return _solve_w_ode(self, a, w0, t)
 
     @cached_property
     def proj_m_norm(self):
@@ -133,21 +154,13 @@ def check_simplified_condition(q):
     return True
 
 
-def _check_horizontal(q, **named):
-    """Refuse each named algebra element, by name, if it is not horizontal."""
-    for name, a in named.items():
-        res = np.linalg.norm(q.proj_k(a))
-        if res > HORIZONTALITY_RTOL * max(1.0, np.linalg.norm(a)):
-            raise ValidationError(f"{name} is not horizontal: residual {res:.3e}")
-
-
 def horizontal_christoffel(q, x, xi, eta, validate=True):
     """Group Christoffel minus the vertical correction X [a, b]_k / 2; by
     to_algebra's LU, as the oracle calls it at off-manifold states."""
     a, b = to_algebra(q.geom, x, np.stack([xi, eta]), validate=False)
     if validate:
         _check_in_algebra(q.geom.split, xi=a, eta=b)
-        _check_horizontal(q, xi=a, eta=b)
+        q.check_horizontal(xi=a, eta=b)
     return _christoffel(q.geom, x, a, b) - 0.5 * x @ q.proj_k(lie(a, b))
 
 
@@ -158,7 +171,8 @@ def horizontal_transport_operator(q, a):
 
 
 def _solve_w_ode(q, a, w0, t):
-    """Adaptive Runge-Kutta solution of the variable-coefficient W ODE."""
+    """Adaptive Runge-Kutta solution of the variable-coefficient W ODE,
+    for each matrix of the stack w0 on its own."""
     geom = q.geom
     split = geom.split
     bet = geom.beta
@@ -174,51 +188,29 @@ def _solve_w_ode(q, a, w0, t):
                     + (1.0 + bet) * (lie(aa, w) - lie(split.proj_a(w), a)))
         return dw.reshape(-1)
 
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, t), w0.reshape(-1), method="RK45", rtol=ODE_TOL,
-        atol=ODE_TOL, dense_output=False)
-    if not sol.success:
-        raise NumericalError(f"transport ODE integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(n, n)
+    def solve(w):
+        sol = scipy.integrate.solve_ivp(
+            rhs, (0.0, t), w, method="RK45", rtol=ODE_TOL, atol=ODE_TOL,
+            dense_output=False)
+        if not sol.success:
+            raise NumericalError(f"transport ODE integration failed: {sol.message}")
+        return sol.y[:, -1]
+    return np.stack([solve(w) for w in w0.reshape(-1, n * n)]).reshape(w0.shape)
 
 
 def quotient_transport(q, x, xi, eta, t):
     """Parallel transport of a horizontal vector along the horizontal
-    geodesic, closed form when the simplified condition holds; x, xi and
-    eta are converted by GroupGeometry.checked_algebra (x^T if orthogonal)."""
-    geom = q.geom
+    geodesic: one transport of a one-t group_core plan built with q."""
     t = check_time(t)
-    x, a, w0 = geom.checked_algebra(x, xi=xi, eta=eta)
-    _check_horizontal(q, xi=a, eta=w0)
-    if q.simplified_ok:
-        w = expaction.expa(horizontal_transport_operator(q, a), w0, t)
-    elif t == 0.0:
-        w = w0
-    else:
-        w = _solve_w_ode(q, a, w0, t)
-    left, finish = group_core.geodesic_factors(geom, a, t)
-    return finish(x @ left @ w)
-
-
-def _block_diagonal_projection(offsets):
-    """Projection onto the antisymmetric diagonal blocks
-    [lo:hi, lo:hi] between consecutive offsets."""
-    blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-
-    @coordinate_projection
-    def proj_k(m):
-        out = np.zeros_like(np.asarray(m, dtype=float))
-        for b in blocks:
-            out[..., b, b] = asym(m[..., b, b])
-        return out
-    return proj_k
+    plan = group_core.make_transport_plan(q.geom, x, xi, q)
+    return group_core.transport_with_plan(plan, plan.point, eta, t)
 
 
 def stiefel_quotient(n, d, alpha):
     """SO(n)/SO(n-d) with the alpha metric: the Stiefel quotient."""
     geom = GroupGeometry(split=so_split(n, d),
                          params=MetricParams(beta0=-0.5, beta1=alpha))
-    return QuotientGeometry(geom, _block_diagonal_projection((d, n)))
+    return QuotientGeometry(geom, block_diagonal_asym((d, n)))
 
 
 def flag_quotient(n, d_list, alpha):
@@ -226,4 +218,4 @@ def flag_quotient(n, d_list, alpha):
     sig = FlagSignature(tuple(d_list), n)
     geom = GroupGeometry(split=so_split(n, sig.d),
                          params=MetricParams(beta0=-0.5, beta1=alpha))
-    return QuotientGeometry(geom, _block_diagonal_projection(sig.offsets + (n,)))
+    return QuotientGeometry(geom, block_diagonal_asym(sig.offsets + (n,)))

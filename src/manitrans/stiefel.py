@@ -30,8 +30,8 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
 from .utils import (as_real, asym, check_finite, check_operand, check_time,
-                    hcat, matrix_norms, orthonormality_residual, sym,
-                    block_norm_bound, two_norm_bound)
+                    hcat, matrix_norms, orthonormality_residual,
+                    refuse_residual, sym, block_norm_bound, two_norm_bound)
 
 POINT_TOL = 1e-10
 TANGENT_RTOL = 1e-9
@@ -223,10 +223,7 @@ def check_coefficient(coeff, scale, name, mask=None):
     if mask is not None:
         res = np.maximum(res, np.linalg.norm(coeff[..., mask], axis=-1))
         kind = "horizontal"
-    bad = np.flatnonzero(~(res <= TANGENT_RTOL * np.maximum(1.0, scale)))
-    if bad.size:
-        raise ValidationError(
-            f"{name} is not {kind}: residual {np.ravel(res)[bad[0]]:.3e}")
+    refuse_residual(res, scale, TANGENT_RTOL, f"{name} is not {kind}: residual")
 
 
 def project_tangent(y, w):

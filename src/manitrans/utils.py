@@ -17,6 +17,12 @@ def coordinate_projection(proj):
 
 
 @coordinate_projection
+def identity(m):
+    """m itself: the projection onto every matrix (gl(n))."""
+    return m
+
+
+@coordinate_projection
 def sym(m):
     """Symmetric part (m + m^T)/2 of each trailing matrix."""
     return 0.5 * (m + m.swapaxes(-1, -2))
@@ -28,14 +34,28 @@ def asym(m):
     return 0.5 * (m - m.swapaxes(-1, -2))
 
 
+def block_diagonal_asym(offsets):
+    """Projection onto the antisymmetric diagonal blocks [lo:hi, lo:hi]
+    between consecutive offsets."""
+    blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    @coordinate_projection
+    def proj(m):
+        out = np.zeros_like(np.asarray(m, dtype=float))
+        for b in blocks:
+            out[..., b, b] = asym(m[..., b, b])
+        return out
+    return proj
+
+
 def lie(a, b):
     """Matrix commutator [a, b] = ab - ba."""
     return a @ b - b @ a
 
 
 def hcat(a, b):
-    """Stack two blocks horizontally."""
-    return np.concatenate([a, b], axis=1)
+    """Stack two blocks (or stacks of them) horizontally."""
+    return np.concatenate([a, b], axis=-1)
 
 
 def matrix_norms(m):
@@ -102,6 +122,14 @@ def check_operand(m, shape, name, batched=False):
     if (m.shape[m.ndim - len(shape):] if batched else m.shape) != tuple(shape):
         raise DimensionError(f"{name} has shape {m.shape}, expected {tuple(shape)}")
     return check_finite(m, name)
+
+
+def refuse_residual(res, scale, rtol, message):
+    """Raise ValidationError(f"{message} {r:.3e}") for the first residual r
+    of the stack res above rtol max(1, its scale), NaN included."""
+    bad = np.flatnonzero(~(res <= rtol * np.maximum(1.0, scale)))
+    if bad.size:
+        raise ValidationError(f"{message} {np.ravel(res)[bad[0]]:.3e}")
 
 
 def check_square_operands(n, **named):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import manitrans
-from manitrans import flag_grassmann, stiefel
+from manitrans import flag_grassmann, group_core, stiefel
 from manitrans.bench_cli import (
     Adapter, BenchConfig, build_parser, config_from_args, main, make_adapter,
     run_isometry, run_timing, run_verify, write_csv, CSV_SCHEMA_COMMENT)
@@ -145,6 +145,26 @@ class TestGeodesicSeam:
         runner(BenchConfig(manifold=manifold, t_grid=(0.5, 1.0), repeats=2,
                            num_vectors=3, seed=5, **size))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("runner", [run_verify, run_timing, run_isometry])
+    @pytest.mark.parametrize("manifold, size", [
+        ("so", dict(n=6, d=2, alpha=0.8)), ("gl", dict(n=4, beta=0.5))])
+    def test_one_group_plan_per_instance(self, monkeypatch, runner, manifold,
+                                         size):
+        # one plan build, with one point check, and one P_a; each metric
+        # value checks its own point, and the oracle's Christoffel function
+        # converts by to_algebra
+        calls = dict.fromkeys(("make_transport_plan", "check_point", "metric",
+                               "p_a_operator"), 0)
+        for name in calls:
+            real = getattr(group_core, name)
+            monkeypatch.setattr(group_core, name, lambda *args, name=name,
+                                real=real: calls.update({name: calls[name] + 1})
+                                or real(*args))
+        runner(BenchConfig(manifold=manifold, t_grid=(0.5, 1.0), repeats=2,
+                           num_vectors=3, seed=5, **size))
+        assert calls["make_transport_plan"] == calls["p_a_operator"] == 1
+        assert calls["check_point"] == calls["metric"] + 1
 
 
 class TestCsvAndCli:

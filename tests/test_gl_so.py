@@ -236,6 +236,47 @@ class TestArgumentChecks:
             so_transport(geom, x, xi, x @ np.eye(6), 0.0)
 
 
+class TestMetricForms:
+    """gl_metric and so_metric are beta_form on the geometry's split."""
+
+    @pytest.mark.parametrize("metric, make", [
+        (gl_metric, lambda rng: rng.standard_normal((4, 4))),
+        (so_metric, lambda rng: asym(rng.standard_normal((4, 4))))],
+        ids=["gl_metric", "so_metric"])
+    def test_refuses_bad_input_by_name(self, rng, metric, make):
+        geom = GLGeometry(4, 0.7) if metric is gl_metric else SOGeometry(4, 2, 0.8)
+        names = ("g", "h") if metric is gl_metric else ("a", "b")
+        for name in names:
+            for value in (np.nan, np.inf):
+                args = poisoned(name, value, **{n: make(rng) for n in names})
+                with pytest.raises(ValidationError, match=f"^{name} has non-finite"):
+                    metric(geom, **args)
+            args = {n: make(rng) for n in names}
+            args[name] = args[name][:, :-1]
+            with pytest.raises(DimensionError, match=f"^{name} has shape"):
+                metric(geom, **args)
+        if metric is so_metric:
+            with pytest.raises(ValidationError):
+                so_metric(geom, make(rng), rng.standard_normal((4, 4)))
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 9),
+           par=st.floats(0.05, 5.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_values_match_the_closed_forms(self, seed, n, par, sign):
+        # the formulas these functions had before they called beta_form
+        rng = np.random.default_rng(seed)
+        gl = GLGeometry(n, sign * par)
+        g, h = rng.standard_normal((2, n, n))
+        want = np.sum(g * h.T) + (1.0 + gl.beta) * np.sum(asym(g) * asym(h))
+        scale = np.linalg.norm(g) * np.linalg.norm(h) * (2.0 + abs(gl.beta))
+        assert abs(gl_metric(gl, g, h) - want) <= 1e-14 * scale
+        so = SOGeometry(n, int(rng.integers(1, n)), par)
+        a, b = asym(rng.standard_normal((2, n, n)))
+        d = so.d
+        want = 0.5 * np.sum(a * b) + (so.alpha - 0.5) * np.sum(a[:d, :d] * b[:d, :d])
+        scale = np.linalg.norm(a) * np.linalg.norm(b) * (1.0 + so.alpha)
+        assert abs(so_metric(so, a, b) - want) <= 1e-14 * scale
+
+
 class TestSOGeometry:
     def test_invariants(self):
         with pytest.raises(ValidationError):

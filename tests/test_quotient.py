@@ -256,7 +256,7 @@ class TestQuotientTransport:
     @pytest.mark.parametrize("shape", [(6, (2,)), (12, (4,)), (7, (2, 2))],
                              ids=["St(6,2)", "St(12,4)", "Flag(7;2,2)-ode"])
     def test_converts_by_transpose(self, rng, monkeypatch, shape, t):
-        # an orthogonal x converts by x^T (checked_algebra), no LU; the
+        # an orthogonal x converts by x^T (check_point), no LU; the
         # output matches the LU conversion followed by the same formula
         n, blocks = shape
         q = flag_quotient(n, blocks, 0.8) if len(blocks) > 1 else \
