@@ -66,7 +66,7 @@ class Adapter:
     moves vector stacks, and its velocity."""
     random_point: Callable       # rng -> point
     random_tangent: Callable     # (rng, y) -> tangent at y
-    metric: Callable             # (y, xi, eta) -> float
+    metric: Callable             # (y, xi, eta) -> values between stacks
     geodesic: Callable           # (y, xi) -> (f(etas, t), etas stacked;
                                  #   t -> (gamma(t), dgamma/dt))
     christoffel: Callable        # (y, xi, eta), for the oracle
@@ -260,14 +260,12 @@ def run_isometry(config):
     """
     adapter, rng, y, transport, velocity = _instance(config)
     lengths = rng.integers(1, 61, size=config.num_vectors)
-    vectors = [length * _unit_tangent(adapter, rng, y) for length in lengths]
-
-    stacked = np.stack(vectors)
-    points = [velocity(t)[0] for t in config.t_grid]
-    transported = [transport(stacked, t) for t in config.t_grid]
+    vectors = np.stack([length * _unit_tangent(adapter, rng, y)
+                        for length in lengths])
     drifts = oracle.gram_drift(
-        vectors, transported, metric=adapter.metric,
-        points=points, initial_point=y)
+        vectors, [transport(vectors, t) for t in config.t_grid],
+        adapter.metric, [velocity(t)[0] for t in config.t_grid],
+        initial_point=y)
     return [_row(config, adapter, t, max_gram_drift=drift,
                  log10_gram_drift=float(np.log10(drift)) if drift > 0 else -np.inf)
             for t, drift in zip(config.t_grid, drifts)]

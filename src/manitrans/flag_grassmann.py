@@ -63,7 +63,7 @@ def symf(sig, m):
 
 def flag_horizontal_project(sig, y, w):
     """Project an ambient n x d matrix onto the horizontal space at Y."""
-    y = check_operand(y, (sig.n, sig.d), "y")
+    y = check_point(check_operand(y, (sig.n, sig.d), "y"))
     w = check_operand(w, y.shape, "w")
     return w - y @ symf(sig, y.T @ w)
 

@@ -1,5 +1,6 @@
-"""The trace form, the deformed metric form, and the algebra splits they
-are taken over.
+"""The trace form and the deformed metric form, between two stacks of
+matrices (a float for two matrices), and the algebra splits they are
+taken over.
 
 A split is described by projection callables rather than stored matrices,
 so block-structured cases stay cheap.  The dense subspace scans that
@@ -10,8 +11,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .utils import check_finite, check_size, check_square
+from .errors import ValidationError
+from .utils import (check_finite, check_operand, check_size, matrix_norms,
+                    pair_products, refuse_residual)
 
 MEMBERSHIP_RTOL = 1e-10
 
@@ -71,22 +73,28 @@ def projection_one_norm(n, proj):
 
 
 def trace_form(a, b):
-    """Tr(ab), the cyclic-invariant bilinear form."""
-    a = check_square(a, "a")
-    b = check_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"size mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(a * b.T))
+    """Tr(a_i b_j), the cyclic-invariant bilinear form, between stacks of
+    n x n matrices, shaped as utils.pair_products' values."""
+    n = np.shape(a)[-1] if np.ndim(a) else 0
+    a, b = (check_operand(m, (n, n), name, batched=True)
+            for name, m in (("a", a), ("b", b)))
+    return pair_products(a, np.swapaxes(b, -1, -2))
 
 
 def beta_form(g, h, split, params):
-    """The deformed form beta0*(Tr(hg) - Tr(h_a g_a)) - beta1*Tr(h_a g_a)."""
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
+    """The deformed form beta0*(Tr(hg) - Tr(h_a g_a)) - beta1*Tr(h_a g_a)
+    between stacks of algebra elements, each checked once, shaped as
+    trace_form's values."""
+    g, h = (check_operand(m, (split.n, split.n), name, batched=True)
+            for name, m in (("g", g), ("h", h)))
     for name, m in (("g", g), ("h", h)):
-        res = np.linalg.norm(m - split.proj_g(m))
-        if not res <= MEMBERSHIP_RTOL * max(1.0, np.linalg.norm(m)):
-            raise ValidationError(f"{name} is not in the Lie algebra")
-    ga, ha = split.proj_a(g), split.proj_a(h)
-    return params.beta0 * (trace_form(h, g) - trace_form(ha, ga)) \
-        - params.beta1 * trace_form(ha, ga)
+        refuse_residual(matrix_norms(m - split.proj_g(m)), matrix_norms(m),
+                        MEMBERSHIP_RTOL, f"{name} is not in the Lie algebra: residual")
+    return _beta_values(g, h, split, params)
+
+
+def _beta_values(g, h, split, params):
+    """beta_form's values on checked stacks; proj_a commutes with transpose."""
+    ht = np.swapaxes(h, -1, -2)
+    t_a = pair_products(split.proj_a(g), split.proj_a(ht))
+    return params.beta0 * (pair_products(g, ht) - t_a) - params.beta1 * t_a

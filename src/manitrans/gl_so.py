@@ -65,8 +65,7 @@ class SOGeometry(GroupGeometry):
 
 def gl_metric(geom, g, h):
     """<g, h> = Tr(g_sym h_sym) + beta * Tr(g_skew^T h_skew) on gl(n)."""
-    return beta_form(*check_square_operands(geom.n, g=g, h=h), geom.split,
-                     geom.params)
+    return beta_form(g, h, geom.split, geom.params)
 
 
 def so_metric(geom, a, b):

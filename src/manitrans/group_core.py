@@ -73,7 +73,8 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from . import expaction
 from .errors import ValidationError
-from .forms import AlgebraSplit, MetricParams, beta_form, projection_one_norm
+from .forms import (AlgebraSplit, MetricParams, _beta_values,
+                    projection_one_norm)
 from .utils import (as_real, asym, block_norm_bound, check_finite,
                     check_operand, check_time, hcat, identity, lie,
                     matrix_norms, orthonormality_residual, refuse_residual,
@@ -218,11 +219,12 @@ def _algebra(geom, quotient, solve, v, name, batched=True):
 
 
 def metric(geom, x, xi, eta):
-    """Left-invariant metric value <xi, eta> at x, converted by check_point."""
+    """Left-invariant metric values <xi_i, eta_j> at x between two stacks,
+    shaped as forms.beta_form's; x and each stack are checked once."""
     x, solve = check_point(geom, x)
-    a, b = (_algebra(geom, None, solve, v, name, batched=False)
+    a, b = (_algebra(geom, None, solve, v, name)
             for name, v in (("xi", xi), ("eta", eta)))
-    return beta_form(a, b, geom.split, geom.params)
+    return _beta_values(a, b, geom.split, geom.params)
 
 
 def christoffel(geom, x, xi, eta, validate=True):

@@ -1,6 +1,6 @@
 """Brute-force verification: adaptive integration of the transport ODE
 from a dense Christoffel function, finite-difference residuals, and
-Gram-matrix drift.
+Gram-matrix drift, one metric call per Gram matrix.
 
 These paths are the independent ground truth for the closed forms; they
 share nothing with the fast formulas beyond basic matrix products.  The
@@ -65,34 +65,18 @@ def transport_residual(delta_samples, gamma_samples, christoffel, dt):
     return worst
 
 
-def gram_drift(vectors, transported, metric, points=None, initial_point=None):
+def gram_drift(vectors, transported, metric, points, initial_point=None):
     """Per-time max absolute drift of the Gram matrix of a vector set.
 
-    transported is a list (one entry per time) of lists of matrices;
-    metric(xi, eta) is used as is, or metric(point, xi, eta) when a list
-    of per-time base points accompanies the times.  The reference Gram
-    matrix of `vectors` is evaluated at initial_point (default: the first
-    base point).
+    transported holds one stack of len(vectors) matrices per base point in
+    points.  metric(point, xi, eta) gives the values between two stacks, so
+    each Gram matrix is one call; the reference one, of vectors, is taken
+    at initial_point (default: the first base point).
     """
-    m = len(vectors)
-    if any(len(vs) != m for vs in transported):
-        raise ValidationError("vector count mismatch across times")
-
-    def gram(vs, point):
-        g = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                g[i, j] = g[j, i] = (
-                    metric(vs[i], vs[j]) if point is None
-                    else metric(point, vs[i], vs[j]))
-        return g
-
-    if points is None:
-        g0 = gram(vectors, None)
-    else:
-        g0 = gram(vectors, initial_point if initial_point is not None else points[0])
-    drifts = []
-    for idx, vs in enumerate(transported):
-        gt = gram(vs, None if points is None else points[idx])
-        drifts.append(float(np.max(np.abs(gt - g0))))
-    return drifts
+    if len(points) != len(transported) or any(
+            len(vs) != len(vectors) for vs in transported):
+        raise ValidationError("transported needs len(vectors) vectors per base point")
+    g0 = metric(points[0] if initial_point is None else initial_point,
+                vectors, vectors)
+    return [float(np.max(np.abs(metric(point, vs, vs) - g0)))
+            for point, vs in zip(points, transported)]

@@ -78,8 +78,29 @@ class QuotientGeometry:
                                 HORIZONTALITY_RTOL, f"{name} is not horizontal: residual")
 
     def solve_transport_ode(self, a, w0, t):
-        """The middle transport factor where simplified_ok fails."""
-        return _solve_w_ode(self, a, w0, t)
+        """The middle transport factor where simplified_ok fails, by adaptive
+        Runge-Kutta, for each matrix of the stack w0 on its own."""
+        split, bet = self.geom.split, self.geom.beta
+        aa = split.proj_a(a)
+        n = a.shape[0]
+
+        def rhs(s, wflat):
+            w = wflat.reshape(n, n)
+            u = expaction.matrix_exponential(s * (1.0 + bet) * aa)
+            uinv = np.linalg.inv(u)
+            br = lie(w, a)
+            dw = 0.5 * (br - u @ self.proj_k(uinv @ br @ u) @ uinv
+                        + (1.0 + bet) * (lie(aa, w) - lie(split.proj_a(w), a)))
+            return dw.reshape(-1)
+
+        def solve(w):
+            sol = scipy.integrate.solve_ivp(
+                rhs, (0.0, t), w, method="RK45", rtol=ODE_TOL, atol=ODE_TOL,
+                dense_output=False)
+            if not sol.success:
+                raise NumericalError(f"transport ODE integration failed: {sol.message}")
+            return sol.y[:, -1]
+        return np.stack([solve(w) for w in w0.reshape(-1, n * n)]).reshape(w0.shape)
 
     @cached_property
     def proj_m_norm(self):
@@ -168,34 +189,6 @@ def horizontal_transport_operator(q, a):
     """The constant-coefficient operator of the simplified transport, with
     a 2-norm bound when the metric form is definite."""
     return p_a_operator(q.geom, a, q)
-
-
-def _solve_w_ode(q, a, w0, t):
-    """Adaptive Runge-Kutta solution of the variable-coefficient W ODE,
-    for each matrix of the stack w0 on its own."""
-    geom = q.geom
-    split = geom.split
-    bet = geom.beta
-    aa = split.proj_a(a)
-    n = a.shape[0]
-
-    def rhs(s, wflat):
-        w = wflat.reshape(n, n)
-        u = expaction.matrix_exponential(s * (1.0 + bet) * aa)
-        uinv = np.linalg.inv(u)
-        br = lie(w, a)
-        dw = 0.5 * (br - u @ q.proj_k(uinv @ br @ u) @ uinv
-                    + (1.0 + bet) * (lie(aa, w) - lie(split.proj_a(w), a)))
-        return dw.reshape(-1)
-
-    def solve(w):
-        sol = scipy.integrate.solve_ivp(
-            rhs, (0.0, t), w, method="RK45", rtol=ODE_TOL, atol=ODE_TOL,
-            dense_output=False)
-        if not sol.success:
-            raise NumericalError(f"transport ODE integration failed: {sol.message}")
-        return sol.y[:, -1]
-    return np.stack([solve(w) for w in w0.reshape(-1, n * n)]).reshape(w0.shape)
 
 
 def quotient_transport(q, x, xi, eta, t):

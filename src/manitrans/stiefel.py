@@ -16,7 +16,7 @@ and, with a block mask, for canonical flag plans (flag_grassmann); the
 one-shot functions run a one-t plan (single_time).
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
-Operators and transports accept leading batch axes on the vectors.
+Metrics, operators and transports accept leading batch axes on the vectors.
 """
 import dataclasses
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
 from .utils import (as_real, asym, check_finite, check_operand, check_time,
-                    hcat, matrix_norms, orthonormality_residual,
+                    hcat, matrix_norms, orthonormality_residual, pair_products,
                     refuse_residual, sym, block_norm_bound, two_norm_bound)
 
 POINT_TOL = 1e-10
@@ -227,20 +227,22 @@ def check_coefficient(coeff, scale, name, mask=None):
 
 
 def project_tangent(y, w):
-    """Tangent projection W - Y sym(Y^T W)."""
+    """Tangent projection W - Y sym(Y^T W) at the checked point Y."""
+    y = check_point(y)
     w = check_operand(w, y.shape, "w")
     return w - y @ sym(y.T @ w)
 
 
 def metric_inner(y, xi, eta, params):
-    """Metric value of two tangent vectors at Y."""
-    xi = check_operand(xi, y.shape, "xi")
-    eta = check_operand(eta, y.shape, "eta")
-    yxi = y.T @ xi
-    yeta = y.T @ eta
-    check_coefficient(yxi, np.linalg.norm(xi), "xi")
-    check_coefficient(yeta, np.linalg.norm(eta), "eta")
-    return float(np.sum(xi * eta) + (params.alpha - 1.0) * np.sum(yxi * yeta))
+    """Metric values <xi_i, eta_j> at Y between two stacks of tangent
+    vectors (utils.pair_products); Y and each stack are checked once."""
+    y = check_point(y)
+    xi, eta = (check_operand(v, y.shape, name, batched=True)
+               for name, v in (("xi", xi), ("eta", eta)))
+    yxi, yeta = y.T @ xi, y.T @ eta
+    check_coefficient(yxi, matrix_norms(xi), "xi")
+    check_coefficient(yeta, matrix_norms(eta), "eta")
+    return pair_products(xi, eta) + (params.alpha - 1.0) * pair_products(yxi, yeta)
 
 
 def decompose_tangent(y, xi, mask=None):

@@ -65,6 +65,13 @@ def matrix_norms(m):
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
+def pair_products(a, b):
+    """Frobenius products <a_i, b_j> between the stacks a and b of
+    matrices: shape a.shape[:-2] + b.shape[:-2], a float for two matrices."""
+    out = np.tensordot(a, b, axes=([-2, -1], [-2, -1]))
+    return float(out) if out.ndim == 0 else out
+
+
 def orthonormality_residual(m):
     """||m^T m - I||_F: how far m's columns are from orthonormal."""
     return np.linalg.norm(m.T @ m - np.eye(m.shape[1]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import manitrans
-from manitrans import flag_grassmann, group_core, stiefel
+from manitrans import bench_cli, flag_grassmann, group_core, stiefel
 from manitrans.bench_cli import (
     Adapter, BenchConfig, build_parser, config_from_args, main, make_adapter,
     run_isometry, run_timing, run_verify, write_csv, CSV_SCHEMA_COMMENT)
@@ -165,6 +165,29 @@ class TestGeodesicSeam:
                            num_vectors=3, seed=5, **size))
         assert calls["make_transport_plan"] == calls["p_a_operator"] == 1
         assert calls["check_point"] == calls["metric"] + 1
+
+    @pytest.mark.parametrize("manifold, size", [
+        ("stiefel", dict(n=8, d=3)), ("flag", dict(n=10, d_list=(2, 2))),
+        ("grassmann", dict(n=9, d=3)), ("so", dict(n=6, d=2, alpha=0.8)),
+        ("gl", dict(n=4, beta=0.5))])
+    def test_one_metric_call_per_gram_matrix(self, monkeypatch, manifold, size):
+        # one call on stacks per grid time and one for the reference Gram
+        # matrix; the other calls give the unit lengths of single vectors
+        calls = []
+        real = bench_cli.make_adapter
+
+        def counted(config):
+            adapter = real(config)
+            return dataclasses.replace(adapter, metric=lambda y, xi, eta: calls.append(
+                np.ndim(xi)) or adapter.metric(y, xi, eta))
+
+        monkeypatch.setattr(bench_cli, "make_adapter", counted)
+        config = BenchConfig(manifold=manifold, t_grid=(0.5, 1.0, 2.0),
+                             num_vectors=4, seed=5, **size)
+        run_isometry(config)
+        assert calls.count(3) == len(config.t_grid) + 1
+        assert calls.count(2) == config.num_vectors + 1
+        assert len(calls) == len(config.t_grid) + config.num_vectors + 2
 
 
 class TestCsvAndCli:

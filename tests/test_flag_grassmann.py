@@ -123,6 +123,12 @@ class TestHorizontalProjection:
         with pytest.raises(ValidationError, match=f"^{arg} has non-finite"):
             flag_horizontal_project(sig, **args)
 
+    def test_refuses_non_orthonormal_y_by_name(self, rng):
+        sig = FlagSignature(d_list=(2, 1), n=8)
+        y = random_stiefel(rng, 8, 3)
+        with pytest.raises(ValidationError, match="^y is not orthonormal"):
+            flag_horizontal_project(sig, 2.0 * y, rng.standard_normal((8, 3)))
+
     @pytest.mark.parametrize("arg", ["y", "w"])
     def test_refuses_wrong_shape_by_name(self, rng, arg):
         sig = FlagSignature(d_list=(2, 1), n=8)

@@ -144,23 +144,28 @@ class TestTransportResidual:
                                flat_christoffel, 0.1)
 
 
+def frobenius_gram(point, xi, eta):
+    """The flat metric on stacks, at any point."""
+    return np.tensordot(xi, eta, axes=([-2, -1], [-2, -1]))
+
+
 class TestGramDrift:
     def test_identity_transport_flat(self, rng):
         vectors = [rng.standard_normal((3, 2)) for _ in range(4)]
         transported = [vectors, vectors]
-        drifts = gram_drift(vectors, transported,
-                            metric=lambda a, b: float(np.sum(a * b)))
+        drifts = gram_drift(vectors, transported, metric=frobenius_gram,
+                            points=[None, None])
         assert drifts == [0.0, 0.0]
 
     def test_single_vector_norm_drift(self, rng):
         v = rng.standard_normal((3, 2))
         transported = [[2.0 * v]]
-        drifts = gram_drift([v], transported,
-                            metric=lambda a, b: float(np.sum(a * b)))
+        drifts = gram_drift([v], transported, metric=frobenius_gram,
+                            points=[None])
         want = abs(4.0 * np.sum(v * v) - np.sum(v * v))
         assert drifts[0] == pytest.approx(want)
 
     def test_count_mismatch(self, rng):
         v = rng.standard_normal((2, 2))
         with pytest.raises(ValidationError):
-            gram_drift([v], [[v, v]], metric=lambda a, b: 0.0)
+            gram_drift([v], [[v, v]], metric=lambda p, a, b: 0.0, points=[None])

@@ -266,7 +266,7 @@ class TestQuotientTransport:
         eta = horizontal_vector(rng, q, x)
         a, w0 = to_algebra(q.geom, x, np.stack([xi, eta]))
         w = (expa(horizontal_transport_operator(q, a), w0, t) if q.simplified_ok
-             else quotient._solve_w_ode(q, a, w0, t))
+             else q.solve_transport_ode(a, w0, t))
         left, finish = geodesic_factors(q.geom, a, t)
         want = finish(x @ left @ w)
         calls = []

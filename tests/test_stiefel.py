@@ -119,6 +119,11 @@ class TestPointAndTangent:
         with pytest.raises(DimensionError, match="^w has shape"):
             project_tangent(y, rng.standard_normal((7, 2)))
 
+    def test_project_tangent_refuses_non_orthonormal_y_by_name(self, rng):
+        y = random_stiefel(rng, 7, 3)
+        with pytest.raises(ValidationError, match="^y is not orthonormal"):
+            project_tangent(2.0 * y, rng.standard_normal((7, 3)))
+
     def test_pure_normal_direction_projects_to_zero(self, rng):
         y = random_stiefel(rng, 7, 3)
         s = sym(rng.standard_normal((3, 3)))
@@ -170,20 +175,26 @@ class TestMetricInner:
                          StiefelMetricParams(1.0))
 
     @pytest.mark.parametrize("value", BAD_VALUES)
-    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    @pytest.mark.parametrize("arg", ["xi", "eta", "y"])
     def test_rejects_nonfinite_by_name(self, rng, arg, value):
         y = random_stiefel(rng, 7, 3)
-        args = poisoned(arg, value, xi=random_stiefel_tangent(rng, y),
+        args = poisoned(arg, value, y=y, xi=random_stiefel_tangent(rng, y),
                         eta=random_stiefel_tangent(rng, y))
         with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
-            metric_inner(y, params=StiefelMetricParams(0.8), **args)
+            metric_inner(params=StiefelMetricParams(0.8), **args)
+
+    def test_rejects_scaled_y_by_name(self, rng):
+        y = random_stiefel(rng, 7, 3)
+        xi = random_stiefel_tangent(rng, y)
+        with pytest.raises(ValidationError, match="^y is not orthonormal"):
+            metric_inner(2.0 * y, xi, xi, StiefelMetricParams(0.8))
 
     @pytest.mark.parametrize("arg", ["xi", "eta"])
     def test_rejects_wrong_shape_by_name(self, rng, arg):
         y = random_stiefel(rng, 7, 3)
         args = dict(xi=random_stiefel_tangent(rng, y),
                     eta=random_stiefel_tangent(rng, y))
-        args[arg] = np.stack([args[arg]] * 2)
+        args[arg] = args[arg][:, :2]
         with pytest.raises(DimensionError, match=f"^{arg} has shape"):
             metric_inner(y, params=StiefelMetricParams(0.8), **args)
 
@@ -1149,12 +1160,12 @@ class TestTransport:
             assert transport_with_plan(plan, y, eta, 1.3).shape == eta.shape
 
     def test_one_point_check_per_call(self, rng, monkeypatch):
+        y = random_stiefel(rng, 8, 3)
+        xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
         seen = []
         real = stiefel.check_point
         monkeypatch.setattr(stiefel, "check_point", lambda y: seen.append(1) or real(y))
-        y = random_stiefel(rng, 8, 3)
-        stiefel_transport(y, random_stiefel_tangent(rng, y),
-                          random_stiefel_tangent(rng, y), StiefelMetricParams(0.8), 1.0)
+        stiefel_transport(y, xi, eta, StiefelMetricParams(0.8), 1.0)
         assert len(seen) == 1
 
     def test_rejects_nontangent_eta(self, rng):
