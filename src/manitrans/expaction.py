@@ -17,7 +17,7 @@ of two series chosen from what the operator handle declares:
   Every ||C_k||_D <= ||B||_D, so the term count follows a priori from the
   Bessel tail: about |t| rho applies, no scaling steps and no per-term
   norms.  The recurrence is linear and never uses D, so the truncation
-  error is at most the class tolerance times ||B||_D, in the D-norm; in
+  error is at most the unit roundoff EPS times ||B||_D, in the D-norm; in
   the Frobenius norm that allows a further factor of at most cond_2(D).
   D is the identity for stiefel.p_bal_operator, which is balanced
   already; for group_core.p_a_operator it is the metric balancing of that
@@ -33,11 +33,11 @@ import scipy.special
 from scipy.linalg.blas import daxpy
 
 from .errors import CapacityError, DimensionError, NumericalError, ValidationError
-from .utils import as_real, check_finite, check_square, check_time
+from .utils import EPS, as_real, check_finite, check_square, check_time
 
 # Constants theta_m for the truncated-Taylor backward-error criterion of
-# Al-Mohy & Higham, "Computing the Action of the Matrix Exponential" (2011).
-# Double precision (tol = 2^-53): m <= 30 from table A.3 of Higham &
+# Al-Mohy & Higham, "Computing the Action of the Matrix Exponential" (2011),
+# at the unit roundoff EPS = 2^-53: m <= 30 from table A.3 of Higham &
 # Al-Mohy, "Computing matrix functions" (2010), the rest from table 3.1 of
 # the 2011 paper; copied verbatim (same values ship in scipy).
 THETA_DOUBLE = {
@@ -49,23 +49,6 @@ THETA_DOUBLE = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-
-# Single precision (tol = 2^-24): computed from the same backward-error
-# criterion (generator: scripts/gen_theta_table.py), rounded to 4 digits;
-# agrees with the reference's printed single-precision column at every
-# tabulated order.
-THETA_SINGLE = {
-    1: 1.192e-7, 2: 5.979e-4, 3: 1.123e-2, 4: 5.117e-2, 5: 1.308e-1,
-    6: 2.495e-1, 7: 4.015e-1, 8: 5.801e-1, 9: 7.795e-1, 10: 9.952e-1,
-    11: 1.223, 12: 1.462, 13: 1.708, 14: 1.96, 15: 2.217,
-    16: 2.478, 17: 2.743, 18: 3.01, 19: 3.28, 20: 3.551,
-    21: 3.824, 22: 4.098, 23: 4.373, 24: 4.65, 25: 4.927,
-    26: 5.205, 27: 5.483, 28: 5.762, 29: 6.041, 30: 6.321,
-    35: 7.724, 40: 9.131, 45: 10.54, 50: 11.95, 55: 13.36,
-}
-
-_THETA = {"double": THETA_DOUBLE, "single": THETA_SINGLE}
-_TOL = {"double": 2.0 ** -53, "single": 2.0 ** -24}
 
 # expa falls back to a dense expm when the domain is tiny and the scaling
 # count would be pathologically large for the Taylor loop.
@@ -130,33 +113,30 @@ def select_taylor_params(one_norm, tolerance_class="double"):
     m_star minimizes ceil(m * one_norm / theta_m) over the table (ties to
     the smallest m); s = max(1, ceil(one_norm / theta_{m_star})).
     """
-    if tolerance_class not in _THETA:
+    if tolerance_class != "double":
         raise ValidationError(f"unknown tolerance class {tolerance_class!r}")
     if not np.isfinite(one_norm) or one_norm < 0:
         raise ValidationError(f"one_norm must be finite nonnegative, got {one_norm}")
-    table = _THETA[tolerance_class]
     best_m, best_cost = None, None
-    for m in sorted(table):
-        cost = int(np.ceil(m * one_norm / table[m]))
+    for m, theta in sorted(THETA_DOUBLE.items()):
+        cost = int(np.ceil(m * one_norm / theta))
         if best_cost is None or cost < best_cost:
             best_m, best_cost = m, cost
-    s = max(1, int(np.ceil(one_norm / table[best_m])))
+    s = max(1, int(np.ceil(one_norm / THETA_DOUBLE[best_m])))
     return TaylorParams(m_star=best_m, s=s)
 
 
-def chebyshev_terms(x, tolerance_class="double"):
-    """Least K > x/2 with 2 sum_{k>K} |J_k(x)| bounded by the class
-    tolerance: the Chebyshev term count of expa at x = |t| rho.
+def chebyshev_terms(x):
+    """Least K > x/2 with 2 sum_{k>K} |J_k(x)| bounded by the unit
+    roundoff EPS: the Chebyshev term count of expa at x = |t| rho.
 
     Uses |J_k(x)| <= (x/2)^k / k! for x >= 0; past k = x/2 these terms fall
     at least geometrically, which bounds the tail by its first term.
     """
-    if tolerance_class not in _TOL:
-        raise ValidationError(f"unknown tolerance class {tolerance_class!r}")
     half = 0.5 * x
     if half == 0.0:
         return 1
-    log_half, log_tol = log(half), log(0.5 * _TOL[tolerance_class])
+    log_half, log_tol = log(half), log(0.5 * EPS)
     k = int(half) + 1
     log_term = k * log_half - lgamma(k + 1)  # log of (x/2)^k / k!
     while True:
@@ -166,12 +146,12 @@ def chebyshev_terms(x, tolerance_class="double"):
         k += 1
 
 
-def _chebyshev_expa(op, b, t, tolerance_class):
+def _chebyshev_expa(op, b, t):
     rho = op.skew_two_norm_bound
     x = abs(t) * rho
     if x == 0.0 or b.size == 0:
         return b.copy()
-    n_terms = chebyshev_terms(x, tolerance_class)
+    n_terms = chebyshev_terms(x)
     coef = 2.0 * scipy.special.jv(np.arange(n_terms + 1), x)
     step = np.copysign(1.0 / rho, t)
     prev, cur = b.flatten(), step * op.apply(b).ravel()
@@ -195,9 +175,12 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
     op.apply, one in-place axpy (y += a x) turning C_{k-1} into C_{k+1}
     and one adding the weighted term to the sum.  Otherwise the
     Taylor sum inside each of the s scaling steps stops early once two
-    consecutive term norms fall below the tolerance times the
-    accumulated-result norm.
+    consecutive term norms fall below EPS times the accumulated-result
+    norm.  tolerance_class must be "double", the one precision; the
+    parameter stays because perfbench/tracer.py passes it by position.
     """
+    if tolerance_class != "double":
+        raise ValidationError(f"unknown tolerance class {tolerance_class!r}")
     b = as_real(b, "b")
     if b.shape[-2:] != tuple(op.domain_shape):
         raise DimensionError(
@@ -206,9 +189,8 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
     t = check_time(t)
     if params is None:
         if op.skew_two_norm_bound is not None:
-            return _chebyshev_expa(op, b, t, tolerance_class)
-        params = select_taylor_params(
-            abs(t) * op.one_norm_upper_bound, tolerance_class)
+            return _chebyshev_expa(op, b, t)
+        params = select_taylor_params(abs(t) * op.one_norm_upper_bound)
     m_star, s = params.m_star, params.s
 
     entries = int(np.prod(op.domain_shape))
@@ -218,7 +200,6 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
         flat = b.reshape(*b.shape[:-2], entries)
         return (flat @ etp.T).reshape(b.shape)
 
-    tol = _TOL[tolerance_class]
     f = b.copy()
     v = b
     for _ in range(s):
@@ -228,7 +209,7 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
             c2 = np.linalg.norm(v)
             f = f + v
             nf = np.linalg.norm(f)
-            if c1 <= tol * nf and c2 <= tol * nf:
+            if c1 <= EPS * nf and c2 <= EPS * nf:
                 break
             c1 = c2
         if not np.all(np.isfinite(f)):
@@ -239,24 +220,17 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
 
 
 def one_norm_estimate_exhaustive(op, cap=400):
-    """Exact operator 1-norm over the vectorized standard basis.
-
-    Applies op to every canonical basis matrix of the domain; only for
-    small domains (at most `cap` entries).
+    """Exact operator 1-norm over the vectorized standard basis: the
+    largest column sum of dense_operator_matrix(op), so only for small
+    domains (at most `cap` entries).
     """
     rows, cols = op.domain_shape
     if rows * cols > cap:
         raise CapacityError(
             f"domain has {rows * cols} entries, above the exhaustive cap "
             f"{cap}; use an analytic bound instead")
-    best = 0.0
-    e = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            e[i, j] = 1.0
-            best = max(best, float(np.sum(np.abs(op.apply(e)))))
-            e[i, j] = 0.0
-    return best
+    return float(np.max(np.sum(np.abs(dense_operator_matrix(op)), axis=0),
+                        initial=0.0))
 
 
 def dense_operator_matrix(op, adjoint=False):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .forms import AlgebraSplit, MetricParams, beta_form
 from .group_core import (GroupGeometry, geodesic, geodesic_velocity,
-                         p_a_operator, transport)
+                         transport, transport_operator)
 from .utils import (asym, block_diagonal_asym, check_finite, check_size,
                     check_square_operands, identity)
 
@@ -78,4 +78,4 @@ def so_metric(geom, a, b):
 gl_geodesic = so_geodesic = geodesic
 so_geodesic_velocity = geodesic_velocity
 gl_transport = so_transport = transport
-gl_transport_operator = so_transport_operator = p_a_operator
+gl_transport_operator = so_transport_operator = transport_operator

@@ -418,12 +418,12 @@ def _bracket_norm(x):
 
 
 def transport_operator(geom, a):
-    """P_a for the geometry's split, by p_a_operator, after checking that
-    a is in the Lie algebra: its 1-norm bound takes O(n^2) work and its
-    2-norm bound, set when geom.definite, O(n^3) (module docstring)."""
-    a = as_real(a, "a")
-    _check_in_algebra(geom.split, "operator coefficient is not in the Lie "
-                      "algebra: residual", a=a)
+    """P_a for the geometry's split, by p_a_operator, after refusing by
+    name an a that is not finite n x n or not in the Lie algebra: its
+    1-norm bound takes O(n^2) work and its 2-norm bound, set when
+    geom.definite, O(n^3) (module docstring)."""
+    a = check_operand(a, (geom.n, geom.n), "a")
+    _check_in_algebra(geom.split, "a is not in the Lie algebra: residual", a=a)
     return p_a_operator(geom, a)
 
 

@@ -38,8 +38,8 @@ from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
                          _christoffel, p_a_operator, to_algebra)
-from .utils import (block_diagonal_asym, check_time, lie, matrix_norms,
-                    refuse_residual)
+from .utils import (block_diagonal_asym, check_operand, check_time, lie,
+                    matrix_norms, refuse_residual)
 
 HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
@@ -187,7 +187,11 @@ def horizontal_christoffel(q, x, xi, eta, validate=True):
 
 def horizontal_transport_operator(q, a):
     """The constant-coefficient operator of the simplified transport, with
-    a 2-norm bound when the metric form is definite."""
+    a 2-norm bound when the metric form is definite; a is refused as by
+    group_core.transport_operator, and if not horizontal."""
+    a = check_operand(a, (q.geom.n, q.geom.n), "a")
+    _check_in_algebra(q.geom.split, "a is not in the Lie algebra: residual", a=a)
+    q.check_horizontal(a=a)
     return p_a_operator(q.geom, a, q)
 
 

@@ -196,7 +196,9 @@ class _SingleTimePlan(StiefelTransportPlan):
 
 def single_time(plan):
     """plan for the one-shot entry points, which use it once: its
-    exponentials come from scipy.linalg.expm, unfactored."""
+    exponentials come from scipy.linalg.expm, unfactored, whose error grows
+    with |t| ||S||_2: 5.5e-12 relative at |t| ||S||_2 = 264, where a reused
+    plan stayed within 1.4e-13.  For large |t|, build a plan."""
     return _SingleTimePlan(**{f.name: getattr(plan, f.name)
                               for f in dataclasses.fields(plan)})
 
@@ -531,16 +533,21 @@ def stiefel_transport(y, xi, eta, params, t):
     """Parallel transport of eta along the geodesic driven by xi.
 
     One transport: its plan takes scipy.linalg.expm (single_time), which
-    at one t costs less than the factorization a reused plan makes.
+    at one t costs less than the factorization a reused plan makes but
+    whose error grows with |t| ||S||_2: for large |t|, build a plan.
     """
     plan = single_time(make_transport_plan(y, xi, params))
     return transport_with_plan(plan, plan.point, eta, t)
 
 
 def stiefel_christoffel(y, xi, eta, params):
-    """Christoffel function in Stiefel coordinates; oracle/residual use."""
-    if xi.shape != y.shape or eta.shape != y.shape:
-        raise DimensionError("shape mismatch among Y, xi, eta")
+    """Christoffel function in Stiefel coordinates; oracle/residual use.
+    y, xi and eta are refused by name unless real, finite and of one
+    shape; y is not checked orthonormal nor xi and eta tangent, as the
+    RK oracle evaluates this function at off-manifold states."""
+    y = check_finite(as_real(y, "y"), "y")
+    xi = check_operand(xi, y.shape, "xi")
+    eta = check_operand(eta, y.shape, "eta")
     alpha = params.alpha
     first = 0.5 * y @ (xi.T @ eta + eta.T @ xi)
     m = xi @ (eta.T @ y) + eta @ (xi.T @ y)

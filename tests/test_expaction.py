@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from manitrans.errors import (CapacityError, DimensionError, NumericalError,
                               ValidationError)
 from manitrans.expaction import (
-    THETA_DOUBLE, THETA_SINGLE, LinearOperatorHandle, chebyshev_terms,
+    THETA_DOUBLE, LinearOperatorHandle, chebyshev_terms,
     dense_operator_matrix, expa, matrix_exponential,
     one_norm_estimate_exhaustive, select_taylor_params)
 from manitrans.utils import asym
@@ -68,10 +68,10 @@ class TestSelectTaylorParams:
         for m, theta in THETA_DOUBLE.items():
             assert select_taylor_params(theta).s == 1
 
-    @pytest.mark.parametrize("tolerance_class", ["double", "single"])
+    @pytest.mark.parametrize("tolerance_class", ["double"])
     def test_matches_reference_scan(self, tolerance_class):
         # independent scan over the table, recomputing the cost formula
-        table = THETA_DOUBLE if tolerance_class == "double" else THETA_SINGLE
+        table = THETA_DOUBLE
         for norm in (1e-3, 0.2, 1.0, 7.0, 100 * table[55], 1e3):
             costs = {m: int(np.ceil(m * norm / th)) for m, th in table.items()}
             best = min(costs.values())
@@ -89,12 +89,9 @@ class TestSelectTaylorParams:
             select_taylor_params(-1.0)
 
     def test_rejects_unknown_class(self):
-        with pytest.raises(ValidationError):
-            select_taylor_params(1.0, "half")
-
-    def test_single_table_is_looser_than_double(self):
-        for m in THETA_DOUBLE:
-            assert THETA_SINGLE[m] > THETA_DOUBLE[m]
+        for tolerance_class in ("half", "single"):
+            with pytest.raises(ValidationError):
+                select_taylor_params(1.0, tolerance_class)
 
 
 class TestExpa:
@@ -166,26 +163,19 @@ class TestExpa:
         for i in range(4):
             assert rel_err(got[i], expa(op, batch[i], 0.8)) <= 1e-12
 
-    def test_single_precision_class(self, rng):
+    def test_positional_class_matches_default(self, rng):
+        # "double" is the only class; expa and select_taylor_params keep
+        # the parameter because perfbench/tracer.py passes it by position
         m = rng.standard_normal((9, 9))
-        op = matmul_operator(m, 3, 3)
+        skew = asym(m) / np.linalg.norm(asym(m), 2)
         b = rng.standard_normal((3, 3))
-        want = (scipy.linalg.expm(m) @ b.reshape(-1)).reshape(3, 3)
-        got = expa(op, b, 1.0, tolerance_class="single")
-        assert rel_err(got, want) <= 1e-5
-
-    def test_single_class_on_structured_operator(self, rng):
-        from manitrans.stiefel import (StiefelMetricParams,
-                                       TangentDecomposition, p_bal_operator)
-        a = asym(rng.standard_normal((3, 3)))
-        r = rng.standard_normal((2, 3))
-        decomp = TangentDecomposition(a=a, q=np.zeros((9, 2)), r=r, k=2)
-        op = p_bal_operator(decomp, StiefelMetricParams(0.5))
-        dense = dense_operator_matrix(op)
-        b = rng.standard_normal((5, 3))
-        want = (scipy.linalg.expm(2.0 * dense) @ b.reshape(-1)).reshape(5, 3)
-        got = expa(op, b, 2.0, tolerance_class="single")
-        assert rel_err(got, want) <= 1e-5
+        for op in (matmul_operator(m, 3, 3), dataclasses.replace(
+                matmul_operator(skew, 3, 3), skew_two_norm_bound=1.0)):
+            assert np.array_equal(expa(op, b, 1.3, "double", None),
+                                  expa(op, b, 1.3))
+        for norm in (0.0, 0.7, 1e3):
+            assert select_taylor_params(norm, "double") == \
+                select_taylor_params(norm)
 
     def test_explicit_params_override(self, rng):
         m = 0.01 * rng.standard_normal((9, 9))
@@ -293,8 +283,7 @@ class TestChebyshev:
                                       skew_two_norm_bound=1.0)
 
     @pytest.mark.parametrize("t", [-3.0, 0.7, 50.0])
-    @pytest.mark.parametrize("tolerance_class, tol", [("double", 1e-12),
-                                                      ("single", 1e-6)])
+    @pytest.mark.parametrize("tolerance_class, tol", [("double", 1e-12)])
     def test_skew_matrix_against_expm(self, rng, t, tolerance_class, tol):
         m, op = self.skew_operator(rng)
         b = rng.standard_normal((2, 3, 4))
@@ -319,5 +308,6 @@ class TestChebyshev:
 
     def test_rejects_unknown_class(self, rng):
         _, op = self.skew_operator(rng)
-        with pytest.raises(ValidationError):
-            expa(op, np.ones((3, 4)), 1.0, "quad")
+        for tolerance_class in ("quad", "single"):
+            with pytest.raises(ValidationError):
+                expa(op, np.ones((3, 4)), 1.0, tolerance_class)

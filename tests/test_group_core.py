@@ -221,10 +221,31 @@ class TestTransportOperator:
         geom = so_geom(4, 2, 0.8)
         with pytest.raises(ValidationError):
             transport_operator(geom, np.eye(4))
+        # every public builder refuses a by name: off the algebra, vertical
+        # on a quotient, or not finite
+        q = stiefel_quotient(4, 2, 0.8)
+        vertical = np.zeros((4, 4))
+        vertical[2:, 2:] = asym(rng.standard_normal((2, 2)))
+        for build, a, why in (
+                (partial(so_transport_operator, SOGeometry(4, 2, 0.8)),
+                 np.eye(4), "is not in the Lie algebra"),
+                (partial(horizontal_transport_operator, q), np.eye(4),
+                 "is not in the Lie algebra"),
+                (partial(horizontal_transport_operator, q), vertical,
+                 "is not horizontal"),
+                (partial(gl_transport_operator, GLGeometry(4, 0.5)),
+                 np.full((4, 4), np.nan), "has non-finite")):
+            with pytest.raises(ValidationError, match=f"^a {why}"):
+                build(a)
 
     @pytest.mark.parametrize("value", NON_REAL)
-    @pytest.mark.parametrize("build", [p_a_operator, transport_operator],
-                             ids=["p_a_operator", "transport_operator"])
+    @pytest.mark.parametrize("build", [
+        p_a_operator, transport_operator, so_transport_operator,
+        lambda _, a: gl_transport_operator(GLGeometry(5, 0.5), a),
+        lambda _, a: horizontal_transport_operator(
+            stiefel_quotient(5, 2, 0.8), a)],
+        ids=["p_a_operator", "transport_operator", "so_transport_operator",
+             "gl_transport_operator", "horizontal_transport_operator"])
     def test_refuses_non_real_coefficient(self, rng, build, value):
         # a complex a used to lose its imaginary part with a ComplexWarning
         a = poisoned("a", value, a=asym(rng.standard_normal((5, 5))))["a"]

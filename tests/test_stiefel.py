@@ -534,6 +534,7 @@ class TestPlanGeodesic:
     @example(seed=1, n=9, d=8, rank="full", alpha=5.0, t=50.0)
     @example(seed=2, n=30, d=8, rank="deficient", alpha=1e-3, t=-20.0)
     @example(seed=3, n=12, d=4, rank="zero", alpha=1.0, t=50.0)
+    @example(seed=0, n=3, d=2, rank="zero", alpha=1e-3, t=22.0)
     def test_matches_closed_form(self, seed, n, d, rank, alpha, t):
         n = max(n, d + 1)
         rng = np.random.default_rng(seed)
@@ -551,7 +552,10 @@ class TestPlanGeodesic:
         assert rel_err(stiefel_geodesic(y, xi, params, t), gam) <= 1e-13
         plan = make_transport_plan(y, xi, params)
         plan.geodesic(0.1)  # factored: later times take no expm
-        tol = 1e-13 * max(1.0, abs(t) * np.linalg.norm(plan.big_exp_arg, 2))
+        # the reference's expm error grows with both of its exponents
+        tol = 1e-13 * max(1.0, abs(t) * (
+            np.linalg.norm(plan.big_exp_arg, 2)
+            + abs(1.0 - 2.0 * alpha) * np.linalg.norm(plan.decomposition.a, 2)))
         got_gam, got_vel = plan.geodesic_velocity(t)
         assert rel_err(got_gam, gam) <= tol
         assert rel_err(got_vel, vel) <= tol
@@ -1358,6 +1362,20 @@ class TestBadInput:
         args = poisoned(arg, value, **self.args(rng))
         with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
             stiefel_transport(params=StiefelMetricParams(0.5), t=1.0, **args)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("arg", ["y", "xi", "eta"])
+    def test_stiefel_christoffel_nonfinite(self, rng, arg, value):
+        args = poisoned(arg, value, **self.args(rng))
+        with pytest.raises(ValidationError, match=f"^{arg} {refusal(value)}"):
+            stiefel_christoffel(params=StiefelMetricParams(0.5), **args)
+
+    @pytest.mark.parametrize("arg", ["xi", "eta"])
+    def test_stiefel_christoffel_wrong_shape(self, rng, arg):
+        args = self.args(rng)
+        args[arg] = args[arg][:, :3]
+        with pytest.raises(DimensionError, match=f"^{arg} has shape"):
+            stiefel_christoffel(params=StiefelMetricParams(0.5), **args)
 
     @pytest.mark.parametrize("arg", ["y", "xi"])
     def test_make_transport_plan_nonfinite(self, rng, arg):
