@@ -22,10 +22,9 @@ import numpy as np
 from . import flag_grassmann as fg
 from . import gl_so, group_core, oracle, stiefel
 from .errors import ConfigError, DimensionError, ValidationError
-from .utils import asym, sym
+from .utils import TANGENT_RTOL, asym, sym
 
 CSV_SCHEMA_COMMENT = "# manitrans-bench v1"
-TANGENCY_GATE = 1e-9
 ORACLE_SIZE_CAP = 64
 
 MANIFOLDS = ("stiefel", "flag", "grassmann", "so", "gl")
@@ -85,15 +84,19 @@ def _geodesic_seam(module, make_plan):
     return geodesic
 
 
-def _stiefel_coordinates(config, d_list, params, make_plan, **fields):
+def _stiefel_coordinates(config, d_list, params, make_plan, mask=None,
+                         **fields):
     """What manifolds in Stiefel coordinates share: QR points, the metric
-    at params, one Stiefel plan per geodesic and the CSV columns, d_list
-    joined by '+'."""
+    at params, one Stiefel plan per geodesic, the library's tangency
+    residual (horizontality with a flag block mask) and the CSV columns,
+    d_list joined by '+'."""
     return Adapter(
         random_point=lambda rng: np.linalg.qr(
             rng.standard_normal((config.n, sum(d_list))))[0],
         metric=partial(stiefel.metric_inner, params=params),
         geodesic=_geodesic_seam(stiefel, make_plan),
+        tangency_residual=lambda point, delta: float(
+            stiefel.coefficient_residual(point.T @ delta, mask)),
         columns={"n": config.n, "d": "+".join(map(str, d_list)),
                  "alpha": config.alpha, "beta": ""},
         **fields)
@@ -108,12 +111,10 @@ def _stiefel(config):
         random_tangent=lambda rng, y: stiefel.project_tangent(
             y, rng.standard_normal(y.shape)),
         make_plan=partial(stiefel.make_transport_plan, params=params),
-        christoffel=partial(stiefel.stiefel_christoffel, params=params),
-        tangency_residual=lambda point, delta: float(
-            np.linalg.norm(sym(point.T @ delta))))
+        christoffel=partial(stiefel.stiefel_christoffel, params=params))
 
 
-def _canonical(config, sig, tangency_residual):
+def _canonical(config, sig):
     """Flag manifolds, Grassmann included, under the canonical metric."""
     if config.alpha != fg.CANONICAL_ALPHA:
         raise ConfigError(f"closed-form {config.manifold} transport needs "
@@ -126,29 +127,21 @@ def _canonical(config, sig, tangency_residual):
         make_plan=partial(fg.flag_transport_plan, sig),
         christoffel=partial(fg.flag_christoffel, sig, params=params,
                             validate=False),
-        tangency_residual=tangency_residual)
+        mask=sig.block_mask)
 
 
 def _flag(config):
     if not config.d_list:
         raise ConfigError("flag needs --d-list")
-    sig = fg.FlagSignature(d_list=tuple(config.d_list), n=config.n)
-
-    def tangency_residual(point, delta):
-        coeff = point.T @ delta
-        return float(max(np.linalg.norm(sym(coeff)),
-                         np.linalg.norm(asym(coeff)[sig.block_mask])))
-
-    return _canonical(config, sig, tangency_residual)
+    return _canonical(config, fg.FlagSignature(d_list=tuple(config.d_list),
+                                               n=config.n))
 
 
 def _grassmann(config):
     """Gr(n, d) as the one-block flag."""
     if not (0 < config.d < config.n):
         raise ConfigError("grassmann needs 0 < d < n")
-    return _canonical(
-        config, fg.FlagSignature(d_list=(config.d,), n=config.n),
-        lambda point, delta: float(np.linalg.norm(point.T @ delta)))
+    return _canonical(config, fg.FlagSignature(d_list=(config.d,), n=config.n))
 
 
 def _positive_det(x):
@@ -157,18 +150,25 @@ def _positive_det(x):
     return x
 
 
-def _so(config):
-    n = config.n
-    geom = gl_so.SOGeometry(n=n, d=config.d, alpha=config.alpha)
+def _group(geom, **fields):
+    """The metric, plans and Christoffel function of geom.  SO keeps its
+    own residual, ||X^T d + d^T X||_F: twice the library's, whose gate
+    would be twice as loose."""
     return Adapter(
         metric=partial(group_core.metric, geom),
         geodesic=_geodesic_seam(
             group_core, partial(group_core.make_transport_plan, geom)),
         christoffel=partial(group_core.christoffel, geom, validate=False),
+        **fields)
+
+
+def _so(config):
+    n = config.n
+    return _group(
+        gl_so.SOGeometry(n=n, d=config.d, alpha=config.alpha),
         random_point=lambda rng: _positive_det(
             np.linalg.qr(rng.standard_normal((n, n)))[0]),
         random_tangent=lambda rng, x: x @ asym(rng.standard_normal((n, n))),
-        # ||X^T delta + delta^T X||_F
         tangency_residual=lambda point, delta: 2.0 * float(
             np.linalg.norm(sym(point.T @ delta))),
         columns={"n": n, "d": config.d, "alpha": config.alpha, "beta": ""})
@@ -178,12 +178,8 @@ def _gl(config):
     if config.n < 1:
         raise ConfigError("gl needs n >= 1")
     n = config.n
-    geom = gl_so.GLGeometry(n=n, beta=config.beta)
-    return Adapter(
-        metric=partial(group_core.metric, geom),
-        geodesic=_geodesic_seam(
-            group_core, partial(group_core.make_transport_plan, geom)),
-        christoffel=partial(group_core.christoffel, geom, validate=False),
+    return _group(
+        gl_so.GLGeometry(n=n, beta=config.beta),
         random_point=lambda rng: _positive_det(  # comfortably inside GL+
             rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)),
         random_tangent=lambda rng, x: x @ rng.standard_normal((n, n)),
@@ -243,7 +239,7 @@ def run_timing(config):
             times.append(time.perf_counter() - start)
         gam = velocity(t)[0]
         residual = adapter.tangency_residual(gam, delta)
-        if not residual <= TANGENCY_GATE * max(1.0, float(np.linalg.norm(delta))):
+        if not residual <= TANGENT_RTOL * max(1.0, float(np.linalg.norm(delta))):
             raise VerificationFailure(
                 f"tangency residual {residual:.3e} at t={t} fails the gate")
         rows.append(_row(config, adapter, t,

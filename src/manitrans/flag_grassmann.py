@@ -16,7 +16,7 @@ import numpy as np
 from . import stiefel
 from .errors import DimensionError, ValidationError
 from .stiefel import StiefelMetricParams, check_point, decompose_tangent
-from .utils import as_real, check_operand, check_size, matrix_norms, sym
+from .utils import as_real, check_operand, check_size, sym
 
 CANONICAL_ALPHA = 0.5
 
@@ -70,8 +70,7 @@ def flag_horizontal_project(sig, y, w):
 
 def check_horizontal(sig, y, xi, name="xi"):
     """Horizontality of xi at Y, batch axes allowed; refused as name."""
-    stiefel.check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi),
-                              name, sig.block_mask)
+    stiefel.check_coefficient(np.swapaxes(y, -1, -2) @ xi, xi, name, sig.block_mask)
 
 
 def flag_christoffel(sig, y, xi, eta, params, validate=True):

@@ -15,6 +15,8 @@ from .errors import ValidationError
 from .utils import (check_finite, check_operand, check_size, matrix_norms,
                     pair_products, refuse_residual)
 
+# beta_form's algebra check; at utils.TANGENT_RTOL, as the others run, it
+# would refuse less in beta_form, gl_metric and so_metric
 MEMBERSHIP_RTOL = 1e-10
 
 
@@ -88,7 +90,7 @@ def beta_form(g, h, split, params):
     g, h = (check_operand(m, (split.n, split.n), name, batched=True)
             for name, m in (("g", g), ("h", h)))
     for name, m in (("g", g), ("h", h)):
-        refuse_residual(matrix_norms(m - split.proj_g(m)), matrix_norms(m),
+        refuse_residual(matrix_norms(m - split.proj_g(m)), m,
                         MEMBERSHIP_RTOL, f"{name} is not in the Lie algebra: residual")
     return _beta_values(g, h, split, params)
 

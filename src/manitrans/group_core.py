@@ -75,16 +75,14 @@ from . import expaction
 from .errors import ValidationError
 from .forms import (AlgebraSplit, MetricParams, _beta_values,
                     projection_one_norm)
-from .utils import (as_real, asym, block_norm_bound, check_finite,
-                    check_operand, check_time, hcat, identity, lie,
-                    matrix_norms, orthonormality_residual, refuse_residual,
-                    two_norm_bound)
+from .utils import (ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
+                    block_norm_bound, check_finite, check_operand, check_time,
+                    hcat, identity, lie, matrix_norms, orthonormality_residual,
+                    refuse_residual, two_norm_bound)
 
-TANGENCY_RTOL = 1e-9
 # to_algebra warns above this 1-norm condition number ||x||_1 ||x^{-1}||_1,
 # as LAPACK's gecon estimates it from x's LU (from below, mostly within 3x)
 CONDITION_WARN = 1e12
-ORTHOGONALITY_TOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 PROBE_SEED = 0  # random probes of the split and quotient-structure checks
 
@@ -149,16 +147,14 @@ def _symmetry(m):
 def _check_in_algebra(split, message=None, **named):
     """Refuse each named matrix or stack, by name unless message is given,
     if one of its matrices is off the Lie algebra by more than
-    TANGENCY_RTOL max(1, its norm); on gl(n) if one is not finite."""
+    utils.TANGENT_RTOL max(1, its norm); on gl(n) if one is not finite."""
     for name, v in named.items():
         if split.proj_g is identity:
             # gl(n): the residual v - proj_g(v) is zero on finite input
             check_finite(v, name)
             continue
-        off = v - split.proj_g(v)
-        if not np.linalg.norm(off) <= TANGENCY_RTOL:  # else every matrix passes
-            refuse_residual(matrix_norms(off), matrix_norms(v), TANGENCY_RTOL,
-                            message or f"{name} is not tangent: algebra residual")
+        refuse_residual(matrix_norms(v - split.proj_g(v)), v, TANGENT_RTOL,
+                        message or f"{name} is not tangent: algebra residual")
 
 
 def _lu_solver(x):
@@ -194,12 +190,12 @@ def to_algebra(geom, x, xi, validate=True):
 def check_point(geom, x):
     """x as a checked n x n float array and its map v -> X^{-1} v on
     stacks: x^T where the split has an so_block and x is orthogonal to
-    ORTHOGONALITY_TOL (SOGeometry refuses any other x, and det x = -1),
-    else one LU (_lu_solver)."""
+    utils.ORTHONORMALITY_TOL (SOGeometry refuses any other x, and
+    det x = -1), else one LU (_lu_solver)."""
     x = check_operand(x, (geom.n, geom.n), "x")
     if geom.split.so_block is not None:
         res = orthonormality_residual(x)
-        if res <= ORTHOGONALITY_TOL:
+        if res <= ORTHONORMALITY_TOL:
             if geom.special_orthogonal and np.linalg.slogdet(x)[0] <= 0:
                 raise ValidationError("x has nonpositive determinant")
             return x, lambda v: x.T @ v
@@ -222,8 +218,8 @@ def metric(geom, x, xi, eta):
     """Left-invariant metric values <xi_i, eta_j> at x between two stacks,
     shaped as forms.beta_form's; x and each stack are checked once."""
     x, solve = check_point(geom, x)
-    a, b = (_algebra(geom, None, solve, v, name)
-            for name, v in (("xi", xi), ("eta", eta)))
+    a = _algebra(geom, None, solve, xi, "xi")
+    b = a if eta is xi else _algebra(geom, None, solve, eta, "eta")
     return _beta_values(a, b, geom.split, geom.params)
 
 

@@ -20,9 +20,9 @@ integrated adaptively.
 
 Geodesics and transports run on a group_core plan built with the
 quotient, group_core.make_transport_plan(q.geom, x, xi, q): it refuses a
-non-horizontal xi or eta by name (check_horizontal) and, where the
-condition fails, solves the ODE one vector of the stack at a time
-(solve_transport_ode); quotient_transport is its one-t wrapper.
+non-horizontal xi or eta by name (check_horizontal, at utils.TANGENT_RTOL)
+and, where the condition fails, solves the ODE one vector of the stack at
+a time (solve_transport_ode); quotient_transport is its one-t wrapper.
 """
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,10 +38,9 @@ from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
                          _christoffel, p_a_operator, to_algebra)
-from .utils import (block_diagonal_asym, check_operand, check_time, lie,
-                    matrix_norms, refuse_residual)
+from .utils import (TANGENT_RTOL, block_diagonal_asym, check_operand,
+                    check_time, lie, matrix_norms, refuse_residual)
 
-HORIZONTALITY_RTOL = 1e-9
 ODE_TOL = 1e-10
 PROBES = 8
 
@@ -69,13 +68,10 @@ class QuotientGeometry:
 
     def check_horizontal(self, **named):
         """Refuse each named algebra element or stack, by name, if one of
-        its matrices is not horizontal."""
+        its matrices is not horizontal (utils.refuse_residual)."""
         for name, a in named.items():
-            vertical = self.proj_k(a)
-            # below the tolerance every matrix passes (_check_in_algebra)
-            if not np.linalg.norm(vertical) <= HORIZONTALITY_RTOL:
-                refuse_residual(matrix_norms(vertical), matrix_norms(a),
-                                HORIZONTALITY_RTOL, f"{name} is not horizontal: residual")
+            refuse_residual(matrix_norms(self.proj_k(a)), a, TANGENT_RTOL,
+                            f"{name} is not horizontal: residual")
 
     def solve_transport_ode(self, a, w0, t):
         """The middle transport factor where simplified_ok fails, by adaptive

@@ -29,12 +29,11 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
-from .utils import (as_real, asym, check_finite, check_operand, check_time,
-                    hcat, matrix_norms, orthonormality_residual, pair_products,
+from .utils import (ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
+                    check_finite, check_operand, check_time, hcat,
+                    matrix_norms, orthonormality_residual, pair_products,
                     refuse_residual, sym, block_norm_bound, two_norm_bound)
 
-POINT_TOL = 1e-10
-TANGENT_RTOL = 1e-9
 RANK_RTOL = 1e-12
 # CholeskyQR2 serves xi whose Y-orthogonal part has a condition number
 # (bound) below this; its first step then leaves Q^T Q - I below about
@@ -209,23 +208,27 @@ def check_point(y):
         raise DimensionError(f"y must be n x d with n > d, got shape {y.shape}")
     check_finite(y, "y")
     res = orthonormality_residual(y)
-    if not res <= POINT_TOL:
+    if not res <= ORTHONORMALITY_TOL:
         raise ValidationError(f"y is not orthonormal: residual {res:.3e}")
     return y
 
 
-def check_coefficient(coeff, scale, name, mask=None):
-    """Tangency of the argument name's vectors v from coeff = Y^T v
-    (leading batch axes allowed) and scale = ||v||: the symmetric part of
-    each coeff must vanish, relative to its own vector, and, with a flag
-    block mask, so must its masked blocks (horizontality; Y^T v = 0 for
-    the full Grassmann mask)."""
+def coefficient_residual(coeff, mask=None):
+    """Per vector v, from coeff = Y^T v (batch axes allowed): the norm of
+    sym(coeff) and, with a flag block mask, the larger of it and the norm
+    of the masked blocks (horizontality; Y^T v = 0 for a Grassmann mask)."""
     res = matrix_norms(coeff + np.swapaxes(coeff, -1, -2)) / 2.0
-    kind = "tangent"
     if mask is not None:
         res = np.maximum(res, np.linalg.norm(coeff[..., mask], axis=-1))
-        kind = "horizontal"
-    refuse_residual(res, scale, TANGENT_RTOL, f"{name} is not {kind}: residual")
+    return res
+
+
+def check_coefficient(coeff, v, name, mask=None):
+    """Refuse the argument name's vectors v by their coefficient_residual
+    (utils.refuse_residual at utils.TANGENT_RTOL)."""
+    kind = "tangent" if mask is None else "horizontal"
+    refuse_residual(coefficient_residual(coeff, mask), v, TANGENT_RTOL,
+                    f"{name} is not {kind}: residual")
 
 
 def project_tangent(y, w):
@@ -239,11 +242,15 @@ def metric_inner(y, xi, eta, params):
     """Metric values <xi_i, eta_j> at Y between two stacks of tangent
     vectors (utils.pair_products); Y and each stack are checked once."""
     y = check_point(y)
-    xi, eta = (check_operand(v, y.shape, name, batched=True)
-               for name, v in (("xi", xi), ("eta", eta)))
-    yxi, yeta = y.T @ xi, y.T @ eta
-    check_coefficient(yxi, matrix_norms(xi), "xi")
-    check_coefficient(yeta, matrix_norms(eta), "eta")
+    same = eta is xi  # a Gram matrix: one stack, checked once
+    xi = check_operand(xi, y.shape, "xi", batched=True)
+    eta = xi if same else check_operand(eta, y.shape, "eta", batched=True)
+    yxi = y.T @ xi
+    # a copy: yxi with itself would take BLAS syrk, rounding unlike y.T @ eta
+    yeta = yxi.copy() if same else y.T @ eta
+    check_coefficient(yxi, xi, "xi")
+    if not same:
+        check_coefficient(yeta, eta, "eta")
     return pair_products(xi, eta) + (params.alpha - 1.0) * pair_products(yxi, yeta)
 
 
@@ -270,13 +277,12 @@ def decompose_tangent(y, xi, mask=None):
     xi = check_operand(xi, y.shape, "xi")
     n, d = y.shape
     c = y.T @ xi
-    scale = np.linalg.norm(xi)
-    check_coefficient(c, scale, "xi", mask)
+    check_coefficient(c, xi, "xi", mask)
     a = asym(c)
     if mask is not None:
         a[mask] = 0.0
     perp = xi - y @ c
-    if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, scale):
+    if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, np.linalg.norm(xi)):
         return TangentDecomposition(
             a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
     chol = _cholesky_qr(perp, CHOLQR_MAX_COND) if n - d >= d else None
@@ -500,7 +506,7 @@ def transport_with_plan(plan, y, eta, t):
     d = plan.decomposition.d
     eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
     w0 = np.swapaxes(yq, -1, -2) @ eta
-    check_coefficient(w0[..., :d, :], matrix_norms(eta), "eta", plan.mask)
+    check_coefficient(w0[..., :d, :], eta, "eta", plan.mask)
     if t == 0.0:
         return eta.copy()
     salpha = np.sqrt(plan.alpha)

@@ -6,6 +6,8 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 EPS = 2.0 ** -53
+TANGENT_RTOL = 1e-9
+ORTHONORMALITY_TOL = 1e-10
 
 
 def coordinate_projection(proj):
@@ -131,12 +133,14 @@ def check_operand(m, shape, name, batched=False):
     return check_finite(m, name)
 
 
-def refuse_residual(res, scale, rtol, message):
-    """Raise ValidationError(f"{message} {r:.3e}") for the first residual r
-    of the stack res above rtol max(1, its scale), NaN included."""
-    bad = np.flatnonzero(~(res <= rtol * np.maximum(1.0, scale)))
-    if bad.size:
-        raise ValidationError(f"{message} {np.ravel(res)[bad[0]]:.3e}")
+def refuse_residual(res, v, rtol, message):
+    """Raise ValidationError(f"{message} {r:.3e}") for the first residual
+    r of res, one per matrix v_i of the stack v, above rtol max(1,
+    ||v_i||_F), NaN included; ||v_i|| is formed only if ||res||_2 > rtol."""
+    if not np.linalg.norm(res) <= rtol:  # else every v_i passes
+        bad = np.flatnonzero(~(res <= rtol * np.maximum(1.0, matrix_norms(v))))
+        if bad.size:
+            raise ValidationError(f"{message} {np.ravel(res)[bad[0]]:.3e}")
 
 
 def check_square_operands(n, **named):

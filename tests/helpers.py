@@ -8,10 +8,10 @@ import scipy.linalg
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
 from manitrans.stiefel import (
-    POINT_TOL, RANK_RTOL, TangentDecomposition, check_coefficient,
-    decompose_tangent, p_bal_norm_bound, project_tangent)
-from manitrans.utils import (asym, check_operand, check_square, hcat, lie,
-                             matrix_norms, sym)
+    RANK_RTOL, TangentDecomposition, check_coefficient, decompose_tangent,
+    p_bal_norm_bound, project_tangent)
+from manitrans.utils import (ORTHONORMALITY_TOL, asym, check_operand,
+                             check_square, hcat, lie, sym)
 
 SUBSPACE_RANK_RTOL = 1e-10
 
@@ -83,14 +83,15 @@ def zero_flag_blocks(sig, m):
 
 def check_tangent(y, xi):
     """Tangency of xi at Y (leading batch axes allowed)."""
-    check_coefficient(np.swapaxes(y, -1, -2) @ xi, matrix_norms(xi), "xi")
+    check_coefficient(np.swapaxes(y, -1, -2) @ xi, xi, "xi")
 
 
 def horizontal_lift(y, y_perp, xi):
     """Lift a tangent vector at Y to a horizontal vector at [Y|Y_perp]."""
     x = np.hstack([y, y_perp])
     n = x.shape[0]
-    if x.shape[1] != n or not np.linalg.norm(x.T @ x - np.eye(n)) <= POINT_TOL:
+    if x.shape[1] != n or not np.linalg.norm(
+            x.T @ x - np.eye(n)) <= ORTHONORMALITY_TOL:
         raise ValidationError("[Y|Y_perp] is not orthogonal")
     check_tangent(y, xi)
     return np.hstack([xi, -y @ (xi.T @ y_perp)])

@@ -13,6 +13,7 @@ from manitrans.bench_cli import (
     Adapter, BenchConfig, build_parser, config_from_args, main, make_adapter,
     run_isometry, run_timing, run_verify, write_csv, CSV_SCHEMA_COMMENT)
 from manitrans.errors import ConfigError
+from manitrans.utils import sym
 
 
 def read_csv(path):
@@ -113,6 +114,27 @@ class TestRunners:
         assert main(["bench", "--manifold", "flag", "--n", "12", "--d-list",
                      "2,2", "--t-grid", "1", "--repeats", "1",
                      "--out", str(tmp_path / "flag.csv")]) == 0
+
+    @pytest.mark.parametrize("manifold, size, blocks", [
+        ("stiefel", dict(n=8, d=3), None),
+        ("flag", dict(n=10, d_list=(2, 2)), (2, 2)),
+        ("grassmann", dict(n=9, d=3), (3,))])
+    def test_residual_is_coefficient_residual(self, manifold, size, blocks):
+        # coefficient_residual with the signature's mask; to rounding, the
+        # norm of sym(Y^T d), with the flag blocks, and of Y^T d on Grassmann
+        adapter = make_adapter(BenchConfig(manifold=manifold, **size))
+        mask = blocks and flag_grassmann.FlagSignature(blocks, size["n"]).block_mask
+        rng = np.random.default_rng(5)
+        y = adapter.random_point(rng)
+        for delta in (adapter.random_tangent(rng, y), rng.standard_normal(y.shape)):
+            coeff = y.T @ delta
+            got = adapter.tangency_residual(y, delta)
+            assert got == float(stiefel.coefficient_residual(coeff, mask))
+            want = {"stiefel": np.linalg.norm(sym(coeff)),
+                    "flag": max(np.linalg.norm(sym(coeff)),
+                                np.linalg.norm(coeff[mask])),
+                    "grassmann": np.linalg.norm(coeff)}[manifold]
+            assert abs(got - want) <= 1e-15 * max(1.0, want)
 
     def test_isometry_reproducible_with_fixed_seed(self):
         config = BenchConfig(manifold="stiefel", n=16, d=3, alpha=0.5,
@@ -226,14 +248,16 @@ class TestCsvAndCli:
         import manitrans.stiefel
 
         def broken_transport(plan, y, eta, t):
-            return eta + 1.0  # loses tangency
+            return eta + 1.0  # loses tangency (and horizontality)
 
         monkeypatch.setattr(manitrans.stiefel, "transport_with_plan",
                             broken_transport)
-        code = main(["bench", "--manifold", "stiefel", "--n", "10", "--d", "2",
-                     "--t-grid", "1", "--repeats", "1"])
-        assert code == 3
-        assert "verification failure" in capsys.readouterr().err
+        for size in (["stiefel", "--d", "2"], ["flag", "--d-list", "2,1"],
+                     ["grassmann", "--d", "2"]):
+            code = main(["bench", "--manifold", *size, "--n", "10",
+                         "--t-grid", "1", "--repeats", "1"])
+            assert code == 3
+            assert "verification failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--manifold", "so", "--n", "5", "--d", "2", "--alpha", "-1"],

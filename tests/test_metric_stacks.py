@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from manitrans import group_core, stiefel
 from manitrans.errors import ValidationError
 from manitrans.flag_grassmann import FlagSignature, flag_horizontal_project
 from manitrans.forms import MetricParams, beta_form, trace_form
@@ -151,3 +152,30 @@ def test_bad_vector_anywhere_is_refused_by_name(name, kind, arg, seed, k, data):
         message = "is not"
     with pytest.raises(ValidationError, match=f"^{case.names[arg]} {message}"):
         case.metric(case.point, *stacks)
+
+
+# the metrics and what checks one stack: a check_coefficient call, or an
+# _algebra call, which also converts it to X^{-1} xi
+CHECKERS = {name: (stiefel, "check_coefficient")
+            if name.startswith(("stiefel-", "flag")) else (group_core, "_algebra")
+            for name in CASES if not name.endswith("_form")}
+
+
+@pytest.mark.parametrize("name", CHECKERS)
+def test_a_stack_with_itself_is_checked_once(monkeypatch, name):
+    # the two-stack call takes a view of xi's data; at n = 24 the Stiefel
+    # cases have d = 19, where numpy's product of a matrix with its own
+    # transpose (BLAS syrk) no longer rounds as the general one does
+    rng = np.random.default_rng(3)
+    case = CASES[name](rng, 24)
+    xi = stack(case, rng, (4,))
+    want = case.metric(case.point, xi, xi[...])
+    module, attr = CHECKERS[name]
+    calls, real = [], getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: calls.append(1) or real(*args))
+    assert np.array_equal(case.metric(case.point, xi, xi), want)
+    assert len(calls) == 1
+    xi[2] = case.off(rng) if case.off else np.nan
+    with pytest.raises(ValidationError,
+                       match="^xi is not" if case.off else "^xi has non-finite"):
+        case.metric(case.point, xi, xi)

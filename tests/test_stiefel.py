@@ -21,7 +21,7 @@ from manitrans.stiefel import (
     p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
     project_tangent, single_time, stiefel_christoffel, stiefel_geodesic,
     stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
-from manitrans.utils import asym, sym, two_norm_bound
+from manitrans.utils import asym, refuse_residual, sym, two_norm_bound
 
 from helpers import (
     BAD_VALUES, NON_REAL, check_tangent, decompose_tangent_reference,
@@ -224,6 +224,27 @@ class TestCheckNames:
             with pytest.raises(ValidationError,
                                match=f"^{name} is not tangent: residual"):
                 call()
+
+
+class TestRefuseResidual:
+    """The one tangency rule: residual r_i of vector v_i passes at
+    r_i <= rtol max(1, ||v_i||)."""
+
+    def test_forms_no_norm_when_the_whole_stack_passes(self):
+        # None has no norm: only the early return keeps it from being read
+        refuse_residual(np.array([6e-10, 8e-10]), None, 1e-9, "v")
+        with pytest.raises(AttributeError):
+            refuse_residual(np.array([6e-10, 9e-10]), None, 1e-9, "v")
+
+    def test_reports_the_first_failing_residual(self):
+        # the first residual passes against its vector of norm 10
+        v = np.stack([10.0 * np.eye(2) / np.sqrt(2.0), np.eye(2), np.eye(2)])
+        for res, shown in (([2e-9, 3e-9, 5e-9], "3.000e-09"),
+                           ([2e-9, np.nan, 5e-9], "nan")):
+            with pytest.raises(ValidationError,
+                               match=f"^v is not tangent: residual {shown}$"):
+                refuse_residual(np.array(res), v, 1e-9,
+                                "v is not tangent: residual")
 
 
 class TestDecomposeTangent:
@@ -452,7 +473,7 @@ class TestGeodesic:
 
     @pytest.mark.parametrize("t", [50.0, 500.0])
     def test_long_geodesic_endpoint_passes_check_point(self, t):
-        # check_point's tolerance is absolute (POINT_TOL); at St(2000, 100)
+        # check_point's tolerance is absolute (ORTHONORMALITY_TOL); at St(2000, 100)
         # a unit-speed geodesic endpoint keeps ||Y^T Y - I||_F near 1e-13
         # even at t = 500, so the next geodesic can start there: transport
         # by t, then by 1 from the endpoint, is transport by t + 1
