@@ -33,7 +33,7 @@ import scipy.special
 from scipy.linalg.blas import daxpy
 
 from .errors import CapacityError, DimensionError, NumericalError, ValidationError
-from .utils import EPS, as_real, check_finite, check_square, check_time
+from .utils import EPS, as_real, check_finite, check_square, check_scalar
 
 # Constants theta_m for the truncated-Taylor backward-error criterion of
 # Al-Mohy & Higham, "Computing the Action of the Matrix Exponential" (2011),
@@ -186,7 +186,7 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
         raise DimensionError(
             f"operand shape {b.shape} does not match operator domain "
             f"{op.domain_shape}")
-    t = check_time(t)
+    t = check_scalar(t, "t")
     if params is None:
         if op.skew_two_norm_bound is not None:
             return _chebyshev_expa(op, b, t)

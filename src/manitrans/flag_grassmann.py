@@ -93,29 +93,38 @@ def flag_transport_plan(sig, y, xi):
     """Stiefel transport plan for the canonical flag geodesic driven by
     the horizontal xi; reusable for its geodesic and many (eta, t), as
     stiefel.make_transport_plan's is."""
-    return _plan(sig, check_point(y), xi)
-
-
-def _plan(sig, y, xi):
-    """flag_transport_plan at a checked y."""
-    if y.shape != (sig.n, sig.d):
-        raise DimensionError(f"y has shape {y.shape}, expected {(sig.n, sig.d)}")
+    y = _point(sig, check_point(y))
     return stiefel.plan_from_decomposition(
         y, decompose_tangent(y, xi, sig.block_mask),
         StiefelMetricParams(CANONICAL_ALPHA), mask=sig.block_mask)
 
 
+def _point(sig, y):
+    """y, refused unless of sig's shape."""
+    if y.shape != (sig.n, sig.d):
+        raise DimensionError(f"y has shape {y.shape}, expected {(sig.n, sig.d)}")
+    return y
+
+
+def _one_shot_plan(sig, y, xi):
+    """stiefel.one_shot_plan of the canonical flag geodesic at y (a
+    stiefel.point_array): the Gram route unless its gate refuses."""
+    return stiefel.one_shot_plan(_point(sig, y), xi,
+                                 StiefelMetricParams(CANONICAL_ALPHA),
+                                 sig.block_mask)
+
+
 def flag_transport_canonical(sig, y, xi, eta, t):
     """Parallel transport of a horizontal eta, canonical metric only; one
-    transport, so its plan takes scipy.linalg.expm (stiefel.single_time)."""
-    plan = stiefel.single_time(flag_transport_plan(sig, y, xi))
+    transport, so by a one-t plan (stiefel.one_shot_plan)."""
+    plan = _one_shot_plan(sig, stiefel.point_array(y), xi)
     return stiefel.transport_with_plan(plan, plan.point, eta, t)
 
 
 def flag_geodesic(sig, y, xi, t):
     """Geodesic of the canonical flag metric: the geodesic of a one-t flag
-    plan, whose masked decomposition refuses a non-horizontal xi."""
-    return stiefel.single_time(flag_transport_plan(sig, y, xi)).geodesic(t)
+    plan, whose masked Y^T xi refuses a non-horizontal xi."""
+    return _one_shot_plan(sig, stiefel.point_array(y), xi).geodesic(t)
 
 
 def grassmann_transport(y, xi, eta, t):
@@ -124,6 +133,7 @@ def grassmann_transport(y, xi, eta, t):
     Y^T v = 0 and A is zero: the operator and the small exponentials
     vanish, leaving one exponential of [[0, -R^T], [R, 0]] on [Y|Q].
     """
-    y = check_point(y)
-    plan = _plan(FlagSignature(d_list=(y.shape[1],), n=y.shape[0]), y, xi)
-    return stiefel.transport_with_plan(stiefel.single_time(plan), y, eta, t)
+    y = stiefel.point_array(y)
+    plan = _one_shot_plan(FlagSignature(d_list=(y.shape[1],), n=y.shape[0]),
+                          y, xi)
+    return stiefel.transport_with_plan(plan, y, eta, t)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .utils import (check_finite, check_operand, check_size, matrix_norms,
+from .utils import (check_operand, check_scalar, check_size, matrix_norms,
                     pair_products, refuse_residual)
 
 # beta_form's algebra check; at utils.TANGENT_RTOL, as the others run, it
@@ -22,14 +22,15 @@ MEMBERSHIP_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Deformation parameters (beta0, beta1) of the metric family."""
+    """Deformation parameters (beta0, beta1) of the metric family, each
+    stored as a float (utils.check_scalar)."""
     beta0: float
     beta1: float
 
     def __post_init__(self):
         for name in ("beta0", "beta1"):
-            value = getattr(self, name)
-            check_finite(value, name)
+            value = check_scalar(getattr(self, name), name)
+            object.__setattr__(self, name, value)
             if value == 0:
                 raise ValidationError(f"{name} must be nonzero")
 

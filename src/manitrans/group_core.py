@@ -76,7 +76,7 @@ from .errors import ValidationError
 from .forms import (AlgebraSplit, MetricParams, _beta_values,
                     projection_one_norm)
 from .utils import (ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
-                    block_norm_bound, check_finite, check_operand, check_time,
+                    block_norm_bound, check_finite, check_operand, check_scalar,
                     hcat, identity, lie, matrix_norms, orthonormality_residual,
                     refuse_residual, two_norm_bound)
 
@@ -274,12 +274,14 @@ class GroupTransportPlan:
         return p_a_operator(self.geom, self.a, self.quotient)
 
     def geodesic(self, t):
-        left, finish = geodesic_factors(self.geom, self.a, check_time(t))
+        left, finish = geodesic_factors(self.geom, self.a,
+                                        check_scalar(t, "t"))
         return finish(self.point @ left)
 
     def geodesic_velocity(self, t):
         """(gamma(t), dgamma/dt), by closed-form differentiation."""
-        left, finish = geodesic_factors(self.geom, self.a, check_time(t))
+        left, finish = geodesic_factors(self.geom, self.a,
+                                        check_scalar(t, "t"))
         # gamma^{-1} dgamma = right^{-1} a right, so dgamma = X left a right
         return finish(self.point @ left), finish(self.point @ left @ self.a)
 
@@ -300,7 +302,7 @@ def transport_with_plan(plan, x, eta, t):
     an entry-wise compare.  eta is checked by name first, t = 0 included;
     one expa runs over the whole stack, a quotient ODE per vector.
     """
-    t = check_time(t)
+    t = check_scalar(t, "t")
     if x is not plan.point and not np.array_equal(x, plan.point):
         raise ValidationError("x is not the base point of the plan")
     q = plan.quotient
@@ -316,13 +318,13 @@ def transport_with_plan(plan, x, eta, t):
 
 def geodesic(geom, x, xi, t):
     """Geodesic through x with initial velocity xi, evaluated at time t."""
-    t = check_time(t)
+    t = check_scalar(t, "t")
     return make_transport_plan(geom, x, xi).geodesic(t)
 
 
 def geodesic_velocity(geom, x, xi, t):
     """The pair (gamma(t), dgamma/dt), by closed-form differentiation."""
-    t = check_time(t)
+    t = check_scalar(t, "t")
     return make_transport_plan(geom, x, xi).geodesic_velocity(t)
 
 
@@ -425,6 +427,6 @@ def transport_operator(geom, a):
 
 def transport(geom, x, xi, eta, t):
     """Parallel transport of eta along the geodesic driven by xi."""
-    t = check_time(t)
+    t = check_scalar(t, "t")
     plan = make_transport_plan(geom, x, xi)
     return transport_with_plan(plan, plan.point, eta, t)

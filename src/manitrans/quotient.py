@@ -39,7 +39,7 @@ from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
                          _christoffel, p_a_operator, to_algebra)
 from .utils import (TANGENT_RTOL, block_diagonal_asym, check_operand,
-                    check_time, lie, matrix_norms, refuse_residual)
+                    check_scalar, lie, matrix_norms, refuse_residual)
 
 ODE_TOL = 1e-10
 PROBES = 8
@@ -194,21 +194,21 @@ def horizontal_transport_operator(q, a):
 def quotient_transport(q, x, xi, eta, t):
     """Parallel transport of a horizontal vector along the horizontal
     geodesic: one transport of a one-t group_core plan built with q."""
-    t = check_time(t)
+    t = check_scalar(t, "t")
     plan = group_core.make_transport_plan(q.geom, x, xi, q)
     return group_core.transport_with_plan(plan, plan.point, eta, t)
 
 
 def stiefel_quotient(n, d, alpha):
     """SO(n)/SO(n-d) with the alpha metric: the Stiefel quotient."""
-    geom = GroupGeometry(split=so_split(n, d),
-                         params=MetricParams(beta0=-0.5, beta1=alpha))
+    geom = GroupGeometry(split=so_split(n, d), params=MetricParams(
+        beta0=-0.5, beta1=check_scalar(alpha, "alpha")))
     return QuotientGeometry(geom, block_diagonal_asym((d, n)))
 
 
 def flag_quotient(n, d_list, alpha):
     """SO(n)/S(O(d_1) x ... x O(d_p) x O(n-d)): the flag quotient."""
     sig = FlagSignature(tuple(d_list), n)
-    geom = GroupGeometry(split=so_split(n, sig.d),
-                         params=MetricParams(beta0=-0.5, beta1=alpha))
+    geom = GroupGeometry(split=so_split(n, sig.d), params=MetricParams(
+        beta0=-0.5, beta1=check_scalar(alpha, "alpha")))
     return QuotientGeometry(geom, block_diagonal_asym(sig.offsets + (n,)))

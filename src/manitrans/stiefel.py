@@ -12,13 +12,18 @@ a d x d rotation.  The transport factor in the middle is an exponential
 action of the operator P_AR over F = Skew_d x R^{k x d}, applied in its
 balanced form (p_bal_operator).  A plan holds these pieces for one
 geodesic and is the one geodesic and transport engine, for Stiefel plans
-and, with a block mask, for canonical flag plans (flag_grassmann); the
-one-shot functions run a one-t plan (single_time).
+and, with a block mask, for canonical flag plans (flag_grassmann).
+
+A reused plan (make_transport_plan) holds [Y|Q] explicitly.  The one-shot
+functions run a one-t plan (one_shot_plan), which holds [Y|Q] implicitly
+as [Y|xi] B whenever its gate holds (the Gram route): its n-sized work is
+then the Gram blocks Y^T Y, Y^T xi and xi^T xi and the transport's own
+products, and Q is never formed.
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Metrics, operators and transports accept leading batch axes on the vectors.
 """
-import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,10 +34,10 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import expaction
 from .errors import DimensionError, NumericalError, ValidationError
-from .utils import (ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
-                    check_finite, check_operand, check_time, hcat,
-                    matrix_norms, orthonormality_residual, pair_products,
-                    refuse_residual, sym, block_norm_bound, two_norm_bound)
+from .utils import (EPS, ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
+                    check_finite, check_operand, check_scalar, hcat,
+                    matrix_norms, pair_products, refuse_residual, sym,
+                    block_norm_bound, two_norm_bound)
 
 RANK_RTOL = 1e-12
 # CholeskyQR2 serves xi whose Y-orthogonal part has a condition number
@@ -42,6 +47,9 @@ RANK_RTOL = 1e-12
 CHOLQR_MAX_COND = 1e6
 # One Cholesky-QR step re-orthonormalises a basis of condition below this.
 REORTH_MAX_COND = 10.0
+# The one-shot Gram route's bound on the loss of orthogonality of its
+# implicit basis [Y|Q] = [Y|xi] B, beyond Y's own (derived at _gram_map).
+GRAM_MAX_LOSS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,19 +57,23 @@ class StiefelMetricParams:
     """Metric parameter: <xi, xi> = Tr xi^T xi + (alpha-1) Tr xi^T Y Y^T xi.
 
     alpha = 1/2 is the canonical metric, alpha = 1 the embedded Euclidean
-    one.
+    one.  alpha is stored as a float (utils.check_scalar).
     """
     alpha: float
 
     def __post_init__(self):
-        check_finite(self.alpha, "alpha")
+        object.__setattr__(self, "alpha", check_scalar(self.alpha, "alpha"))
         if self.alpha <= 0:
             raise ValidationError("alpha must be positive")
 
 
 @dataclass(frozen=True)
 class TangentDecomposition:
-    """xi = Y A + Q R with Q^T Q = I_k, Y^T Q = 0 and A antisymmetric."""
+    """xi = Y A + Q R with Q^T Q = I_k, Y^T Q = 0 and A antisymmetric.
+
+    q is None in a Gram-route plan (one_shot_plan), which holds [Y|Q]
+    implicitly as basis @ basis_map and never forms Q.
+    """
     a: np.ndarray
     q: np.ndarray
     r: np.ndarray
@@ -123,6 +135,10 @@ class StiefelTransportPlan:
     """Precomputed pieces of one geodesic, reusable for its geodesic,
     geodesic velocity and transports at many (eta, t).
 
+    basis is [Y|Q], or on a one-shot plan's Gram route [Y|xi], with
+    [Y|Q] = basis @ basis_map (one_shot_plan); every n-sized product goes
+    through basis (_lift and transport_with_plan).
+
     The first use factors big_exp_arg and A, whose multiples
     (1-2 alpha) A and (1-alpha) A are the small exponents, once each
     (SkewExponential, O((d+k)^3) and O(d^3)); every later t then forms its
@@ -132,9 +148,10 @@ class StiefelTransportPlan:
     decomposition: TangentDecomposition
     big_exp_arg: np.ndarray     # (d+k) x (d+k), antisymmetric
     alpha: float
-    basis: np.ndarray           # [Y|Q], cached to avoid per-call copies
+    basis: np.ndarray           # [Y|Q], or [Y|xi] with basis_map
     point: np.ndarray           # the checked Y the plan was built at
     mask: np.ndarray = None     # flag diagonal blocks (flag plans only)
+    basis_map: np.ndarray = None  # B of the Gram route, 2d x 2d
 
     @cached_property
     def p_op(self):  # the balanced operator over F; no geodesic reads it
@@ -148,9 +165,15 @@ class StiefelTransportPlan:
         # partial factorization
         return _exponential_maps(self, SkewExponential)
 
+    def _lift(self, m):
+        """[Y|Q] @ m."""
+        if self.basis_map is not None:
+            m = self.basis_map @ m
+        return self.basis @ m
+
     def _geodesic_parts(self, t):
         """exp(t big_exp_arg) and the map m -> m exp(t (1-2 alpha) A)."""
-        t = check_time(t)
+        t = check_scalar(t, "t")
         big, small, _ = self._factors
         e_small = small and small(t)
         return big(t), lambda m: m if e_small is None else m @ e_small
@@ -159,15 +182,15 @@ class StiefelTransportPlan:
         """The geodesic at time t,
         gamma(t) = [Y|Q] exp(t big_exp_arg)[:, :d] exp(t (1-2 alpha) A)."""
         e_big, right = self._geodesic_parts(t)
-        return self.basis @ right(e_big[:, :self.decomposition.d])
+        return self._lift(right(e_big[:, :self.decomposition.d]))
 
     def geodesic_velocity(self, t):
         """(gamma(t), dgamma/dt), by the product rule:
         dgamma/dt = [Y|Q] exp(t big_exp_arg) [A; R] exp(t (1-2 alpha) A)."""
         e_big, right = self._geodesic_parts(t)
         dec = self.decomposition
-        return (self.basis @ right(e_big[:, :dec.d]),
-                self.basis @ right(e_big @ np.vstack([dec.a, dec.r])))
+        return (self._lift(right(e_big[:, :dec.d])),
+                self._lift(right(e_big @ np.vstack([dec.a, dec.r]))))
 
 
 def _exponential_maps(plan, factor):
@@ -184,8 +207,11 @@ def _exponential_maps(plan, factor):
 
 
 class _SingleTimePlan(StiefelTransportPlan):
-    """A plan used at one t, where one scipy.linalg.expm per exponential
-    costs less than factoring its argument."""
+    """The plan of a one-shot entry point (one_shot_plan), used at one t:
+    one scipy.linalg.expm per exponential costs less there than factoring
+    its argument.  expm's error grows with |t| ||S||_2: 5.5e-12 relative
+    at |t| ||S||_2 = 264, where a reused plan stayed within 1.4e-13.  For
+    large |t|, build a plan."""
 
     @property
     def _factors(self):
@@ -193,24 +219,29 @@ class _SingleTimePlan(StiefelTransportPlan):
             self, lambda m: lambda s: scipy.linalg.expm(s * m))
 
 
-def single_time(plan):
-    """plan for the one-shot entry points, which use it once: its
-    exponentials come from scipy.linalg.expm, unfactored, whose error grows
-    with |t| ||S||_2: 5.5e-12 relative at |t| ||S||_2 = 264, where a reused
-    plan stayed within 1.4e-13.  For large |t|, build a plan."""
-    return _SingleTimePlan(**{f.name: getattr(plan, f.name)
-                              for f in dataclasses.fields(plan)})
-
-
-def check_point(y):
+def point_array(y):
+    """y as a finite n x d float array with n > d, refused by name;
+    check_point also refuses it unless orthonormal."""
     y = as_real(y, "y")
     if y.ndim != 2 or y.shape[0] <= y.shape[1]:
         raise DimensionError(f"y must be n x d with n > d, got shape {y.shape}")
-    check_finite(y, "y")
-    res = orthonormality_residual(y)
+    return check_finite(y, "y")
+
+
+def check_point(y):
+    y = point_array(y)
+    _orthonormality_defect(y.T @ y)
+    return y
+
+
+def _orthonormality_defect(gram):
+    """E = Y^T Y - I from the point's Gram block, and ||E||_F; y is
+    refused unless ||E||_F <= ORTHONORMALITY_TOL."""
+    e = gram - np.eye(gram.shape[0])
+    res = np.linalg.norm(e)
     if not res <= ORTHONORMALITY_TOL:
         raise ValidationError(f"y is not orthonormal: residual {res:.3e}")
-    return y
+    return e, res
 
 
 def coefficient_residual(coeff, mask=None):
@@ -255,7 +286,9 @@ def metric_inner(y, xi, eta, params):
 
 
 def decompose_tangent(y, xi, mask=None):
-    """Split xi = Y A + Q R, forming Y^T xi once.
+    """Split xi = Y A + Q R explicitly, forming Y^T xi once: the
+    decomposition of every reused plan, and of a one-shot plan whose Gram
+    route is refused (one_shot_plan).
 
     Y^T xi gives the tangency check, A = asym(Y^T xi) and the Y-orthogonal
     part perp = xi - Y Y^T xi; a flag block mask makes the check one of
@@ -271,16 +304,26 @@ def decompose_tangent(y, xi, mask=None):
     projection against Y between its two steps.  With perp ~ Q_1 T from
     the first step (T = L_1^T, or R_p[:k] P^T from pivoted QR) and
     Q_1 - Y Y^T Q_1 = Q L_2^T, R = Q^T perp = L_2^T T: no n-sized product.
-    Every plan is built from this decomposition, so this is where xi's
-    shape and entries are checked.
+    Every plan is built from Y^T xi, so this (or one_shot_plan) is where
+    xi's shape and entries are checked.
     """
     xi = check_operand(xi, y.shape, "xi")
-    n, d = y.shape
     c = y.T @ xi
     check_coefficient(c, xi, "xi", mask)
+    return _explicit_decomposition(y, xi, c, _velocity_a(c, mask))
+
+
+def _velocity_a(c, mask):
+    """A = asym(Y^T xi), zero on the flag diagonal blocks of mask."""
     a = asym(c)
     if mask is not None:
         a[mask] = 0.0
+    return a
+
+
+def _explicit_decomposition(y, xi, c, a):
+    """decompose_tangent from the checked c = Y^T xi and A."""
+    n, d = y.shape
     perp = xi - y @ c
     if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, np.linalg.norm(xi)):
         return TangentDecomposition(
@@ -323,6 +366,52 @@ def _cholesky_qr(m, max_cond):
     return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T, chol
 
 
+def _gram_map(xi, c, e, res):
+    """The Gram route of one_shot_plan: L and B, with [Y|Q] = [Y|xi] B,
+    or None when its gate refuses.
+
+    With c = Y^T xi, E = Y^T Y - I and perp = xi - Y c, the Gram blocks
+    alone give P = perp^T perp = xi^T xi - c^T (c - E c).  Its Cholesky
+    factor L is the first Cholesky-QR step (_cholesky_qr) of perp, without
+    perp: Q = perp L^{-T}, R = Q^T xi = L^T and
+    B = [[I, -c L^{-T}], [0, L^{-T}]].  No second step repairs this Q, so
+    the route is gated by a guaranteed bound,
+    b = ||xi||_F two_norm_bound(L^{-1}):
+    - ||perp||_2 <= ||xi||_F (up to Y's residual) and
+      ||L^{-1}||_2 = 1 / sigma_min(perp), so b bounds ||xi|| / ||perp||
+      and cond_2(perp);
+    - xi^T xi and c^T c carry rounding errors of about eps ||xi||_F^2,
+      which their difference keeps, and the factorisation adds about
+      eps ||P||; so Q^T Q - I = L^{-1} (perp^T perp - L L^T) L^{-T} is
+      about b^2 eps;
+    - Y^T Q = -E c L^{-T} has norm at most res b with res = ||E||_F,
+      where the explicit route, which projects Q against Y, leaves about
+      res^2 b.
+    So [Y|Q] loses about b (b eps + 2 res) of orthogonality beyond Y's
+    own, and the gate asks that this be below GRAM_MAX_LOSS = 1e-12:
+    b < 94.9 at an exactly orthonormal Y, less as res grows.  It also asks
+    sigma_min(perp) >= 1 / two_norm_bound(L^{-1}) > RANK_RTOL max(1,
+    ||xi||_F), so perp is not negligible; with cond_2(perp) < 95 the
+    explicit route then keeps all d columns by Cholesky QR, and both give
+    perp's QR factors with R's diagonal positive, to rounding.  A failed
+    factorisation (rank-deficient, near-span or k = 0 xi) also refuses.
+    """
+    d = c.shape[0]
+    x = xi.T @ xi
+    chol, info = dpotrf(x - c.T @ (c - e @ c), lower=1)
+    if info != 0:
+        return None
+    inv, _ = dtrtri(chol, lower=1)
+    inv_bound = two_norm_bound(inv)
+    norm_xi = math.sqrt(np.trace(x))
+    bound = norm_xi * inv_bound
+    if not (bound * (bound * EPS + 2.0 * res) < GRAM_MAX_LOSS
+            and RANK_RTOL * max(1.0, norm_xi) * inv_bound < 1.0):
+        return None
+    return chol, np.block([[np.eye(d), -c @ inv.T],
+                           [np.zeros((d, d)), inv.T]])
+
+
 def _reorthonormalise(y, q):
     """One projection against Y, then one Cholesky-QR step: its basis and
     its triangular factor.
@@ -343,15 +432,43 @@ def _reorthonormalise(y, q):
     return chol
 
 
+def one_shot_plan(y, xi, params, mask=None):
+    """The one-t plan (_SingleTimePlan) of the geodesic from y, an
+    n x d array that passed point_array, with velocity xi; mask as in
+    p_bal_operator.
+
+    The Gram blocks Y^T Y, c = Y^T xi and xi^T xi give y's orthonormality
+    residual, xi's tangency (or horizontality) check and, when
+    n - d >= d and the gate of _gram_map holds, the whole decomposition:
+    the plan's basis is then the copy [Y|xi] and basis_map is B (the
+    Gram route), so perp, Q and _reorthonormalise's passes are never
+    formed.  Any other xi (rank-deficient, near-span, d = n - 1, k = 0)
+    takes decompose_tangent's explicit route from the c already formed.
+    """
+    n, d = y.shape
+    e, res = _orthonormality_defect(y.T @ y)
+    xi = check_operand(xi, y.shape, "xi")
+    c = y.T @ xi
+    check_coefficient(c, xi, "xi", mask)
+    a = _velocity_a(c, mask)
+    gram = _gram_map(xi, c, e, res) if 0 < d <= n - d else None
+    if gram is None:
+        return _plan(_SingleTimePlan, y,
+                     _explicit_decomposition(y, xi, c, a), params, mask)
+    chol, basis_map = gram
+    dec = TangentDecomposition(a=a, q=None, r=chol.T, k=d)
+    return _plan(_SingleTimePlan, y, dec, params, mask, hcat(y, xi), basis_map)
+
+
 def stiefel_geodesic(y, xi, params, t):
     """Geodesic through Y with velocity xi, evaluated at time t: the
-    geodesic of a one-t plan (single_time)."""
-    return single_time(make_transport_plan(y, xi, params)).geodesic(t)
+    geodesic of a one-t plan (one_shot_plan)."""
+    return one_shot_plan(point_array(y), xi, params).geodesic(t)
 
 
 def stiefel_geodesic_velocity(y, xi, params, t):
-    """(gamma(t), dgamma/dt) from a one-t plan (single_time)."""
-    return single_time(make_transport_plan(y, xi, params)).geodesic_velocity(t)
+    """(gamma(t), dgamma/dt) from a one-t plan (one_shot_plan)."""
+    return one_shot_plan(point_array(y), xi, params).geodesic_velocity(t)
 
 
 def p_bal_operator(decomp, params, mask=None):
@@ -458,15 +575,24 @@ def p_bal_two_norm_bound(decomp, params, mask=None):
 def plan_from_decomposition(y, decomp, params, mask=None):
     """Transport plan along the geodesic from Y with velocity Y A + Q R;
     mask clears the operator's top block (see p_bal_operator)."""
+    return _plan(StiefelTransportPlan, y, decomp, params, mask)
+
+
+def _plan(kind, y, decomp, params, mask=None, basis=None, basis_map=None):
+    """A plan of class kind on basis: [Y|Q] when None, or [Y|xi] with
+    basis_map (the Gram route of one_shot_plan)."""
     a, r, k = decomp.a, decomp.r, decomp.k
-    return StiefelTransportPlan(
+    if basis is None:
+        basis = hcat(y, decomp.q)
+    return kind(
         decomposition=decomp,
         big_exp_arg=np.block([[2.0 * params.alpha * a, -r.T],
                               [r, np.zeros((k, k))]]),
         alpha=params.alpha,
-        basis=hcat(y, decomp.q),
+        basis=basis,
         point=y,
-        mask=mask)
+        mask=mask,
+        basis_map=basis_map)
 
 
 def make_transport_plan(y, xi, params):
@@ -487,28 +613,33 @@ def transport_with_plan(plan, y, eta, t):
     y must be plan.point, the plan's base point: that object passes at
     once, another array after an entry-wise compare.  eta must be tangent
     at Y, and horizontal for a flag plan (plan.mask): its Y-coefficient,
-    the top d rows of [Y|Q]^T eta, is checked first, t = 0 included.
+    the top d rows of basis^T eta, is checked first, t = 0 included.
     Never forms an n x n intermediate; the largest arrays touched are the
-    cached n x (d+k) basis and the result.  The out-of-span part is folded
-    into the coefficient matrix, so at most three n-sized products run per
-    call, and [Y|Q] @ coeff accumulates into the result in place.  A d x d
-    exponential whose argument is zero is skipped with its product.
+    plan's n x (d+k) basis (k = d on the Gram route) and the result.  The out-of-span part
+    is folded into the coefficient matrix, so at most three n-sized
+    products run per call, and basis @ coeff accumulates into the result
+    in place.  A Gram-route plan's basis is [Y|xi] (one_shot_plan): its
+    basis^T eta is mapped through basis_map^T, which keeps the top d rows,
+    and its coeff through basis_map.  A d x d exponential whose argument
+    is zero is skipped with its product.
 
     The small exponentials take one real product each after the
     factorization a plan's first use makes (StiefelTransportPlan), or
-    scipy.linalg.expm for a one-shot plan (single_time).  t must be a real
-    finite scalar.
+    scipy.linalg.expm for a one-shot plan (_SingleTimePlan).  t must be a
+    real finite scalar.
     """
-    t = check_time(t)
+    t = check_scalar(t, "t")
     if y is not plan.point and not np.array_equal(y, plan.point):
         raise ValidationError("y is not the base point of the plan")
-    yq = plan.basis
+    basis, basis_map = plan.basis, plan.basis_map
     d = plan.decomposition.d
-    eta = check_operand(eta, (yq.shape[0], d), "eta", batched=True)
-    w0 = np.swapaxes(yq, -1, -2) @ eta
+    eta = check_operand(eta, (basis.shape[0], d), "eta", batched=True)
+    w0 = np.swapaxes(basis, -1, -2) @ eta
     check_coefficient(w0[..., :d, :], eta, "eta", plan.mask)
     if t == 0.0:
         return eta.copy()
+    if basis_map is not None:  # [Y|Q]^T eta
+        w0 = basis_map.T @ w0
     salpha = np.sqrt(plan.alpha)
 
     w0b = w0.copy()
@@ -516,7 +647,7 @@ def transport_with_plan(plan, y, eta, t):
     w = expaction.expa(plan.p_op, w0b, t)
     w[..., :d, :] /= salpha
 
-    # yq (M) + (eta - yq w0) e_n  ==  yq (M - w0 e_n) + eta e_n
+    # [Y|Q] (M) + (eta - [Y|Q] w0) e_n  ==  [Y|Q] (M - w0 e_n) + eta e_n
     e_big, e_small, e_normal = (f and f(t) for f in plan._factors)
     coeff = e_big @ w
     if e_small is not None:
@@ -527,22 +658,23 @@ def transport_with_plan(plan, y, eta, t):
     else:
         coeff -= w0
         out = eta.copy()
-    # out += yq @ coeff without an n-sized temporary: BLAS on the
+    if basis_map is not None:
+        coeff = basis_map @ coeff
+    # out += basis @ coeff without an n-sized temporary: BLAS on the
     # column-major (transposed) views of the row-major arrays; BLAS
     # rejects the empty operands of d = 0
     for i in np.ndindex(out.shape[:-2] if out.size else (0,)):
-        dgemm(1.0, coeff[i].T, yq.T, beta=1.0, c=out[i].T, overwrite_c=True)
+        dgemm(1.0, coeff[i].T, basis.T, beta=1.0, c=out[i].T, overwrite_c=True)
     return out
 
 
 def stiefel_transport(y, xi, eta, params, t):
-    """Parallel transport of eta along the geodesic driven by xi.
-
-    One transport: its plan takes scipy.linalg.expm (single_time), which
-    at one t costs less than the factorization a reused plan makes but
-    whose error grows with |t| ||S||_2: for large |t|, build a plan.
-    """
-    plan = single_time(make_transport_plan(y, xi, params))
+    """Parallel transport of eta along the geodesic driven by xi, by a
+    one-t plan (one_shot_plan): on the Gram route unless its gate
+    refuses, and with scipy.linalg.expm, which at one t costs less than
+    the factorization a reused plan makes but whose error grows with
+    |t| ||S||_2: for large |t|, build a plan."""
+    plan = one_shot_plan(point_array(y), xi, params)
     return transport_with_plan(plan, plan.point, eta, t)
 
 

@@ -102,17 +102,17 @@ def check_finite(m, name="matrix"):
     return m
 
 
-def check_time(t):
-    """t as a float, refused by name unless it is a real finite scalar: a
-    complex t or an array of times would broadcast through the
-    exponentials."""
-    value = np.asarray(t)
-    if value.ndim != 0 or value.dtype.kind not in "iuf":
-        raise ValidationError(f"t must be a real scalar, got {t!r}")
-    t = float(value)
-    if not math.isfinite(t):  # check_finite's message, without its array pass
-        raise ValidationError("t has non-finite entries")
-    return t
+def check_scalar(value, name):
+    """value as a float, refused by name unless it is a real finite scalar
+    (0-d and not a bool): a complex value or an array would broadcast
+    through what it scales."""
+    array = np.asarray(value)
+    if array.ndim != 0 or array.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be a real scalar, got {value!r}")
+    value = float(array)
+    if not math.isfinite(value):  # check_finite's message, without its array pass
+        raise ValidationError(f"{name} has non-finite entries")
+    return value
 
 
 def check_size(value, name):

@@ -5,6 +5,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from manitrans import stiefel
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.expaction import LinearOperatorHandle, expa, select_taylor_params
 from manitrans.stiefel import (
@@ -79,6 +80,44 @@ def zero_flag_blocks(sig, m):
     out = np.array(m, dtype=float, copy=True)
     out[..., sig.block_mask] = 0.0
     return out
+
+
+# Velocities of one_shot_velocity, by their Y-orthogonal part perp.
+VELOCITY_KINDS = ("full", "ill", "near_span", "deficient", "zero")
+
+
+def one_shot_velocity(rng, y, kind, decades, mask=None):
+    """A unit-norm xi = Y A + perp at Y, with A zero on the flag block
+    mask, for the one-shot routes.  perp has min(n - d, d) singular values:
+    spread over a factor of 4 ("full"), log-spaced over `decades` decades
+    ("ill"), full with ||perp|| / ||Y A|| = 10^-decades ("near_span"), the
+    last half of them zero ("deficient"), or all zero ("zero")."""
+    n, d = y.shape
+    m = min(n - d, d)
+    s = {"full": rng.uniform(0.5, 2.0, m), "ill": np.logspace(0.0, -decades, m),
+         "near_span": np.ones(m), "deficient": np.ones(m),
+         "zero": np.zeros(m)}[kind]
+    if kind == "deficient":
+        s[m - max(1, m // 2):] = 0.0
+    u = rng.standard_normal((n, m))
+    u = np.linalg.qr(u - y @ (y.T @ u))[0]
+    perp = (u * s) @ np.linalg.qr(rng.standard_normal((d, d)))[0][:m]
+    a = asym(rng.standard_normal((d, d)))
+    if mask is not None:
+        a[mask] = 0.0
+    span = y @ a
+    if kind == "near_span" and span.any():
+        perp *= 10.0 ** -decades * np.linalg.norm(span) / np.linalg.norm(perp)
+    xi = span + perp
+    norm = np.linalg.norm(xi)
+    return xi / norm if norm else xi
+
+
+def explicit_one_shot_plan(y, xi, params, mask=None):
+    """The one-t plan of the explicit route: decompose_tangent's [Y|Q]
+    and R, whatever the gate of the one-shot Gram route says."""
+    return stiefel._plan(stiefel._SingleTimePlan, y,
+                         decompose_tangent(y, xi, mask), params, mask)
 
 
 def check_tangent(y, xi):

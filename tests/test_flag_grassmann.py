@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from manitrans import flag_grassmann, oracle, stiefel
-from manitrans.errors import DimensionError, ValidationError
+from manitrans.errors import DimensionError, NumericalError, ValidationError
 from manitrans.flag_grassmann import (
     FlagSignature, check_horizontal, flag_christoffel, flag_geodesic,
     flag_horizontal_project, flag_transport_canonical, flag_transport_plan,
@@ -16,9 +16,11 @@ from manitrans.stiefel import (StiefelMetricParams, metric_inner,
                                stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, sym
 
-from helpers import (BAD_VALUES, NON_REAL, grassmann_transport_reference,
-                     poisoned, random_stiefel, random_stiefel_tangent, refusal,
-                     rel_err, stiefel_geodesic_reference, zero_flag_blocks)
+from helpers import (BAD_VALUES, NON_REAL, VELOCITY_KINDS,
+                     explicit_one_shot_plan, grassmann_transport_reference,
+                     one_shot_velocity, poisoned, random_stiefel,
+                     random_stiefel_tangent, refusal, rel_err,
+                     stiefel_geodesic_reference, zero_flag_blocks)
 
 
 def random_horizontal(rng, sig, y):
@@ -404,9 +406,9 @@ class TestGrassmann:
         checked = []
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(scipy.linalg, "svd", no_svd)
-        for module in (flag_grassmann, stiefel):
-            monkeypatch.setattr(module, "check_point", lambda y, f=module.check_point:
-                                checked.append(y) or f(y))
+        real = stiefel._orthonormality_defect
+        monkeypatch.setattr(stiefel, "_orthonormality_defect", lambda gram:
+                            checked.append(gram) or real(gram))
         got = grassmann_transport(y, xi, eta, 1.3)
         assert len(checked) == 1
         assert rel_err(got, want) <= 1e-12
@@ -498,7 +500,11 @@ class TestEngine:
         assert rel_err(transport_with_plan(plan, y, eta, t),
                        transport_with_plan(ref, y, eta, t)) <= tol
         assert rel_err(flag_transport_canonical(sig, y, xi, eta, t),
-                       transport_with_plan(stiefel.single_time(ref), y, eta, t)) <= tol
+                       transport_with_plan(
+                           stiefel._plan(stiefel._SingleTimePlan, y,
+                                         ref.decomposition, StiefelMetricParams(0.5),
+                                         sig.block_mask),
+                           y, eta, t)) <= tol
 
     def test_geodesic_checks_horizontality_in_the_decomposition(
             self, rng, monkeypatch):
@@ -536,6 +542,122 @@ class TestEngine:
             metric=lambda p, a, b: metric_inner(p, a, b, params),
             points=[point], initial_point=y)
         assert max(drift) <= 1e-12
+
+
+@pytest.fixture
+def reorth_calls(monkeypatch):
+    """Calls of stiefel._reorthonormalise, which only the explicit route
+    of a decomposition with k > 0 makes."""
+    calls = []
+    real = stiefel._reorthonormalise
+    monkeypatch.setattr(stiefel, "_reorthonormalise",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def one_shot_calls(sig, y, xi, eta, t):
+    """The flag (and, for one block, Grassmann) one-shot entry points."""
+    calls = [lambda: flag_transport_canonical(sig, y, xi, eta, t),
+             lambda: flag_geodesic(sig, y, xi, t)]
+    if len(sig.d_list) == 1:
+        calls.append(lambda: grassmann_transport(y, xi, eta, t))
+    return calls
+
+
+class TestOneShotRoutes:
+    """Flag and Grassmann one-shot calls take the Gram route of
+    stiefel.one_shot_plan with their masked Y^T xi, and agree with the
+    explicit route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+           blocks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           kind=st.sampled_from(VELOCITY_KINDS + ("codim1",)),
+           decades=st.floats(0.0, 8.0), t=st.floats(-20.0, 50.0),
+           batch=st.sampled_from([(), (0,), (2, 3)]))
+    @example(seed=1, n=30, blocks=[3, 1, 2], kind="full", decades=0.0,
+             t=0.0, batch=())
+    @example(seed=2, n=30, blocks=[3, 3], kind="ill", decades=1.0, t=50.0,
+             batch=(2, 3))
+    @example(seed=3, n=30, blocks=[6], kind="full", decades=0.0, t=-20.0,
+             batch=(0,))
+    def test_agrees_with_explicit_route(self, seed, n, blocks, kind, decades,
+                                        t, batch):
+        d = sum(blocks)
+        n = max(n, d + 1)
+        if kind == "codim1":
+            kind, blocks = "full", blocks[:-1] + [blocks[-1] + n - 1 - d]
+        sig = FlagSignature(d_list=tuple(blocks), n=n)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, sig.d)
+        xi = one_shot_velocity(rng, y, kind, decades, sig.block_mask)
+        eta = np.reshape([random_horizontal(rng, sig, y)
+                          for _ in range(int(np.prod(batch)))], batch + y.shape)
+        try:
+            ref = explicit_one_shot_plan(y, xi, StiefelMetricParams(0.5),
+                                         sig.block_mask)
+        except NumericalError:
+            # the explicit route's failure on near-span xi of rank below d
+            # (see the Stiefel test of the same name): every call fails
+            for call in one_shot_calls(sig, y, xi, eta, t):
+                with pytest.raises(NumericalError):
+                    call()
+            return
+        want = transport_with_plan(ref, y, eta, t), ref.geodesic(t)
+        wants = want + want[:1]
+        for call, want in zip(one_shot_calls(sig, y, xi, eta, t), wants):
+            assert rel_err(call(), want) <= 1e-12
+
+    @pytest.mark.parametrize("d_list, kind, decades, gram", [
+        ((5, 5, 10), "full", 0.0, True), ((20,), "full", 0.0, True),
+        ((5, 5, 10), "near_span", 2.0, False), ((5, 5, 10), "deficient", 0.0, False),
+        ((20,), "deficient", 0.0, False), ((20,), "ill", 3.0, False)])
+    def test_route_follows_the_gate(self, rng, reorth_calls, d_list, kind,
+                                    decades, gram):
+        sig = FlagSignature(d_list=d_list, n=200)
+        y = random_stiefel(rng, 200, 20)
+        xi = one_shot_velocity(rng, y, kind, decades, sig.block_mask)
+        eta = random_horizontal(rng, sig, y)
+        for call in one_shot_calls(sig, y, xi, eta, 1.3):
+            reorth_calls.clear()
+            call()
+            assert len(reorth_calls) == (0 if gram else 1)
+
+    @pytest.mark.parametrize("d_list", [(10, 11), (21,)])
+    def test_codimension_one_takes_the_explicit_route(self, rng, reorth_calls,
+                                                      d_list):
+        sig = FlagSignature(d_list=d_list, n=22)
+        y = random_stiefel(rng, 22, 21)
+        xi = one_shot_velocity(rng, y, "full", 0.0, sig.block_mask)
+        eta = random_horizontal(rng, sig, y)
+        for call in one_shot_calls(sig, y, xi, eta, 1.3):
+            reorth_calls.clear()
+            call()
+            assert len(reorth_calls) == 1
+
+    @pytest.mark.parametrize("d_list", [(5, 5, 10), (20,)])
+    def test_gram_route_refuses_by_name(self, rng, reorth_calls, d_list):
+        sig = FlagSignature(d_list=d_list, n=200)
+        y = random_stiefel(rng, 200, 20)
+        xi = one_shot_velocity(rng, y, "full", 0.0, sig.block_mask)
+        eta = random_horizontal(rng, sig, y)
+        for call in one_shot_calls(sig, y, xi, eta, 1.3):
+            call()
+        assert not reorth_calls  # these inputs take the Gram route
+        off = y @ np.diag(np.r_[1e-4, np.zeros(19)])  # on a flag block
+        cases = [(dict(y=1.01 * y), "^y is not orthonormal: residual"),
+                 (dict(xi=xi + off), "^xi is not horizontal: residual 1.000e-04"),
+                 (dict(eta=eta + off), "^eta is not horizontal: residual 1.000e-04")]
+        cases += [(poisoned(arg, y=y, xi=xi, eta=eta), f"^{arg} has non-finite")
+                  for arg in ("y", "xi", "eta")]
+        for change, message in cases:
+            args = dict(dict(y=y, xi=xi, eta=eta), **change)
+            calls = one_shot_calls(sig, t=1.3, **args)
+            if "eta" in change:  # flag_geodesic takes no eta
+                del calls[1]
+            for call in calls:
+                with pytest.raises(ValidationError, match=message):
+                    call()
 
 
 class TestBadInput:

@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 
 from manitrans.errors import DimensionError, ValidationError
 from manitrans.forms import AlgebraSplit, MetricParams, beta_form, trace_form
-from manitrans.gl_so import gl_split, so_split
-from manitrans.quotient import stiefel_quotient
+from manitrans.gl_so import GLGeometry, SOGeometry, gl_split, so_split
+from manitrans.quotient import flag_quotient, stiefel_quotient
+from manitrans.stiefel import StiefelMetricParams
 from manitrans.utils import asym, lie
 
 from helpers import (DegenerateSubspaceError, classify_metric_signature,
@@ -73,6 +74,51 @@ class TestMetricParams:
         kwargs = {"beta0": 1.0, "beta1": 1.0, name: value}
         with pytest.raises(ValidationError, match=f"^{name} has non-finite"):
             MetricParams(**kwargs)
+
+
+# Scalar metric parameters, each refused by name (utils.check_scalar):
+# a bool, one- and two-element arrays, a string and a complex number
+BAD_SCALARS = [(True, "must be a real scalar, got True"),
+               (np.array([0.5]), r"must be a real scalar, got array\(\[0.5\]\)"),
+               (np.array([0.5, 0.5]), "must be a real scalar, got array"),
+               ("0.5", "must be a real scalar, got '0.5'"),
+               (0.5 + 0j, r"must be a real scalar, got \(0.5\+0j\)"),
+               (np.nan, "has non-finite entries")]
+SCALAR_PARAMETERS = {
+    "alpha": [StiefelMetricParams,
+              lambda v: SOGeometry(n=4, d=2, alpha=v),
+              lambda v: stiefel_quotient(4, 2, v),
+              lambda v: flag_quotient(5, (1, 2), v)],
+    "beta": [lambda v: GLGeometry(n=4, beta=v)],
+    "beta0": [lambda v: MetricParams(beta0=v, beta1=1.0)],
+    "beta1": [lambda v: MetricParams(beta0=1.0, beta1=v)],
+}
+
+
+class TestScalarParameters:
+    @pytest.mark.parametrize("value, message", BAD_SCALARS)
+    @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETERS))
+    def test_refused_by_name(self, name, value, message):
+        for build in SCALAR_PARAMETERS[name]:
+            with pytest.raises(ValidationError, match=f"^{name} {message}"):
+                build(value)
+
+    def test_stored_as_floats(self):
+        # valid parameters of any real type give the same float
+        for value in (2, np.float32(2.0), np.array(2.0), np.int64(2)):
+            for params in (StiefelMetricParams(value),
+                           MetricParams(beta0=value, beta1=value),
+                           GLGeometry(n=3, beta=value).params,
+                           SOGeometry(n=4, d=2, alpha=value).params,
+                           stiefel_quotient(4, 2, value).geom.params):
+                for field in vars(params).values():
+                    assert type(field) is float and field in (2.0, -0.5, 1.0)
+
+    def test_so_split_checks_n_first(self):
+        with pytest.raises(ValidationError, match="^n must be an integer"):
+            stiefel_quotient(True, 1, 0.5)
+        with pytest.raises(ValidationError, match="^n must be an integer"):
+            so_split(True, 1)
 
 
 class TestBetaForm:

@@ -19,13 +19,14 @@ from manitrans.stiefel import (
     CHOLQR_MAX_COND, RANK_RTOL, StiefelMetricParams, TangentDecomposition,
     check_point, decompose_tangent, make_transport_plan, metric_inner,
     p_bal_norm_bound, p_bal_operator, plan_from_decomposition,
-    project_tangent, single_time, stiefel_christoffel, stiefel_geodesic,
+    project_tangent, stiefel_christoffel, stiefel_geodesic,
     stiefel_geodesic_velocity, stiefel_transport, transport_with_plan)
 from manitrans.utils import asym, refuse_residual, sym, two_norm_bound
 
 from helpers import (
-    BAD_VALUES, NON_REAL, check_tangent, decompose_tangent_reference,
-    horizontal_lift, p_ar_apply, p_ar_operator, p_bal_norm_bound_display,
+    BAD_VALUES, NON_REAL, VELOCITY_KINDS, check_tangent,
+    decompose_tangent_reference, explicit_one_shot_plan, horizontal_lift,
+    one_shot_velocity, p_ar_apply, p_ar_operator, p_bal_norm_bound_display,
     poison_dtype, poisoned, random_so, random_stiefel, random_stiefel_tangent,
     refusal, rel_err, stiefel_geodesic_reference, transport_reference,
     zero_flag_blocks)
@@ -403,6 +404,122 @@ class TestCholeskyQR2:
             stiefel._reorthonormalise(y, np.hstack([w, y[:, :1]]))
 
 
+@pytest.fixture
+def reorth_calls(monkeypatch):
+    """Calls of stiefel._reorthonormalise, which only the explicit route
+    of a decomposition with k > 0 makes."""
+    calls = []
+    real = stiefel._reorthonormalise
+    monkeypatch.setattr(stiefel, "_reorthonormalise",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+class TestOneShotRoutes:
+    """One-shot calls build their plan from the Gram blocks of [Y|xi]
+    when the gate holds, and take the explicit route otherwise; both
+    agree with explicit_one_shot_plan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+           d=st.integers(1, 8), kind=st.sampled_from(VELOCITY_KINDS + ("codim1",)),
+           decades=st.floats(0.0, 8.0),
+           alpha=st.sampled_from([1e-3, 0.5, 1.0, 5.0]),
+           t=st.floats(-20.0, 50.0), batch=st.sampled_from([(), (0,), (2, 3)]))
+    @example(seed=3, n=40, d=8, kind="full", decades=0.0, alpha=0.5, t=0.0,
+             batch=())
+    @example(seed=4, n=40, d=8, kind="ill", decades=1.9, alpha=5.0, t=50.0,
+             batch=(2, 3))
+    @example(seed=5, n=40, d=8, kind="near_span", decades=1.9, alpha=1e-3,
+             t=-20.0, batch=(0,))
+    def test_agrees_with_explicit_route(self, seed, n, d, kind, decades, alpha,
+                                        t, batch):
+        n = max(n, d + 1)
+        if kind == "codim1":
+            kind, d = "full", n - 1
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        xi = one_shot_velocity(rng, y, kind, decades)
+        eta = np.reshape([random_stiefel_tangent(rng, y)
+                          for _ in range(int(np.prod(batch)))], batch + y.shape)
+        params = StiefelMetricParams(alpha)
+        try:
+            ref = explicit_one_shot_plan(y, xi, params)
+        except NumericalError:
+            # the explicit route keeps a rounding-level column of a
+            # near-span xi whose perp has rank below d (n - d < d) and
+            # cannot re-orthonormalise it; the one-shot calls take that
+            # route too, and fail alike
+            with pytest.raises(NumericalError):
+                stiefel_transport(y, xi, eta, params, t)
+            return
+        assert rel_err(stiefel_transport(y, xi, eta, params, t),
+                       transport_with_plan(ref, y, eta, t)) <= 1e-12
+        assert rel_err(stiefel_geodesic(y, xi, params, t),
+                       ref.geodesic(t)) <= 1e-12
+        for got, want in zip(stiefel_geodesic_velocity(y, xi, params, t),
+                             ref.geodesic_velocity(t)):
+            assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("kind, decades, n, d, gram", [
+        # at St(200, 20) the gate's bound b is 22-34 for "full", 44-51 for
+        # "ill" at half a decade, 136-159 at one and 45 for "near_span"
+        # at one decade, 447 at two
+        ("full", 0.0, 200, 20, True), ("ill", 0.5, 200, 20, True),
+        ("ill", 1.0, 200, 20, False), ("near_span", 1.0, 200, 20, True),
+        ("near_span", 2.0, 200, 20, False), ("near_span", 8.0, 200, 20, False),
+        ("deficient", 0.0, 200, 20, False), ("full", 0.0, 21, 20, False)])
+    def test_route_follows_the_gate(self, rng, reorth_calls, kind, decades, n,
+                                    d, gram):
+        # the Gram route never calls _reorthonormalise; each plan on the
+        # explicit route with k > 0 calls it once
+        y = random_stiefel(rng, n, d)
+        xi = one_shot_velocity(rng, y, kind, decades)
+        eta = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.8)
+        for call in (lambda: stiefel_transport(y, xi, eta, params, 1.3),
+                     lambda: stiefel_geodesic(y, xi, params, 1.3),
+                     lambda: stiefel_geodesic_velocity(y, xi, params, 1.3)):
+            reorth_calls.clear()
+            call()
+            assert len(reorth_calls) == (0 if gram else 1)
+        plan = stiefel.one_shot_plan(y, xi, params)
+        assert (plan.basis_map is not None) == gram
+        assert plan.decomposition.q is None if gram else plan.decomposition.k
+        assert plan.basis.shape == (n, d + plan.decomposition.k)
+
+    def test_k_zero_takes_the_explicit_route(self, rng, reorth_calls):
+        y = random_stiefel(rng, 200, 20)
+        xi = one_shot_velocity(rng, y, "zero", 0.0)
+        plan = stiefel.one_shot_plan(y, xi, StiefelMetricParams(0.8))
+        assert plan.basis_map is None and plan.decomposition.k == 0
+        assert not reorth_calls
+
+    def test_gate_at_an_orthonormal_point(self):
+        # b (b eps + 0) < GRAM_MAX_LOSS allows b up to about 95
+        b = np.sqrt(stiefel.GRAM_MAX_LOSS / stiefel.EPS)
+        assert 90.0 < b < 100.0
+
+    def test_gram_route_refuses_by_name(self, rng, reorth_calls):
+        y = random_stiefel(rng, 200, 20)
+        xi = one_shot_velocity(rng, y, "full", 0.0)
+        eta = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.8)
+        stiefel_transport(y, xi, eta, params, 1.3)
+        assert not reorth_calls  # these inputs take the Gram route
+        off = y @ np.diag(np.r_[1e-4, np.zeros(19)])
+        for args, message in (
+                (dict(y=1.01 * y), "^y is not orthonormal: residual"),
+                (poisoned("y", y=y, xi=xi, eta=eta), "^y has non-finite"),
+                (poisoned("xi", y=y, xi=xi, eta=eta), "^xi has non-finite"),
+                (poisoned("eta", y=y, xi=xi, eta=eta), "^eta has non-finite"),
+                (dict(xi=xi + off), "^xi is not tangent: residual 1.000e-04"),
+                (dict(eta=eta + off), "^eta is not tangent: residual 1.000e-04")):
+            args = dict(dict(y=y, xi=xi, eta=eta), **args)
+            with pytest.raises(ValidationError, match=message):
+                stiefel_transport(params=params, t=1.3, **args)
+
+
 class TestGeodesic:
     def test_time_zero(self, rng):
         y = random_stiefel(rng, 7, 3)
@@ -611,7 +728,10 @@ class TestPlanGeodesic:
                        transport_with_plan(ref, y, eta, t)) <= tol
         if not batch:
             assert rel_err(stiefel_transport(y, xi, eta, params, t),
-                           transport_with_plan(single_time(ref), y, eta, t)) <= tol
+                           transport_with_plan(
+                               stiefel._plan(stiefel._SingleTimePlan, y,
+                                             ref.decomposition, params),
+                               y, eta, t)) <= tol
 
     def test_velocity_is_the_derivative_at_a_reused_plan(self, rng):
         y = random_stiefel(rng, 9, 4)
@@ -1185,13 +1305,18 @@ class TestTransport:
             assert transport_with_plan(plan, y, eta, 1.3).shape == eta.shape
 
     def test_one_point_check_per_call(self, rng, monkeypatch):
-        y = random_stiefel(rng, 8, 3)
-        xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
+        # y's orthonormality is checked from its Gram block, once, on the
+        # Gram route (St(8,3)) and the explicit one (St(4,3))
         seen = []
-        real = stiefel.check_point
-        monkeypatch.setattr(stiefel, "check_point", lambda y: seen.append(1) or real(y))
-        stiefel_transport(y, xi, eta, StiefelMetricParams(0.8), 1.0)
-        assert len(seen) == 1
+        real = stiefel._orthonormality_defect
+        monkeypatch.setattr(stiefel, "_orthonormality_defect",
+                            lambda gram: seen.append(1) or real(gram))
+        for n in (8, 4):
+            y = random_stiefel(rng, n, 3)
+            xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
+            seen.clear()
+            stiefel_transport(y, xi, eta, StiefelMetricParams(0.8), 1.0)
+            assert len(seen) == 1
 
     def test_rejects_nontangent_eta(self, rng):
         y = random_stiefel(rng, 8, 3)
