@@ -544,17 +544,6 @@ class TestEngine:
         assert max(drift) <= 1e-12
 
 
-@pytest.fixture
-def reorth_calls(monkeypatch):
-    """Calls of stiefel._reorthonormalise, which only the explicit route
-    of a decomposition with k > 0 makes."""
-    calls = []
-    real = stiefel._reorthonormalise
-    monkeypatch.setattr(stiefel, "_reorthonormalise",
-                        lambda *args: calls.append(1) or real(*args))
-    return calls
-
-
 def one_shot_calls(sig, y, xi, eta, t):
     """The flag (and, for one block, Grassmann) one-shot entry points."""
     calls = [lambda: flag_transport_canonical(sig, y, xi, eta, t),

@@ -404,17 +404,6 @@ class TestCholeskyQR2:
             stiefel._reorthonormalise(y, np.hstack([w, y[:, :1]]))
 
 
-@pytest.fixture
-def reorth_calls(monkeypatch):
-    """Calls of stiefel._reorthonormalise, which only the explicit route
-    of a decomposition with k > 0 makes."""
-    calls = []
-    real = stiefel._reorthonormalise
-    monkeypatch.setattr(stiefel, "_reorthonormalise",
-                        lambda *args: calls.append(1) or real(*args))
-    return calls
-
-
 class TestOneShotRoutes:
     """One-shot calls build their plan from the Gram blocks of [Y|xi]
     when the gate holds, and take the explicit route otherwise; both
