@@ -93,7 +93,7 @@ def flag_transport_plan(sig, y, xi):
     """Stiefel transport plan for the canonical flag geodesic driven by
     the horizontal xi; reusable for its geodesic and many (eta, t), as
     stiefel.make_transport_plan's is."""
-    y = _point(sig, check_point(y))
+    y = _point(sig, stiefel.point_array(y))
     return stiefel.plan_from_decomposition(
         y, decompose_tangent(y, xi, sig.block_mask),
         StiefelMetricParams(CANONICAL_ALPHA), mask=sig.block_mask)

@@ -14,11 +14,12 @@ balanced form (p_bal_operator).  A plan holds these pieces for one
 geodesic and is the one geodesic and transport engine, for Stiefel plans
 and, with a block mask, for canonical flag plans (flag_grassmann).
 
-A reused plan (make_transport_plan) holds [Y|Q] explicitly.  The one-shot
-functions run a one-t plan (one_shot_plan), which holds [Y|Q] implicitly
-as [Y|xi] B whenever its gate holds (the Gram route): its n-sized work is
-then the Gram blocks Y^T Y, Y^T xi and xi^T xi and the transport's own
-products, and Q is never formed.
+Every plan starts from the Gram blocks Y^T Y, Y^T xi and xi^T xi: they
+check y and xi and give one Cholesky factor L of perp^T perp, perp =
+xi - Y Y^T xi (_gram_front).  A one-shot plan (one_shot_plan) then holds
+[Y|Q] as [Y|xi] B when its gate holds (the Gram route), and Q is never
+formed; every other plan, each reused one included, forms Q
+(decompose_tangent).
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Metrics, operators and transports accept leading batch axes on the vectors.
@@ -40,15 +41,15 @@ from .utils import (EPS, ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
                     block_norm_bound, two_norm_bound)
 
 RANK_RTOL = 1e-12
-# CholeskyQR2 serves xi whose Y-orthogonal part has a condition number
-# (bound) below this; its first step then leaves Q^T Q - I below about
-# 1e12 eps ~ 1e-4, which its second step repairs.  It is below
-# 1 / RANK_RTOL, so pivoted QR would keep every column of such a part too.
-CHOLQR_MAX_COND = 1e6
+# The explicit route's Cholesky step serves xi whose Gram-block bound
+# b >= cond_2(perp) (_gram_front) is below this: its basis then loses about
+# b^2 u <= 0.011 of orthonormality, which _reorthonormalise repairs (1e8
+# would allow 1.1).  Below 1 / RANK_RTOL: pivoted QR would keep every column.
+CHOLQR_MAX_COND = 1e7
 # One Cholesky-QR step re-orthonormalises a basis of condition below this.
 REORTH_MAX_COND = 10.0
 # The one-shot Gram route's bound on the loss of orthogonality of its
-# implicit basis [Y|Q] = [Y|xi] B, beyond Y's own (derived at _gram_map).
+# implicit basis [Y|Q] = [Y|xi] B, beyond Y's own (derived at one_shot_plan).
 GRAM_MAX_LOSS = 1e-12
 
 
@@ -221,7 +222,8 @@ class _SingleTimePlan(StiefelTransportPlan):
 
 def point_array(y):
     """y as a finite n x d float array with n > d, refused by name;
-    check_point also refuses it unless orthonormal."""
+    check_point and every plan's Gram blocks (_gram_front) also refuse it
+    unless orthonormal."""
     y = as_real(y, "y")
     if y.ndim != 2 or y.shape[0] <= y.shape[1]:
         raise DimensionError(f"y must be n x d with n > d, got shape {y.shape}")
@@ -286,150 +288,124 @@ def metric_inner(y, xi, eta, params):
 
 
 def decompose_tangent(y, xi, mask=None):
-    """Split xi = Y A + Q R explicitly, forming Y^T xi once: the
-    decomposition of every reused plan, and of a one-shot plan whose Gram
-    route is refused (one_shot_plan).
+    """Split xi = Y A + Q R explicitly at y, an n x d array that passed
+    point_array: every reused plan's decomposition, and a one-shot plan's
+    off the Gram route (one_shot_plan).
 
-    Y^T xi gives the tangency check, A = asym(Y^T xi) and the Y-orthogonal
-    part perp = xi - Y Y^T xi; a flag block mask makes the check one of
-    horizontality and zeroes A on it.  k = 0 (empty Q, R) when perp is
-    negligible.
-    When n - d >= d and cond_2(perp) is below CHOLQR_MAX_COND by the bound
-    of _cholesky_qr, the first Cholesky-QR step gives Q's columns and
-    k = d: then sigma_min / sigma_max > RANK_RTOL, and pivoted QR, whose
-    |r_dd| / |r_11| is at least that ratio, would keep every column too.
-    Any other xi (rank-deficient, n - d < d, ill-conditioned) takes pivoted
-    QR.  Both routes end in _reorthonormalise, so the Cholesky route is
-    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014) with a
-    projection against Y between its two steps.  With perp ~ Q_1 T from
-    the first step (T = L_1^T, or R_p[:k] P^T from pivoted QR) and
+    k = 0 (empty Q, R) when perp = xi - Y c (_gram_front) is negligible.
+    When the factor has b < CHOLQR_MAX_COND, Q_1 = perp L^{-T} and k = d:
+    sigma_min / sigma_max >= 1 / b > RANK_RTOL, so pivoted QR would keep
+    every column too.  Any other xi takes pivoted QR
+    (_rank_revealing_basis).  Both routes end in _reorthonormalise, so the
+    Cholesky route is CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and
+    Yamamoto 2014) with a projection against Y between its two steps.
+    With perp ~ Q_1 T (T = L^T, or R_p[:k] P^T from pivoted QR) and
     Q_1 - Y Y^T Q_1 = Q L_2^T, R = Q^T perp = L_2^T T: no n-sized product.
-    Every plan is built from Y^T xi, so this (or one_shot_plan) is where
-    xi's shape and entries are checked.
     """
+    xi, c, a, _, factor = _gram_front(y, xi, mask)
+    return _explicit_decomposition(y, xi, c, a, factor)
+
+
+def _gram_front(y, xi, mask):
+    """What every plan starts from: the checked xi, c = Y^T xi, A =
+    asym(c) (zero where mask is True), res = ||E||_F for E = Y^T Y - I,
+    and the factor (L, L^{-1}, b) of perp = xi - Y c.
+
+    Y^T Y refuses y unless orthonormal (a non-finite entry gives a NaN
+    residual), and c refuses xi unless tangent, or horizontal under mask.
+    The blocks alone give P = perp^T perp = xi^T xi - c^T (c - E c); its
+    Cholesky factor L is the first Cholesky-QR step of perp, Q_1 =
+    perp L^{-T}.  b = ||xi||_F two_norm_bound(L^{-1}) bounds
+    ||xi|| / ||perp|| and cond_2(perp), as ||perp||_2 <= ||xi||_F (up to
+    Y's residual) and ||L^{-1}||_2 = 1 / sigma_min(perp).  xi^T xi and
+    c^T c carry rounding errors of about u ||xi||_F^2 (u = EPS), which
+    their difference keeps, so Q_1^T Q_1 - I = L^{-1} (perp^T perp -
+    L L^T) L^{-T} is about b^2 u.  The factor is (None, None, inf) when
+    d = 0 or n - d < d (perp then has rank below d), when the
+    factorisation fails, or unless sigma_min(perp) > RANK_RTOL
+    max(1, ||xi||_F) is certain.
+    """
+    n, d = y.shape
+    e, res = _orthonormality_defect(y.T @ y)
     xi = check_operand(xi, y.shape, "xi")
     c = y.T @ xi
     check_coefficient(c, xi, "xi", mask)
-    return _explicit_decomposition(y, xi, c, _velocity_a(c, mask))
-
-
-def _velocity_a(c, mask):
-    """A = asym(Y^T xi), zero on the flag diagonal blocks of mask."""
     a = asym(c)
     if mask is not None:
         a[mask] = 0.0
-    return a
+    factor = None, None, math.inf
+    if 0 < d <= n - d:
+        x = xi.T @ xi
+        chol, info = dpotrf(x - c.T @ (c - e @ c), lower=1)
+        if info == 0:
+            inv, _ = dtrtri(chol, lower=1)
+            inv_bound, norm_xi = two_norm_bound(inv), math.sqrt(np.trace(x))
+            if RANK_RTOL * max(1.0, norm_xi) * inv_bound < 1.0:
+                factor = chol, inv, norm_xi * inv_bound
+    return xi, c, a, res, factor
 
 
-def _explicit_decomposition(y, xi, c, a):
-    """decompose_tangent from the checked c = Y^T xi and A."""
+def _explicit_decomposition(y, xi, c, a, factor):
+    """decompose_tangent from _gram_front's results."""
     n, d = y.shape
     perp = xi - y @ c
-    if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, np.linalg.norm(xi)):
+    norm_xi = np.linalg.norm(xi)
+    if np.linalg.norm(perp) <= RANK_RTOL * max(1.0, norm_xi):
         return TangentDecomposition(
             a=a, q=np.zeros((n, 0)), r=np.zeros((0, d)), k=0)
-    chol = _cholesky_qr(perp, CHOLQR_MAX_COND) if n - d >= d else None
-    q, tri = (chol[0], chol[1].T) if chol else _rank_revealing_basis(perp)
+    chol, inv, b = factor
+    if b < CHOLQR_MAX_COND:
+        q, tri = dtrmm(1.0, inv, perp.T, lower=1, overwrite_b=1).T, chol.T
+    else:
+        q, tri = _rank_revealing_basis(perp, norm_xi)
     q, l2 = _reorthonormalise(y, q)
     return TangentDecomposition(a=a, q=q, r=l2.T @ tri, k=q.shape[1])
 
 
-def _rank_revealing_basis(perp):
+def _rank_revealing_basis(perp, norm_xi):
     """Columns of pivoted QR's Q whose pivot exceeds RANK_RTOL times the
-    largest, and their rows of R unpivoted, T = R[:k] P^T: perp ~ Q[:, :k] T.
-    perp is not negligible, so its largest pivot is positive and k >= 1."""
+    largest and perp's rounding level 16 u ||xi||_F, and their rows of R
+    unpivoted, T = R[:k] P^T: perp ~ Q[:, :k] T.
+
+    perp = xi - Y c comes from three roundings (c = Y^T xi, Y c and the
+    difference) of about u ||xi||_F each, as ||Y||_2 ~ 1 and ||c||_F <=
+    ||xi||_F, so a column that exists only through them has a pivot of a
+    few u ||xi||_F, mostly inside span(Y), which _reorthonormalise cannot
+    repair.  Such pivots reached 10.4 u ||xi||_F over 2,000 near-span
+    velocities whose perp has rank n - d < d (n <= 12), and stayed below
+    3 u ||xi||_F at n >= 40.  perp is not negligible, so its largest pivot
+    (>= ||perp||_F / sqrt(d)) passes both cuts for d < 3e5: k >= 1.
+    """
     q, rr, piv = scipy.linalg.qr(perp, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
-    k = int(np.sum(diag > RANK_RTOL * diag[0]))
+    k = int(np.sum(diag > max(RANK_RTOL * diag[0], 16.0 * EPS * norm_xi)))
     tri = np.empty((k, perp.shape[1]))
     tri[:, piv] = rr[:k]
     return q[:, :k], tri
 
 
-def _cholesky_qr(m, max_cond):
-    """One Cholesky-QR step: the basis m L^{-T} for m^T m = L L^T,
-    orthonormal up to about cond_2(m)^2 eps, and L.
-
-    None when the factorisation fails or the product of the 2-norm bounds
-    of L and L^{-1} (utils.two_norm_bound), an upper bound on cond_2(m) =
-    cond_2(L), is not below max_cond.  The product uses the triangular
-    inverse (dtrmm runs several times faster than dtrsm at these shapes);
-    m X spans m's range for any nonsingular X, so only the rounding of the
-    product reaches the basis.  The basis is written over m.
-    """
-    chol, info = dpotrf(m.T @ m, lower=1)
-    if info != 0:
-        return None
-    inv, _ = dtrtri(chol, lower=1)
-    if not two_norm_bound(chol) * two_norm_bound(inv) < max_cond:
-        return None
-    return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T, chol
-
-
-def _gram_map(xi, c, e, res):
-    """The Gram route of one_shot_plan: L and B, with [Y|Q] = [Y|xi] B,
-    or None when its gate refuses.
-
-    With c = Y^T xi, E = Y^T Y - I and perp = xi - Y c, the Gram blocks
-    alone give P = perp^T perp = xi^T xi - c^T (c - E c).  Its Cholesky
-    factor L is the first Cholesky-QR step (_cholesky_qr) of perp, without
-    perp: Q = perp L^{-T}, R = Q^T xi = L^T and
-    B = [[I, -c L^{-T}], [0, L^{-T}]].  No second step repairs this Q, so
-    the route is gated by a guaranteed bound,
-    b = ||xi||_F two_norm_bound(L^{-1}):
-    - ||perp||_2 <= ||xi||_F (up to Y's residual) and
-      ||L^{-1}||_2 = 1 / sigma_min(perp), so b bounds ||xi|| / ||perp||
-      and cond_2(perp);
-    - xi^T xi and c^T c carry rounding errors of about eps ||xi||_F^2,
-      which their difference keeps, and the factorisation adds about
-      eps ||P||; so Q^T Q - I = L^{-1} (perp^T perp - L L^T) L^{-T} is
-      about b^2 eps;
-    - Y^T Q = -E c L^{-T} has norm at most res b with res = ||E||_F,
-      where the explicit route, which projects Q against Y, leaves about
-      res^2 b.
-    So [Y|Q] loses about b (b eps + 2 res) of orthogonality beyond Y's
-    own, and the gate asks that this be below GRAM_MAX_LOSS = 1e-12:
-    b < 94.9 at an exactly orthonormal Y, less as res grows.  It also asks
-    sigma_min(perp) >= 1 / two_norm_bound(L^{-1}) > RANK_RTOL max(1,
-    ||xi||_F), so perp is not negligible; with cond_2(perp) < 95 the
-    explicit route then keeps all d columns by Cholesky QR, and both give
-    perp's QR factors with R's diagonal positive, to rounding.  A failed
-    factorisation (rank-deficient, near-span or k = 0 xi) also refuses.
-    """
-    d = c.shape[0]
-    x = xi.T @ xi
-    chol, info = dpotrf(x - c.T @ (c - e @ c), lower=1)
-    if info != 0:
-        return None
-    inv, _ = dtrtri(chol, lower=1)
-    inv_bound = two_norm_bound(inv)
-    norm_xi = math.sqrt(np.trace(x))
-    bound = norm_xi * inv_bound
-    if not (bound * (bound * EPS + 2.0 * res) < GRAM_MAX_LOSS
-            and RANK_RTOL * max(1.0, norm_xi) * inv_bound < 1.0):
-        return None
-    return chol, np.block([[np.eye(d), -c @ inv.T],
-                           [np.zeros((d, d)), inv.T]])
-
-
 def _reorthonormalise(y, q):
-    """One projection against Y, then one Cholesky-QR step: its basis and
-    its triangular factor.
+    """One projection against Y, then the Cholesky-QR step m L^{-T} of the
+    projected q = m, with m^T m = L L^T: that basis and L.
 
-    q is orthonormal up to a small Y-component and a small loss of
-    orthogonality; on the pivoted-QR route its Y-component is about
-    eps ||xi|| / |r_kk|, at most about 1e-4 at RANK_RTOL.  The
-    result has Q^T Q = I and Y^T Q = 0 to roundoff.  When the projected q
-    is too ill-conditioned for one step to deliver that, xi's Y-orthogonal
-    part was lost to rounding, and this raises NumericalError.
+    q is orthonormal up to a loss of about b^2 u (_gram_front), or on the
+    pivoted route a Y-component below its pivot cuts.  m L^{-T} is
+    orthonormal up to about cond_2(m)^2 u, so the product of the
+    two_norm_bound of L and L^{-1}, which bounds cond_2(m), must be below
+    REORTH_MAX_COND; otherwise xi's Y-orthogonal part was lost to rounding
+    and this raises NumericalError.  The product by L^{-1} (dtrmm) runs
+    several times faster than a solve (dtrsm) and spans the same range.
     """
     proj = y @ (y.T @ q)
-    chol = _cholesky_qr(np.subtract(q, proj, out=proj), REORTH_MAX_COND)
-    if chol is None:
-        raise NumericalError(
-            "re-orthogonalisation failed: the Y-orthogonal part of xi is "
-            "lost to rounding")
-    return chol
+    m = np.subtract(q, proj, out=proj)
+    chol, info = dpotrf(m.T @ m, lower=1)
+    if info == 0:
+        inv, _ = dtrtri(chol, lower=1)
+        if two_norm_bound(chol) * two_norm_bound(inv) < REORTH_MAX_COND:
+            return dtrmm(1.0, inv, m.T, lower=1, overwrite_b=1).T, chol
+    raise NumericalError(
+        "re-orthogonalisation failed: the Y-orthogonal part of xi is "
+        "lost to rounding")
 
 
 def one_shot_plan(y, xi, params, mask=None):
@@ -437,26 +413,24 @@ def one_shot_plan(y, xi, params, mask=None):
     n x d array that passed point_array, with velocity xi; mask as in
     p_bal_operator.
 
-    The Gram blocks Y^T Y, c = Y^T xi and xi^T xi give y's orthonormality
-    residual, xi's tangency (or horizontality) check and, when
-    n - d >= d and the gate of _gram_map holds, the whole decomposition:
-    the plan's basis is then the copy [Y|xi] and basis_map is B (the
-    Gram route), so perp, Q and _reorthonormalise's passes are never
-    formed.  Any other xi (rank-deficient, near-span, d = n - 1, k = 0)
-    takes decompose_tangent's explicit route from the c already formed.
+    When the factor of its Gram blocks (_gram_front) passes the gate, the
+    plan takes the Gram route: Q = perp L^{-T}, R = Q^T xi = L^T, its basis
+    is the copy [Y|xi] and basis_map is B = [[I, -c L^{-T}], [0, L^{-T}]],
+    so perp, Q and _reorthonormalise are never formed.  No second step
+    repairs this Q: Q^T Q - I is about b^2 u, and Y^T Q = -E c L^{-T} has
+    norm at most res b (res = ||E||_F), where the explicit route leaves
+    about res^2 b.  So the gate asks b (b u + 2 res) < GRAM_MAX_LOSS =
+    1e-12: b < 94.9 at an orthonormal Y, less as res grows.  Every other
+    xi takes decompose_tangent's explicit route from the same factor.
     """
-    n, d = y.shape
-    e, res = _orthonormality_defect(y.T @ y)
-    xi = check_operand(xi, y.shape, "xi")
-    c = y.T @ xi
-    check_coefficient(c, xi, "xi", mask)
-    a = _velocity_a(c, mask)
-    gram = _gram_map(xi, c, e, res) if 0 < d <= n - d else None
-    if gram is None:
+    xi, c, a, res, factor = _gram_front(y, xi, mask)
+    chol, inv, b = factor
+    if not b * (b * EPS + 2.0 * res) < GRAM_MAX_LOSS:
         return _plan(_SingleTimePlan, y,
-                     _explicit_decomposition(y, xi, c, a), params, mask)
-    chol, basis_map = gram
+                     _explicit_decomposition(y, xi, c, a, factor), params, mask)
+    d = y.shape[1]
     dec = TangentDecomposition(a=a, q=None, r=chol.T, k=d)
+    basis_map = np.block([[np.eye(d), -c @ inv.T], [np.zeros((d, d)), inv.T]])
     return _plan(_SingleTimePlan, y, dec, params, mask, hcat(y, xi), basis_map)
 
 
@@ -603,7 +577,7 @@ def make_transport_plan(y, xi, params):
     O((d+k)^3) once; each later t then costs one real product per
     exponential (StiefelTransportPlan), no scipy.linalg.expm.
     """
-    y = check_point(y)
+    y = point_array(y)
     return plan_from_decomposition(y, decompose_tangent(y, xi), params)
 
 

@@ -403,6 +403,53 @@ class TestCholeskyQR2:
         with pytest.raises(NumericalError, match="re-orthogonalisation"):
             stiefel._reorthonormalise(y, np.hstack([w, y[:, :1]]))
 
+    @pytest.mark.parametrize("decades, pivoted", [(6.0, False), (8.0, True)])
+    def test_near_span_past_the_gate_pivots(self, rng, qr_calls, decades,
+                                            pivoted):
+        # ||perp|| / ||Y A|| = 10^-decades puts the Gram-block bound b at
+        # about 4.5e6 (the Cholesky step, b^2 u ~ 2e-3), or past the gate:
+        # at 1e-8, P's least eigenvalue is below its rounding (b = inf)
+        y = random_stiefel(rng, 200, 20)
+        xi = one_shot_velocity(rng, y, "near_span", decades)
+        b = stiefel._gram_front(y, xi, None)[4][2]
+        assert (b >= CHOLQR_MAX_COND) == pivoted
+        got = decompose_tangent(y, xi)
+        assert bool(qr_calls) == pivoted
+        want = decompose_tangent_reference(y, xi)
+        assert got.k == want.k == 20
+        assert rel_err(y @ got.a + got.q @ got.r,
+                       y @ want.a + want.q @ want.r) <= 1e-12
+        assert np.linalg.norm(got.q.T @ got.q - np.eye(got.k)) <= 1e-12
+        assert np.linalg.norm(y.T @ got.q) <= 1e-12
+        eta = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(0.8)
+        moved, ref = (transport_with_plan(plan_from_decomposition(y, dec, params),
+                                          y, eta, 2.0) for dec in (got, want))
+        assert rel_err(moved, ref) <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (5, 3)])
+    @pytest.mark.parametrize("decades", [4.0, 6.0, 8.0])
+    def test_rounding_level_pivots_are_dropped(self, n, d, decades):
+        # perp of a near-span xi has rank n - d < d; its other pivots are
+        # rounding of a few u ||xi||, which a kept column could not
+        # re-orthonormalise.  Reused and one-shot plans keep n - d columns.
+        params = StiefelMetricParams(0.8)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y = random_stiefel(rng, n, d)
+            xi = one_shot_velocity(rng, y, "near_span", decades)
+            eta = random_stiefel_tangent(rng, y)
+            plan = make_transport_plan(y, xi, params)
+            dec = plan.decomposition
+            assert dec.k == n - d
+            assert np.linalg.norm(dec.q.T @ dec.q - np.eye(dec.k)) <= 1e-12
+            assert np.linalg.norm(y.T @ dec.q) <= 1e-12
+            moved = transport_with_plan(plan, y, eta, 1.5)
+            end = plan.geodesic(1.5)
+            assert np.linalg.norm(sym(end.T @ moved)) <= 1e-12
+            assert rel_err(stiefel_transport(y, xi, eta, params, 1.5),
+                           moved) <= 1e-12
+
 
 class TestOneShotRoutes:
     """One-shot calls build their plan from the Gram blocks of [Y|xi]
@@ -507,6 +554,58 @@ class TestOneShotRoutes:
             args = dict(dict(y=y, xi=xi, eta=eta), **args)
             with pytest.raises(ValidationError, match=message):
                 stiefel_transport(params=params, t=1.3, **args)
+
+
+class TestGramFront:
+    """decompose_tangent and one_shot_plan start from one front end: the
+    Gram blocks check y and xi, and P = perp^T perp is factored once."""
+
+    @pytest.mark.parametrize("mask", [False, True])
+    def test_decompose_tangent_refuses_bad_point_by_name(self, rng, mask):
+        y = random_stiefel(rng, 12, 4)
+        sig = pair_signature(12, 4)
+        xi = flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+        bad_entry = y.copy()
+        bad_entry[3, 1] = np.nan
+        for bad, residual in ((1.01 * y, r"\d"), (bad_entry, "nan")):
+            with pytest.raises(ValidationError,
+                               match=f"^y is not orthonormal: residual {residual}"):
+                decompose_tangent(bad, xi, sig.block_mask if mask else None)
+
+    @pytest.fixture
+    def dpotrf_calls(self, monkeypatch):
+        """The matrices stiefel's Cholesky factorisations are called on."""
+        calls = []
+        real = stiefel.dpotrf
+        monkeypatch.setattr(stiefel, "dpotrf", lambda m, **kw:
+                            calls.append(m.copy()) or real(m, **kw))
+        return calls
+
+    @pytest.mark.parametrize("kind, decades, n, plan, routes", [
+        ("full", 0.0, 40, "reused", ("P", "reorth")),
+        ("near_span", 8.0, 40, "reused", ("P", "reorth")),
+        ("deficient", 0.0, 40, "reused", ("P", "reorth")),
+        ("full", 0.0, 7, "reused", ("reorth",)),
+        ("full", 0.0, 40, "one-shot", ("P",)),
+        ("near_span", 8.0, 40, "one-shot", ("P", "reorth"))])
+    def test_one_factorisation_of_p(self, rng, dpotrf_calls, kind, decades, n,
+                                    plan, routes):
+        # one factorisation of P when n - d >= d (none when perp has rank
+        # below d), then one in _reorthonormalise unless on the Gram route;
+        # a failed or refused factor of P is not redone on perp
+        y = random_stiefel(rng, n, 4)
+        xi = one_shot_velocity(rng, y, kind, decades)
+        params = StiefelMetricParams(0.8)
+        if plan == "reused":
+            dec = make_transport_plan(y, xi, params).decomposition
+        else:
+            dec = stiefel.one_shot_plan(y, xi, params).decomposition
+        assert len(dpotrf_calls) == len(routes)
+        perp = xi - y @ (y.T @ xi)
+        for m, route in zip(dpotrf_calls, routes):
+            want = perp.T @ perp if route == "P" else np.eye(dec.k)
+            assert np.linalg.norm(m - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+        assert (dec.q is None) == (routes == ("P",))
 
 
 class TestGeodesic:
