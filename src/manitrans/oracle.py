@@ -6,11 +6,15 @@ These paths are the independent ground truth for the closed forms; they
 share nothing with the fast formulas beyond basic matrix products.  The
 curve and its velocity come from closed-form differentiation of the
 geodesic factors so the oracle's own error budget stays clean.
+
+scipy.integrate (which loads scipy.optimize) is imported on the first
+integrate_transport call, not with the package: the closed forms never
+need it.  solve_ivp is looked up on that module at each call.
 """
 import numpy as np
-import scipy.integrate
 
 from .errors import NumericalError, ValidationError
+from .utils import as_real, check_finite, check_scalar
 
 DEFAULT_TOL = 1e-10
 
@@ -22,15 +26,21 @@ def integrate_transport(christoffel, geodesic, eta0, t_grid,
     christoffel(point, direction, vector) evaluates the Christoffel
     function; geodesic(t) returns the pair (gamma(t), dgamma/dt).
     Returns the transported matrices at each grid time (the grid must be
-    nondecreasing, starting at or after 0, where Delta = eta0).
+    finite, nondecreasing, starting at or after 0, where Delta = eta0).
+    A complex or non-finite eta0 and a negative or non-finite tolerance
+    are refused by name.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    import scipy.integrate
+
+    t_grid = check_finite(as_real(t_grid, "t_grid"), "t_grid")
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
         raise ValidationError("t_grid must be a nondecreasing 1-d grid")
     if t_grid[0] < 0:
         raise ValidationError(
             f"t_grid must start at t >= 0, where Delta = eta0; got {t_grid[0]}")
-    eta0 = np.asarray(eta0, dtype=float)
+    eta0 = check_finite(as_real(eta0, "eta0"), "eta0")
+    rel_tol = _nonnegative(rel_tol, "rel_tol")
+    abs_tol = _nonnegative(abs_tol, "abs_tol")
     shape = eta0.shape
 
     def rhs(t, flat):
@@ -49,9 +59,19 @@ def integrate_transport(christoffel, geodesic, eta0, t_grid,
     return [sol.y[:, i].reshape(shape) for i in range(sol.y.shape[1])]
 
 
+def _nonnegative(value, name):
+    value = check_scalar(value, name)
+    if value < 0:
+        raise ValidationError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def transport_residual(delta_samples, gamma_samples, christoffel, dt):
     """Max norm of (centered-difference dDelta/dt + Gamma(gamma; dgamma,
-    Delta)) over interior grid points of a uniform grid."""
+    Delta)) over interior grid points of a uniform grid of step dt > 0."""
+    dt = check_scalar(dt, "dt")
+    if dt <= 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
     if len(delta_samples) < 3:
         raise ValidationError("need at least 3 samples for a residual")
     if len(delta_samples) != len(gamma_samples):

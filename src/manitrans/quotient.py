@@ -16,7 +16,9 @@ simplified_ok), which cannot be set.  stiefel_quotient and flag_quotient
 give it the block-diagonal vertical projections of their subgroups.
 
 Otherwise the middle factor solves a linear ODE with variable coefficients,
-integrated adaptively.
+integrated adaptively; scipy.integrate (which loads scipy.optimize) is
+imported on the first such solve, not with the package, and solve_ivp is
+looked up on that module at each call.
 
 Geodesics and transports run on a group_core plan built with the
 quotient, group_core.make_transport_plan(q.geom, x, xi, q): it refuses a
@@ -29,7 +31,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from . import expaction, group_core
 from .errors import NumericalError, ValidationError
@@ -76,6 +77,8 @@ class QuotientGeometry:
     def solve_transport_ode(self, a, w0, t):
         """The middle transport factor where simplified_ok fails, by adaptive
         Runge-Kutta, for each matrix of the stack w0 on its own."""
+        import scipy.integrate
+
         split, bet = self.geom.split, self.geom.beta
         aa = split.proj_a(a)
         n = a.shape[0]

@@ -91,6 +91,28 @@ class TestIntegrateTransport:
             moved, [0.0, t])
         assert np.linalg.norm(back[-1] - eta) <= 1e-6
 
+    @pytest.mark.parametrize("bad", [
+        dict(t_grid=[0.0, np.inf]), dict(t_grid=[0.0, np.nan]),
+        dict(eta0=1j), dict(eta0=np.nan),
+        dict(rel_tol=np.nan), dict(rel_tol=-1e-8),
+        dict(abs_tol=np.inf), dict(abs_tol=-1e-8)],
+        ids=["t_grid-inf", "t_grid-nan", "eta0-complex", "eta0-nan",
+             "rel_tol-nan", "rel_tol-negative", "abs_tol-inf", "abs_tol-negative"])
+    def test_refuses_bad_input_by_name(self, rng, bad):
+        # an infinite grid used to integrate forever, a NaN one to return
+        # a finite result, and a complex eta0 to lose its imaginary part
+        y = random_stiefel(rng, 6, 2)
+        params = StiefelMetricParams(0.5)
+        xi = random_stiefel_tangent(rng, y)
+        args = dict(eta0=random_stiefel_tangent(rng, y), t_grid=[0.0, 1.0])
+        (name, value), = bad.items()
+        # an eta0 entry is added to a tangent eta0, keeping its shape
+        args[name] = args[name] + value if name == "eta0" else value
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            integrate_transport(
+                lambda p, v, w: stiefel_christoffel(p, v, w, params),
+                lambda s: stiefel_geodesic_velocity(y, xi, params, s), **args)
+
     def test_rejects_bad_grid(self):
         # decreasing, and starting before t = 0 where eta0 is given
         for grid in ([1.0, 0.5], [-1.0, 0.0]):
@@ -137,6 +159,16 @@ class TestTransportResidual:
             deltas, gammas,
             lambda p, v, w: stiefel_christoffel(p, v, w, params), dt)
         assert res > 1e-2
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_refuses_bad_step_by_name(self, rng, dt):
+        y = random_stiefel(rng, 6, 2)
+        params = StiefelMetricParams(0.5)
+        eta = random_stiefel_tangent(rng, y)
+        with pytest.raises(ValidationError, match="^dt "):
+            transport_residual(
+                [eta] * 3, [y] * 3,
+                lambda p, v, w: stiefel_christoffel(p, v, w, params), dt)
 
     def test_needs_three_samples(self):
         with pytest.raises(ValidationError):
