@@ -16,7 +16,6 @@ from manitrans import group_core, oracle
 from manitrans.quotient import flag_quotient
 
 from helpers import random_so
-from test_oracle import flat_christoffel
 from test_quotient import horizontal_vector
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -116,6 +115,6 @@ def test_quotient_ode_calls_solve_ivp_once_per_vector(rng, solve_ivp_calls):
 
 
 def test_oracle_calls_solve_ivp_once(solve_ivp_calls):
-    oracle.integrate_transport(flat_christoffel, lambda t: (np.eye(2), np.eye(2)),
-                               np.eye(2), [0.0, 0.5, 1.0])
+    oracle.integrate_transport(lambda p, v, w: np.zeros_like(w),
+                               lambda t: (np.eye(2), np.eye(2)), np.eye(2), [0.0, 0.5, 1.0])
     assert len(solve_ivp_calls) == 1
