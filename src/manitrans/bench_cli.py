@@ -131,16 +131,12 @@ def _canonical(config, sig):
 
 
 def _flag(config):
-    if not config.d_list:
-        raise ConfigError("flag needs --d-list")
     return _canonical(config, fg.FlagSignature(d_list=tuple(config.d_list),
                                                n=config.n))
 
 
 def _grassmann(config):
     """Gr(n, d) as the one-block flag."""
-    if not (0 < config.d < config.n):
-        raise ConfigError("grassmann needs 0 < d < n")
     return _canonical(config, fg.FlagSignature(d_list=(config.d,), n=config.n))
 
 
@@ -175,8 +171,6 @@ def _so(config):
 
 
 def _gl(config):
-    if config.n < 1:
-        raise ConfigError("gl needs n >= 1")
     n = config.n
     return _group(
         gl_so.GLGeometry(n=n, beta=config.beta),

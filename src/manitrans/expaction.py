@@ -72,9 +72,10 @@ class LinearOperatorHandle:
     """Matrix-free linear operator on a matrix space.
 
     apply and apply_adjoint map arrays of shape (..., *domain_shape) to the
-    same shape; leading axes are batched.  apply_adjoint is the adjoint in
-    the Frobenius pairing.  one_norm_upper_bound bounds the operator 1-norm
-    in the vectorized standard basis.
+    same shape; leading axes are batched.  apply_adjoint, the adjoint in
+    the Frobenius pairing, may be None (Stiefel handles carry none): only
+    dense_operator_matrix(op, adjoint=True) reads it.  one_norm_upper_bound
+    bounds the operator 1-norm in the vectorized standard basis.
 
     skew_two_norm_bound, when set, declares that the operator is
     antisymmetric on a subspace that it maps into itself and that holds
@@ -84,7 +85,7 @@ class LinearOperatorHandle:
     tail bound holds in the norm ||u||_D = ||D u||_F (module docstring).
     """
     apply: Callable[[np.ndarray], np.ndarray]
-    apply_adjoint: Callable[[np.ndarray], np.ndarray]
+    apply_adjoint: Optional[Callable[[np.ndarray], np.ndarray]]
     one_norm_upper_bound: float
     domain_shape: tuple = field(default=(0, 0))
     skew_two_norm_bound: Optional[float] = None
@@ -235,10 +236,12 @@ def one_norm_estimate_exhaustive(op, cap=400):
 
 def dense_operator_matrix(op, adjoint=False):
     """Matrix of the vectorized operator (row-major vec convention)."""
+    fun = op.apply_adjoint if adjoint else op.apply
+    if fun is None:
+        raise ValidationError("op has no apply_adjoint")
     rows, cols = op.domain_shape
     n = rows * cols
     out = np.zeros((n, n))
-    fun = op.apply_adjoint if adjoint else op.apply
     e = np.zeros((rows, cols))
     for idx in range(n):
         e.flat[idx] = 1.0

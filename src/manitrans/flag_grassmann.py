@@ -16,7 +16,7 @@ import numpy as np
 from . import stiefel
 from .errors import DimensionError, ValidationError
 from .stiefel import StiefelMetricParams, check_point, decompose_tangent
-from .utils import as_real, check_operand, check_size, sym
+from .utils import as_real, asym, check_operand, check_size, sym
 
 CANONICAL_ALPHA = 0.5
 
@@ -74,19 +74,19 @@ def check_horizontal(sig, y, xi, name="xi"):
 
 
 def flag_christoffel(sig, y, xi, eta, params, validate=True):
-    """Christoffel function of the flag connection in Stiefel coordinates.
-
-    First argument xi is the differentiation direction.  Used by the ODE
-    oracle for every alpha (validate=False there: integration probes
-    slightly off-horizontal states).
+    """Christoffel function of the flag connection in Stiefel coordinates:
+    stiefel.stiefel_christoffel (operands refused by name) plus Y times the
+    flag diagonal blocks of asym(xi^T eta), as symf(c) = sym(c) + asym(c)
+    there.  First argument xi is the differentiation direction.  The ODE
+    oracle passes validate=False, for every alpha, at off-horizontal states.
     """
+    y = _point(sig, as_real(y, "y"))
+    out = stiefel.stiefel_christoffel(y, xi, eta, params)
+    xi, eta = as_real(xi, "xi"), as_real(eta, "eta")
     if validate:
         check_horizontal(sig, y, xi)
         check_horizontal(sig, y, eta, "eta")
-    alpha = params.alpha
-    first = y @ symf(sig, xi.T @ eta)
-    m = xi @ (eta.T @ y) + eta @ (xi.T @ y)
-    return first + (1.0 - alpha) * (m - y @ (y.T @ m))
+    return out + y @ np.where(sig.block_mask, asym(xi.T @ eta), 0.0)
 
 
 def flag_transport_plan(sig, y, xi):

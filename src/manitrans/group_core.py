@@ -77,8 +77,8 @@ from .forms import (AlgebraSplit, MetricParams, _beta_values,
                     projection_one_norm)
 from .utils import (ORTHONORMALITY_TOL, TANGENT_RTOL, as_real, asym,
                     block_norm_bound, check_finite, check_operand, check_scalar,
-                    hcat, identity, lie, matrix_norms, orthonormality_residual,
-                    refuse_residual, two_norm_bound)
+                    check_square_operands, hcat, identity, lie, matrix_norms,
+                    orthonormality_residual, refuse_residual, two_norm_bound)
 
 # to_algebra warns above this 1-norm condition number ||x||_1 ||x^{-1}||_1,
 # as LAPACK's gecon estimates it from x's LU (from below, mostly within 3x)
@@ -224,7 +224,9 @@ def metric(geom, x, xi, eta):
 
 
 def christoffel(geom, x, xi, eta, validate=True):
-    """Christoffel function of the Levi-Civita connection at x."""
+    """Christoffel function of the Levi-Civita connection at x; operands
+    are refused by name (check_operand) whatever validate is."""
+    x, xi, eta = check_square_operands(geom.n, x=x, xi=xi, eta=eta)
     a, b = to_algebra(geom, x, np.stack([xi, eta]), validate=False)
     if validate:
         _check_in_algebra(geom.split, xi=a, eta=b)

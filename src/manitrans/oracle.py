@@ -8,13 +8,13 @@ curve and its velocity come from closed-form differentiation of the
 geodesic factors so the oracle's own error budget stays clean.
 
 scipy.integrate (which loads scipy.optimize) is imported on the first
-integrate_transport call, not with the package: the closed forms never
-need it.  solve_ivp is looked up on that module at each call.
+integration (utils.solve_ode, whose work is bounded), not with the
+package: the closed forms never need it.
 """
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .utils import as_real, check_finite, check_scalar
+from .errors import ValidationError
+from .utils import as_real, check_finite, check_scalar, solve_ode
 
 DEFAULT_TOL = 1e-10
 
@@ -28,10 +28,8 @@ def integrate_transport(christoffel, geodesic, eta0, t_grid,
     Returns the transported matrices at each grid time (the grid must be
     finite, nondecreasing, starting at or after 0, where Delta = eta0).
     A complex or non-finite eta0 and a negative or non-finite tolerance
-    are refused by name.
+    are refused by name; NumericalError if utils.solve_ode stops.
     """
-    import scipy.integrate
-
     t_grid = check_finite(as_real(t_grid, "t_grid"), "t_grid")
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
         raise ValidationError("t_grid must be a nondecreasing 1-d grid")
@@ -48,14 +46,8 @@ def integrate_transport(christoffel, geodesic, eta0, t_grid,
         delta = flat.reshape(shape)
         return -christoffel(gam, dgam, delta).reshape(-1)
 
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, float(t_grid[-1]) if t_grid[-1] > 0 else 1e-30),
-        eta0.reshape(-1), method="RK45", rtol=rel_tol, atol=abs_tol,
-        t_eval=t_grid)
-    if not sol.success:
-        last = sol.t[-1] if sol.t.size else 0.0
-        raise NumericalError(
-            f"transport integration failed at t={last}: {sol.message}")
+    sol = solve_ode(rhs, float(t_grid[-1]) if t_grid[-1] > 0 else 1e-30,
+                    eta0.reshape(-1), rel_tol, abs_tol, t_eval=t_grid)
     return [sol.y[:, i].reshape(shape) for i in range(sol.y.shape[1])]
 
 

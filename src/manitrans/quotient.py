@@ -16,9 +16,8 @@ simplified_ok), which cannot be set.  stiefel_quotient and flag_quotient
 give it the block-diagonal vertical projections of their subgroups.
 
 Otherwise the middle factor solves a linear ODE with variable coefficients,
-integrated adaptively; scipy.integrate (which loads scipy.optimize) is
-imported on the first such solve, not with the package, and solve_ivp is
-looked up on that module at each call.
+integrated adaptively by utils.solve_ode, which imports scipy.integrate
+(and so scipy.optimize) on the first such solve, not with the package.
 
 Geodesics and transports run on a group_core plan built with the
 quotient, group_core.make_transport_plan(q.geom, x, xi, q): it refuses a
@@ -33,14 +32,15 @@ from typing import Callable
 import numpy as np
 
 from . import expaction, group_core
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .flag_grassmann import FlagSignature
 from .forms import MetricParams, projection_one_norm
 from .gl_so import so_split
 from .group_core import (PROBE_SEED, GroupGeometry, _check_in_algebra,
                          _christoffel, p_a_operator, to_algebra)
 from .utils import (TANGENT_RTOL, block_diagonal_asym, check_operand,
-                    check_scalar, lie, matrix_norms, refuse_residual)
+                    check_scalar, check_square_operands, lie, matrix_norms,
+                    refuse_residual, solve_ode)
 
 ODE_TOL = 1e-10
 PROBES = 8
@@ -76,9 +76,7 @@ class QuotientGeometry:
 
     def solve_transport_ode(self, a, w0, t):
         """The middle transport factor where simplified_ok fails, by adaptive
-        Runge-Kutta, for each matrix of the stack w0 on its own."""
-        import scipy.integrate
-
+        RK45 (utils.solve_ode), for each matrix of the stack w0 on its own."""
         split, bet = self.geom.split, self.geom.beta
         aa = split.proj_a(a)
         n = a.shape[0]
@@ -92,14 +90,8 @@ class QuotientGeometry:
                         + (1.0 + bet) * (lie(aa, w) - lie(split.proj_a(w), a)))
             return dw.reshape(-1)
 
-        def solve(w):
-            sol = scipy.integrate.solve_ivp(
-                rhs, (0.0, t), w, method="RK45", rtol=ODE_TOL, atol=ODE_TOL,
-                dense_output=False)
-            if not sol.success:
-                raise NumericalError(f"transport ODE integration failed: {sol.message}")
-            return sol.y[:, -1]
-        return np.stack([solve(w) for w in w0.reshape(-1, n * n)]).reshape(w0.shape)
+        return np.stack([solve_ode(rhs, t, w, ODE_TOL, ODE_TOL).y[:, -1]
+                         for w in w0.reshape(-1, n * n)]).reshape(w0.shape)
 
     @cached_property
     def proj_m_norm(self):
@@ -176,7 +168,9 @@ def check_simplified_condition(q):
 
 def horizontal_christoffel(q, x, xi, eta, validate=True):
     """Group Christoffel minus the vertical correction X [a, b]_k / 2; by
-    to_algebra's LU, as the oracle calls it at off-manifold states."""
+    to_algebra's LU, as the oracle calls it at off-manifold states;
+    operands are refused as by group_core.christoffel."""
+    x, xi, eta = check_square_operands(q.geom.n, x=x, xi=xi, eta=eta)
     a, b = to_algebra(q.geom, x, np.stack([xi, eta]), validate=False)
     if validate:
         _check_in_algebra(q.geom.split, xi=a, eta=b)

@@ -447,8 +447,8 @@ def stiefel_geodesic_velocity(y, xi, params, t):
 
 def p_bal_operator(decomp, params, mask=None):
     """The balanced operator on stacked F, top block scaled by
-    sqrt(alpha), which is Frobenius-antisymmetric on F: apply/adjoint
-    closures, the cheap 1-norm bound of the Taylor selection
+    sqrt(alpha), which is Frobenius-antisymmetric on F (no apply_adjoint):
+    an apply closure, the cheap 1-norm bound of the Taylor selection
     (p_bal_norm_bound) and the 2-norm bound rho (p_bal_two_norm_bound),
     under which expa sums the Chebyshev-Bessel series in about |t| rho
     applies.
@@ -464,10 +464,9 @@ def p_bal_operator(decomp, params, mask=None):
     d = decomp.d
     alpha = params.alpha
     salpha = np.sqrt(alpha)
-    c4 = 4.0 * alpha - 1.0
 
     # apply's scalars, folded once: its top block is m - m^T
-    a_top, r_top = (0.5 * c4) * a, (0.5 * salpha) * r.T
+    a_top, r_top = (0.5 * (4.0 * alpha - 1.0)) * a, (0.5 * salpha) * r.T
     a_bot, r_bot = alpha * a, salpha * r
 
     def apply(w):
@@ -484,20 +483,8 @@ def p_bal_operator(decomp, params, mask=None):
         bot -= r_bot @ wa
         return np.concatenate([top, bot], axis=-2)
 
-    def apply_adjoint(w):
-        wa = w[..., :d, :]
-        wr = w[..., d:, :]
-        ska = 0.5 * (wa - np.swapaxes(wa, -1, -2))
-        if mask is not None:
-            ska[..., mask] = 0.0
-        top = -c4 * (ska @ a) - salpha * (np.swapaxes(r, -1, -2) @ wr)
-        if mask is not None:
-            top[..., mask] = 0.0
-        bot = salpha * (r @ ska) - alpha * (wr @ a)
-        return np.concatenate([top, bot], axis=-2)
-
     return expaction.LinearOperatorHandle(
-        apply=apply, apply_adjoint=apply_adjoint,
+        apply=apply, apply_adjoint=None,
         one_norm_upper_bound=p_bal_norm_bound(decomp, params),
         domain_shape=(d + decomp.k, d),
         skew_two_norm_bound=p_bal_two_norm_bound(decomp, params, mask))

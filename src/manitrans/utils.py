@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NumericalError, ValidationError
 
 EPS = 2.0 ** -53
 TANGENT_RTOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
+# Right-hand-side evaluations one solve_ode may spend (about 3,300 RK45
+# steps), 20x the 1,022 of the largest solve of tests, scripts and bench.
+MAX_RHS_EVALS = 20_000
 
 
 def coordinate_projection(proj):
@@ -179,3 +182,26 @@ def block_norm_bound(blocks):
     of the entries and of the (backward stable) eigensolver."""
     rho = np.linalg.eigvalsh(np.array(blocks, dtype=float))[-1]
     return float(rho) * (1.0 + 64.0 * EPS)
+
+
+def solve_ode(rhs, t_end, y0, rtol, atol, t_eval=None):
+    """RK45 by scipy.integrate.solve_ivp, imported on the first solve and
+    looked up at each call, on y' = rhs(t, y) from 0 to t_end; NumericalError
+    naming the time reached if it fails or once rhs ran MAX_RHS_EVALS times."""
+    import scipy.integrate
+    times = []
+
+    def counted(t, y):
+        if len(times) == MAX_RHS_EVALS:
+            raise NumericalError(
+                f"ODE integration spent its {MAX_RHS_EVALS} right-hand-side "
+                f"evaluations at t={times[-1]:.6g} of {t_end:.6g}")
+        times.append(t)
+        return rhs(t, y)
+
+    sol = scipy.integrate.solve_ivp(counted, (0.0, t_end), y0, method="RK45",
+                                    rtol=rtol, atol=atol, t_eval=t_eval)
+    if not sol.success:
+        raise NumericalError(
+            f"ODE integration failed at t={sol.t[-1]:.6g}: {sol.message}")
+    return sol

@@ -34,8 +34,17 @@ class TestConfig:
             BenchConfig(manifold="so", n=4, d=2, repeats=0)
 
     def test_flag_requires_blocks(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^flag: d_list must hold one"):
             make_adapter(BenchConfig(manifold="flag", n=8))
+
+    @pytest.mark.parametrize("manifold, sizes, message", [
+        ("grassmann", dict(n=8, d=0), "d_list block must be an integer"),
+        ("grassmann", dict(n=8, d=8), "d_list must leave n - d >= 1"),
+        ("gl", dict(n=0), "n must be an integer of at least 1"),
+    ])
+    def test_size_errors_are_the_library_s(self, manifold, sizes, message):
+        with pytest.raises(ConfigError, match=f"^{manifold}: {message}"):
+            make_adapter(BenchConfig(manifold=manifold, **sizes))
 
     def test_flag_requires_canonical_alpha(self):
         with pytest.raises(ConfigError):

@@ -149,6 +149,15 @@ class TestHorizontalProjection:
         assert np.linalg.norm(coeff[2:, 2:]) <= 1e-12
 
 
+def flag_christoffel_reference(sig, y, xi, eta, alpha):
+    """The flag Christoffel function as a formula of its own: the first
+    term Y symf(xi^T eta), then Stiefel's second."""
+    c = xi.T @ eta
+    first = y @ np.where(sig.block_mask, c, sym(c))
+    m = xi @ (eta.T @ y) + eta @ (xi.T @ y)
+    return first + (1.0 - alpha) * (m - y @ (y.T @ m))
+
+
 class TestFlagChristoffel:
     def test_zero_direction(self, rng):
         sig = FlagSignature(d_list=(2, 2), n=9)
@@ -168,6 +177,20 @@ class TestFlagChristoffel:
         m = xi @ (eta.T @ y) + eta @ (xi.T @ y)
         want = y @ (xi.T @ eta) + 0.5 * (m - y @ (y.T @ m))
         assert rel_err(got, want) <= 1e-12
+
+    @given(seed=st.integers(0, 10_000),
+           d_list=st.sampled_from([(3,), (2, 2), (1, 2, 1), (1, 1, 1)]),
+           alpha=st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    def test_matches_the_symf_formula(self, seed, d_list, alpha):
+        # Stiefel's Christoffel function plus the masked asym term is the
+        # symf formula; (3,) is the one-block Grassmann mask
+        rng = np.random.default_rng(seed)
+        sig = FlagSignature(d_list=d_list, n=9)
+        y = random_stiefel(rng, 9, sig.d)
+        xi, eta = random_horizontal(rng, sig, y), random_horizontal(rng, sig, y)
+        got = flag_christoffel(sig, y, xi, eta, StiefelMetricParams(alpha))
+        want = flag_christoffel_reference(sig, y, xi, eta, alpha)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestFlagTransport:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from manitrans.errors import ValidationError
+from manitrans import utils
+from manitrans.errors import NumericalError, ValidationError
 from manitrans.oracle import (gram_drift, integrate_transport,
                               transport_residual)
 from manitrans.stiefel import (StiefelMetricParams, stiefel_christoffel,
@@ -112,6 +113,25 @@ class TestIntegrateTransport:
             integrate_transport(
                 lambda p, v, w: stiefel_christoffel(p, v, w, params),
                 lambda s: stiefel_geodesic_velocity(y, xi, params, s), **args)
+
+    def test_work_is_bounded(self, rng, monkeypatch):
+        # t = 1e8 would take RK45 days; the solve stops after the budget
+        monkeypatch.setattr(utils, "MAX_RHS_EVALS", 60)
+        y = random_stiefel(rng, 6, 2)
+        params = StiefelMetricParams(0.5)
+        xi = random_stiefel_tangent(rng, y)
+        calls = []
+
+        def christoffel(p, v, w):
+            calls.append(1)
+            return stiefel_christoffel(p, v, w, params)
+
+        with pytest.raises(NumericalError,
+                           match=r"its 60 right-hand-side evaluations at t=\S+ of 1e\+08"):
+            integrate_transport(
+                christoffel, lambda s: stiefel_geodesic_velocity(y, xi, params, s),
+                random_stiefel_tangent(rng, y), [0.0, 1e8])
+        assert len(calls) == 60
 
     def test_rejects_bad_grid(self):
         # decreasing, and starting before t = 0 where eta0 is given

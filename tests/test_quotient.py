@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from manitrans import group_core, oracle, quotient
-from manitrans.errors import ValidationError
+from manitrans import group_core, oracle, quotient, utils
+from manitrans.errors import NumericalError, ValidationError
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import gl_split, so_split
 from manitrans.expaction import expa
@@ -343,6 +343,16 @@ class TestQuotientTransport:
             lambda s: geodesic_velocity(q.geom, x, xi, s), eta, grid)
         got = quotient_transport(q, x, xi, eta, t)
         assert np.linalg.norm(got - ref[-1]) <= 1e-6
+
+    def test_variable_coefficient_work_is_bounded(self, rng, monkeypatch):
+        # the ODE solve stops after its budget of evaluations, at any t
+        monkeypatch.setattr(utils, "MAX_RHS_EVALS", 60)
+        q = flag_quotient(7, (2, 2), 0.8)
+        x = random_so(rng, 7)
+        xi, eta = horizontal_vector(rng, q, x), horizontal_vector(rng, q, x)
+        with pytest.raises(NumericalError,
+                           match=r"its 60 right-hand-side evaluations at t=\S+ of -1e\+06"):
+            quotient_transport(q, x, xi, eta, -1e6)
 
     def test_horizontal_geodesic_stays_horizontal(self, rng):
         q = stiefel_quotient(6, 2, 0.8)
