@@ -22,7 +22,7 @@ import numpy as np
 from . import flag_grassmann as fg
 from . import gl_so, group_core, oracle, stiefel
 from .errors import ConfigError, DimensionError, ValidationError
-from .utils import TANGENT_RTOL, asym, sym
+from .utils import TANGENT_RTOL, asym, check_size, sym
 
 CSV_SCHEMA_COMMENT = "# manitrans-bench v1"
 ORACLE_SIZE_CAP = 64
@@ -136,7 +136,8 @@ def _flag(config):
 
 
 def _grassmann(config):
-    """Gr(n, d) as the one-block flag."""
+    """Gr(n, d) as the one-block flag; d is refused by its own name."""
+    check_size(config.d, "d")
     return _canonical(config, fg.FlagSignature(d_list=(config.d,), n=config.n))
 
 
@@ -216,6 +217,11 @@ def _row(config, adapter, t, **values):
 
 def run_timing(config):
     """Median transport wall time per grid time; one warm-up call first.
+
+    Every call moves the same stack along one plan, so on a Stiefel, flag
+    or Grassmann plan each one after the first reuses the kept [Y|Q]^T eta
+    (stiefel.transport_with_plan), as a caller moving one stack to many t
+    does.
 
     Every row's residual_check must pass; a failing residual aborts with a
     verification error rather than reporting the timing.

@@ -23,6 +23,9 @@ formed; every other plan, each reused one included, forms Q
 
 Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Metrics, operators and transports accept leading batch axes on the vectors.
+A reused plan keeps the last stack it transported with its coefficients
+[Y|Q]^T eta, so the same stack at the next t skips that product and its
+checks (transport_with_plan); a one-t plan keeps nothing.
 """
 import math
 from dataclasses import dataclass
@@ -145,6 +148,11 @@ class StiefelTransportPlan:
     (SkewExponential, O((d+k)^3) and O(d^3)); every later t then forms its
     exponentials by one real product each instead of a scipy.linalg.expm.
     A zero exponent is not factored and its exponential is skipped.
+
+    Each transport keeps its checked stack eta (_keep): a read-only copy
+    and the (d+k) x d coefficients w0 = basis^T eta per vector, freed with
+    the plan and replaced by the next stack that differs.  They are not
+    fields: equality and dataclasses.fields ignore them.
     """
     decomposition: TangentDecomposition
     big_exp_arg: np.ndarray     # (d+k) x (d+k), antisymmetric
@@ -165,6 +173,14 @@ class StiefelTransportPlan:
         # assigned once complete, so a concurrent first use never reads a
         # partial factorization
         return _exponential_maps(self, SkewExponential)
+
+    def _keep(self, eta, w0):
+        """Keep the checked stack eta (its strides and a read-only copy)
+        and its read-only w0 = basis^T eta for transport_with_plan, as one
+        tuple assigned once complete, as _factors is."""
+        copy = eta.copy()
+        copy.flags.writeable = w0.flags.writeable = False
+        object.__setattr__(self, "_kept", (eta.strides, copy, w0))
 
     def _lift(self, m):
         """[Y|Q] @ m."""
@@ -218,6 +234,9 @@ class _SingleTimePlan(StiefelTransportPlan):
     def _factors(self):
         return _exponential_maps(
             self, lambda m: lambda s: scipy.linalg.expm(s * m))
+
+    def _keep(self, eta, w0):  # used at one t, a plan keeps no stack
+        pass
 
 
 def point_array(y):
@@ -588,15 +607,28 @@ def transport_with_plan(plan, y, eta, t):
     factorization a plan's first use makes (StiefelTransportPlan), or
     scipy.linalg.expm for a one-shot plan (_SingleTimePlan).  t must be a
     real finite scalar.
+
+    A reused plan keeps the last stack it checked (StiefelTransportPlan).
+    A stack of the same shape, strides and bits, compared as int64 views
+    (so a NaN or a -0.0 for a 0.0 never matches), takes its kept w0: no
+    finiteness or tangency check and no basis^T eta, with the same result.
+    A one-shot plan keeps nothing.
     """
     t = check_scalar(t, "t")
     if y is not plan.point and not np.array_equal(y, plan.point):
         raise ValidationError("y is not the base point of the plan")
     basis, basis_map = plan.basis, plan.basis_map
     d = plan.decomposition.d
-    eta = check_operand(eta, (basis.shape[0], d), "eta", batched=True)
-    w0 = np.swapaxes(basis, -1, -2) @ eta
-    check_coefficient(w0[..., :d, :], eta, "eta", plan.mask)
+    eta = as_real(eta, "eta")
+    kept = getattr(plan, "_kept", None)
+    if kept is not None and eta.strides == kept[0] \
+            and np.array_equal(eta.view(np.int64), kept[1].view(np.int64)):
+        w0 = kept[2]
+    else:
+        eta = check_operand(eta, (basis.shape[0], d), "eta", batched=True)
+        w0 = np.swapaxes(basis, -1, -2) @ eta
+        check_coefficient(w0[..., :d, :], eta, "eta", plan.mask)
+        plan._keep(eta, w0)
     if t == 0.0:
         return eta.copy()
     if basis_map is not None:  # [Y|Q]^T eta

@@ -38,7 +38,7 @@ class TestConfig:
             make_adapter(BenchConfig(manifold="flag", n=8))
 
     @pytest.mark.parametrize("manifold, sizes, message", [
-        ("grassmann", dict(n=8, d=0), "d_list block must be an integer"),
+        ("grassmann", dict(n=8, d=0), "d must be an integer of at least 1"),
         ("grassmann", dict(n=8, d=8), "d_list must leave n - d >= 1"),
         ("gl", dict(n=0), "n must be an integer of at least 1"),
     ])

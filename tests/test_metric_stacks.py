@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from manitrans import group_core, stiefel
 from manitrans.errors import ValidationError
@@ -117,6 +117,7 @@ def stack(case, rng, lead):
 @pytest.mark.parametrize("name", CASES)
 @given(seed=st.integers(0, 10_000), n=st.integers(3, 8),
        lead_xi=LEADS[0], lead_eta=LEADS[1])
+@example(seed=758, n=3, lead_xi=(), lead_eta=(2,))
 def test_stack_equals_the_pairwise_loop(name, seed, n, lead_xi, lead_eta):
     rng = np.random.default_rng(seed)
     case = CASES[name](rng, n)
@@ -129,7 +130,11 @@ def test_stack_equals_the_pairwise_loop(name, seed, n, lead_xi, lead_eta):
         assert isinstance(got, float)
     want = np.reshape(pairs, lead_xi + lead_eta)
     assert np.shape(got) == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # scaled by the operands, not by values that cancel: a sum of n^2 <= 64
+    # products rounds by below 64 u times the largest ||xi_i|| ||eta_j||
+    scale = np.max(np.multiply.outer(np.linalg.norm(xi, axis=(-2, -1)),
+                                     np.linalg.norm(eta, axis=(-2, -1))))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 BAD = [(name, kind) for name in CASES for kind in ("nan", "off")

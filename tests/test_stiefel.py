@@ -12,7 +12,7 @@ from manitrans.expaction import (dense_operator_matrix, expa,
                                  select_taylor_params)
 from manitrans.flag_grassmann import (FlagSignature, flag_horizontal_project,
                                       flag_transport_canonical,
-                                      flag_transport_plan)
+                                      flag_transport_plan, grassmann_transport)
 from manitrans.forms import MetricParams, beta_form
 from manitrans.gl_so import so_split
 from manitrans.stiefel import (
@@ -711,8 +711,9 @@ class TestGeodesic:
             assert np.array_equal(a, b)
 
     def test_first_use_shared_across_threads(self, rng):
-        # threads race to factor a fresh plan's exponent arguments; every
-        # one must see the complete factorization
+        # threads race to factor a fresh plan's exponent arguments, and to
+        # keep and reuse its last stack (each stack comes twice); every
+        # one must see the complete factorization and a complete kept stack
         import sys
         from concurrent.futures import ThreadPoolExecutor
         y = random_stiefel(rng, 30, 6)
@@ -728,9 +729,9 @@ class TestGeodesic:
                 plan = make_transport_plan(y, xi, params)
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     futures = [pool.submit(transport_with_plan, plan, y, e, 2.3)
-                               for e in etas]
+                               for e in etas + etas]
                     got = [f.result(timeout=60) for f in futures]
-                for a, b in zip(want, got):
+                for a, b in zip(want + want, got):
                     assert np.array_equal(a, b)
         finally:
             sys.setswitchinterval(interval)
@@ -796,10 +797,15 @@ class TestPlanGeodesic:
     @example(seed=1, n=9, d=8, rank="full", alpha=5.0, t=50.0, batch=())
     @example(seed=2, n=30, d=8, rank="deficient", alpha=1e-3, t=-20.0,
              batch=(2,))
+    @example(seed=246, n=3, d=1, rank="full", alpha=1e-3, t=8.5, batch=())
     def test_transports_match_r_by_product(self, seed, n, d, rank, alpha, t,
                                            batch):
         # the same plans with R = Q^T xi: one rounding of R moves a
-        # transport by about |t| eps, so the bound grows past |t| = 5
+        # transport by about |t| eps, so the bound grows past |t| = 5.
+        # One-shot plans take expm on both sides, whose error grows with
+        # |t| times their exponents' norms (stiefel_transport): at d = 1,
+        # R = 1 exactly and expm(8.5 [[0, -1], [1, 0]]) is 1.4e-13 from
+        # (cos, sin), where the R one ulp off is 4e-15 from it
         n = max(n, d + 1)
         rng = np.random.default_rng(seed)
         y = random_stiefel(rng, n, d)
@@ -815,11 +821,14 @@ class TestPlanGeodesic:
                                            y, eta, t),
                        transport_with_plan(ref, y, eta, t)) <= tol
         if not batch:
+            expm_tol = 1e-13 * max(1.0, abs(t) * (
+                np.linalg.norm(ref.big_exp_arg, 2) + abs(1.0 - 2.0 * alpha)
+                * np.linalg.norm(ref.decomposition.a, 2)))
             assert rel_err(stiefel_transport(y, xi, eta, params, t),
                            transport_with_plan(
                                stiefel._plan(stiefel._SingleTimePlan, y,
                                              ref.decomposition, params),
-                               y, eta, t)) <= tol
+                               y, eta, t)) <= expm_tol
 
     def test_velocity_is_the_derivative_at_a_reused_plan(self, rng):
         y = random_stiefel(rng, 9, 4)
@@ -874,6 +883,126 @@ class TestPlanGeodesic:
                 transport_with_plan(plan, other, eta, 1.0)
         assert np.array_equal(transport_with_plan(plan, y.copy(), eta, 1.0),
                               transport_with_plan(plan, y, eta, 1.0))
+
+
+def kept_stack_case(rng, kind):
+    """A point with a zero last row, a builder of fresh plans along one
+    geodesic there (a Stiefel or a flag plan) and a stack of three tangent
+    (for a flag, horizontal) vectors; every vector has a zero last row."""
+    def zero_last_row(m):
+        return np.vstack([m, np.zeros((1, 3))])
+    y = np.linalg.qr(zero_last_row(rng.standard_normal((11, 3))))[0]
+    sig = FlagSignature(d_list=(1, 2), n=12)
+    project = ((lambda w: project_tangent(y, w)) if kind == "stiefel"
+               else (lambda w: flag_horizontal_project(sig, y, w)))
+    xi, *etas = (project(zero_last_row(rng.standard_normal((11, 3))))
+                 for _ in range(4))
+    if kind == "stiefel":
+        def make():
+            return make_transport_plan(y, xi, StiefelMetricParams(0.8))
+    else:
+        def make():
+            return flag_transport_plan(sig, y, xi)
+    return y, make, np.stack(etas)
+
+
+@pytest.mark.parametrize("kind", ["stiefel", "flag"])
+class TestKeptStack:
+    """A reused plan keeps its last stack and that stack's coefficients
+    w0 = basis^T eta: the same stack again (same shape, strides and bits)
+    skips w0 and its checks, and every output is bit-identical to a fresh
+    plan's."""
+
+    @pytest.fixture
+    def coefficient_checks(self, monkeypatch):
+        """The transports' checks of eta (plan builds check xi)."""
+        calls = []
+        real = stiefel.check_coefficient
+
+        def check(coeff, v, name, mask=None):
+            if name == "eta":
+                calls.append(1)
+            return real(coeff, v, name, mask)
+        monkeypatch.setattr(stiefel, "check_coefficient", check)
+        return calls
+
+    def test_repeated_stack_matches_a_fresh_plan(self, rng, kind,
+                                                 coefficient_checks):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        for t in (0.0, 0.7, 3.0, -2.0, 0.0, 25.0):
+            got = transport_with_plan(plan, y, etas, t)
+            assert np.array_equal(got, transport_with_plan(make(), y, etas, t))
+        # one check on plan's first call, one per fresh plan
+        assert len(coefficient_checks) == 7
+
+    @pytest.mark.parametrize("change", ["entry", "zero_sign"])
+    def test_stack_changed_in_place_misses(self, rng, kind, change,
+                                           coefficient_checks):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        transport_with_plan(plan, y, etas, 1.3)
+        if change == "entry":  # one ulp: still tangent
+            etas[1, 4, 2] = np.nextafter(etas[1, 4, 2], np.inf)
+        else:
+            assert np.array_equal(etas[1, -1], [0.0, 0.0, 0.0])
+            etas[1, -1, 0] = -0.0
+        got = transport_with_plan(plan, y, etas, 1.3)
+        assert len(coefficient_checks) == 2
+        assert np.array_equal(got, transport_with_plan(make(), y, etas, 1.3))
+
+    def test_refusals_after_a_hit(self, rng, kind, coefficient_checks):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        for t in (0.4, 1.3):
+            transport_with_plan(plan, y, etas, t)
+        assert len(coefficient_checks) == 1
+        good = etas[0, 0, 0]
+        etas[0, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="^eta has non-finite"):
+            transport_with_plan(plan, y, etas, 1.3)
+        etas[0, 0, 0] = good
+        etas[0] += y
+        with pytest.raises(ValidationError, match="^eta is not (tangent|horizontal)"):
+            transport_with_plan(plan, y, etas, 1.3)
+
+    def test_same_values_with_other_strides_miss(self, rng, kind,
+                                                 coefficient_checks):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        transport_with_plan(plan, y, etas, 1.3)
+        other = np.asfortranarray(etas)
+        got = transport_with_plan(plan, y, other, 1.3)
+        assert len(coefficient_checks) == 2
+        assert np.array_equal(got, transport_with_plan(make(), y, other, 1.3))
+
+    def test_kept_arrays_are_read_only(self, rng, kind):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        want = [transport_with_plan(make(), y, etas, t) for t in (0.0, 1.3)]
+        for t in (0.0, 1.3):
+            transport_with_plan(plan, y, etas, t)[...] = 7.0
+        _, copy, w0 = plan.__dict__["_kept"]
+        assert not copy.flags.writeable and not w0.flags.writeable
+        for t, w in zip((0.0, 1.3), want):
+            assert np.array_equal(transport_with_plan(plan, y, etas, t), w)
+
+    def test_one_t_entry_points_keep_nothing(self, rng, kind, monkeypatch):
+        plans = []
+        real = stiefel.one_shot_plan
+        monkeypatch.setattr(stiefel, "one_shot_plan",
+                            lambda *args: plans.append(real(*args)) or plans[-1])
+        y, _, etas = kept_stack_case(rng, kind)
+        xi = etas[0]
+        if kind == "stiefel":
+            stiefel_transport(y, xi, etas[1], StiefelMetricParams(0.8), 1.3)
+        else:
+            flag_transport_canonical(FlagSignature(d_list=(1, 2), n=12),
+                                     y, xi, etas[1], 1.3)
+            gxi, geta = (v - y @ (y.T @ v) for v in etas[:2])
+            grassmann_transport(y, gxi, geta, 1.3)
+        assert len(plans) == (1 if kind == "stiefel" else 2)
+        assert not any("_kept" in vars(p) for p in plans)
 
 
 class TestPOperator:
