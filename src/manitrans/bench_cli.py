@@ -220,6 +220,7 @@ def run_timing(config):
 
     Every call moves the same stack along one plan, so on a Stiefel, flag
     or Grassmann plan each one after the first reuses the kept [Y|Q]^T eta
+    and, past rho = 0, the stack's kept leading Chebyshev vectors
     (stiefel.transport_with_plan), as a caller moving one stack to many t
     does.
 
@@ -328,6 +329,10 @@ def write_csv(rows, path=""):
 
 # flags whose name is not the BenchConfig field's
 _FLAGS = {"num_vectors": "--vectors", "output_path": "--out"}
+# argparse reads "-2,1" after a space as an option, so a grid that starts
+# below zero needs the "=" form
+_HELP = {"t_grid": "comma-separated increasing times; when the first is "
+                   "negative, write --t-grid=-2,-0.5,0.5,2"}
 
 
 def _parse_list(text, kind):
@@ -357,7 +362,7 @@ def build_parser():
             if isinstance(default, tuple):
                 default = ",".join(map(str, default))
             p.add_argument(flag, dest=field.name, type=type(default),
-                           default=default)
+                           default=default, help=_HELP.get(field.name))
     return parser
 
 

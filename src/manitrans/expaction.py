@@ -22,6 +22,14 @@ of two series chosen from what the operator handle declares:
   D is the identity for stiefel.p_bal_operator, which is balanced
   already; for group_core.p_a_operator it is the metric balancing of that
   module's docstring.
+
+The C_k depend on t only through sgn t, and C_k(-t) = (-1)^k C_k(t)
+holds exactly in floating point: negation is exact, op is linear and
+rounding is symmetric.  So the C_k of one operand, once computed at
+t > 0, serve every t of either sign with the odd weights negated, with
+the same sums in the same order and so the same bits.  A handle may
+carry such kept vectors (ChebyshevVectors); expa then applies op only
+for the terms past them.
 """
 from dataclasses import dataclass, field
 from math import lgamma, log, log1p
@@ -83,12 +91,17 @@ class LinearOperatorHandle:
     <D u, D v>_F of some fixed invertible D, and bounds the 2-norm of
     D op D^{-1} there; expa then sums the Chebyshev-Bessel series, whose
     tail bound holds in the norm ||u||_D = ||D u||_F (module docstring).
+
+    chebyshev_vectors, when set, holds the leading Chebyshev vectors of
+    one operand under this operator (ChebyshevVectors); expa reuses and
+    extends them when given that operand object.
     """
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adjoint: Optional[Callable[[np.ndarray], np.ndarray]]
     one_norm_upper_bound: float
     domain_shape: tuple = field(default=(0, 0))
     skew_two_norm_bound: Optional[float] = None
+    chebyshev_vectors: Optional["ChebyshevVectors"] = None
 
     def __post_init__(self):
         if self.one_norm_upper_bound < 0:
@@ -97,6 +110,22 @@ class LinearOperatorHandle:
                 and not 0 <= self.skew_two_norm_bound < np.inf:
             raise ValidationError(
                 "skew_two_norm_bound must be finite and nonnegative")
+
+
+class ChebyshevVectors:
+    """The Chebyshev vectors C_0 ... C_j of one operand, C_0 = operand, at
+    t > 0, kept for expa calls on that operand at any t (module
+    docstring); j grows with the largest |t| seen, up to limit.
+
+    operand and the vectors (flat) are read-only.  A longer sequence
+    replaces vectors as one tuple once complete, so a concurrent caller
+    reads either the old sequence or the new one.
+    """
+
+    def __init__(self, operand, limit):
+        c0 = operand.ravel()
+        operand.flags.writeable = c0.flags.writeable = False
+        self.operand, self.limit, self.vectors = operand, limit, (c0,)
 
 
 def matrix_exponential(m):
@@ -155,15 +184,37 @@ def _chebyshev_expa(op, b, t):
     n_terms = chebyshev_terms(x)
     coef = 2.0 * scipy.special.jv(np.arange(n_terms + 1), x)
     step = np.copysign(1.0 / rho, t)
-    prev, cur = b.flatten(), step * op.apply(b).ravel()
+    kept = op.chebyshev_vectors
+    if kept is None or kept.operand is not b:
+        known, limit = (b.flatten(),), 0
+    else:  # the kept C_k are those of t > 0: C_k(-t) = (-1)^k C_k(t)
+        known, limit, step = kept.vectors, kept.limit, abs(step)
+        if t < 0:
+            coef[1::2] = -coef[1::2]
+    grown = []  # C_k for len(known) <= k <= limit, read-only
+
+    def computed(k, c):
+        if k <= limit:
+            c.flags.writeable = False
+            grown.append(c)
+        return c
+
+    prev = known[0]
+    cur = known[1] if len(known) > 1 else computed(1, step * op.apply(b).ravel())
     f = daxpy(cur, (0.5 * coef[0]) * b.ravel(), a=coef[1])
-    for c in coef[2:]:
-        prev = daxpy(op.apply(cur.reshape(b.shape)).ravel(), prev, a=2.0 * step)
-        prev, cur = cur, prev
-        f = daxpy(cur, f, a=c)
+    for k in range(2, n_terms + 1):
+        if k < len(known):
+            prev, cur = cur, known[k]
+        else:  # daxpy writes into its second operand, even a read-only one
+            y = prev if prev.flags.writeable else prev.copy()
+            y = daxpy(op.apply(cur.reshape(b.shape)).ravel(), y, a=2.0 * step)
+            prev, cur = cur, computed(k, y)
+        f = daxpy(cur, f, a=coef[k])
     if not np.isfinite(f).all():
         raise NumericalError(
             f"expa overflowed with {n_terms} Chebyshev terms, rho={rho}")
+    if grown:
+        kept.vectors = known + tuple(grown)
     return f.reshape(b.shape)
 
 
@@ -174,7 +225,9 @@ def expa(op, b, t=1.0, tolerance_class="double", params=None):
     op.domain_shape.  Without explicit params, a handle that sets
     skew_two_norm_bound gets the Chebyshev-Bessel series: per term one
     op.apply, one in-place axpy (y += a x) turning C_{k-1} into C_{k+1}
-    and one adding the weighted term to the sum.  Otherwise the
+    and one adding the weighted term to the sum.  When b is the operand
+    of op.chebyshev_vectors, the kept terms take only the last axpy, and
+    the terms past them that are within its limit are kept.  Otherwise the
     Taylor sum inside each of the s scaling steps stops early once two
     consecutive term norms fall below EPS times the accumulated-result
     norm.  tolerance_class must be "double", the one precision; the

@@ -25,8 +25,12 @@ Elements of F are stored stacked: w = [w_a; w_r] of shape (d+k, d).
 Metrics, operators and transports accept leading batch axes on the vectors.
 A reused plan keeps the last stack it transported with its coefficients
 [Y|Q]^T eta, so the same stack at the next t skips that product and its
-checks (transport_with_plan); a one-t plan keeps nothing.
+checks (transport_with_plan).  From the stack's first return it also keeps
+the leading Chebyshev vectors of the exponential action on it, at most
+n // (d+k) past the first, so each later t applies P_AR only past those;
+a one-t plan keeps nothing.
 """
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -150,9 +154,14 @@ class StiefelTransportPlan:
     A zero exponent is not factored and its exponential is skipped.
 
     Each transport keeps its checked stack eta (_keep): a read-only copy
-    and the (d+k) x d coefficients w0 = basis^T eta per vector, freed with
-    the plan and replaced by the next stack that differs.  They are not
-    fields: equality and dataclasses.fields ignore them.
+    and the (d+k) x d coefficients w0 = basis^T eta per vector, replaced
+    by the next stack that differs.  When that stack comes back (its first
+    hit, t != 0), the plan also keeps p_op carrying the leading Chebyshev
+    vectors C_0 ... C_j of its balanced w0 (_operator,
+    expaction.ChebyshevVectors), j <= n // (d+k): at most as many entries
+    as the copy of eta past C_0.  expa extends them as larger |t| arrive.
+    Everything kept is freed with the plan or with the next stack.  None
+    of it is a field: equality and dataclasses.fields ignore it.
     """
     decomposition: TangentDecomposition
     big_exp_arg: np.ndarray     # (d+k) x (d+k), antisymmetric
@@ -177,10 +186,29 @@ class StiefelTransportPlan:
     def _keep(self, eta, w0):
         """Keep the checked stack eta (its strides and a read-only copy)
         and its read-only w0 = basis^T eta for transport_with_plan, as one
-        tuple assigned once complete, as _factors is."""
+        tuple assigned once complete, as _factors is; its operator slot
+        stays None until the stack's first hit (_operator)."""
         copy = eta.copy()
         copy.flags.writeable = w0.flags.writeable = False
-        object.__setattr__(self, "_kept", (eta.strides, copy, w0))
+        object.__setattr__(self, "_kept", (eta.strides, copy, w0, None))
+
+    def _operator(self, w0, kept=None):
+        """The operator and the balanced operand w0b = [sqrt(alpha) w0_a;
+        w0_r] of expa on w0.  kept is the state a hit matched: its kept
+        operator and operand, or on the first hit p_op carrying w0b's
+        Chebyshev vectors, which then joins the kept state; none when
+        rho = 0."""
+        if kept is not None and kept[3] is not None:
+            return kept[3], kept[3].chebyshev_vectors.operand
+        w0b = w0.copy()
+        w0b[..., :self.decomposition.d, :] *= np.sqrt(self.alpha)
+        op = self.p_op
+        if kept is not None and op.skew_two_norm_bound:
+            vectors = expaction.ChebyshevVectors(
+                w0b, self.basis.shape[0] // self.basis.shape[1])
+            op = dataclasses.replace(op, chebyshev_vectors=vectors)
+            object.__setattr__(self, "_kept", kept[:3] + (op,))
+        return op, w0b
 
     def _lift(self, m):
         """[Y|Q] @ m."""
@@ -611,8 +639,11 @@ def transport_with_plan(plan, y, eta, t):
     A reused plan keeps the last stack it checked (StiefelTransportPlan).
     A stack of the same shape, strides and bits, compared as int64 views
     (so a NaN or a -0.0 for a 0.0 never matches), takes its kept w0: no
-    finiteness or tangency check and no basis^T eta, with the same result.
-    A one-shot plan keeps nothing.
+    finiteness or tangency check and no basis^T eta.  From its first hit
+    on, the plan also keeps the stack's leading Chebyshev vectors, up to
+    n // (d+k) past C_0, so expa applies P_AR only for the terms past
+    them, at either sign of t.  The result is the same as a fresh plan's,
+    bit for bit.  A one-shot plan keeps nothing.
     """
     t = check_scalar(t, "t")
     if y is not plan.point and not np.array_equal(y, plan.point):
@@ -629,16 +660,14 @@ def transport_with_plan(plan, y, eta, t):
         w0 = np.swapaxes(basis, -1, -2) @ eta
         check_coefficient(w0[..., :d, :], eta, "eta", plan.mask)
         plan._keep(eta, w0)
+        kept = None
     if t == 0.0:
         return eta.copy()
     if basis_map is not None:  # [Y|Q]^T eta
         w0 = basis_map.T @ w0
-    salpha = np.sqrt(plan.alpha)
 
-    w0b = w0.copy()
-    w0b[..., :d, :] *= salpha
-    w = expaction.expa(plan.p_op, w0b, t)
-    w[..., :d, :] /= salpha
+    w = expaction.expa(*plan._operator(w0, kept), t)
+    w[..., :d, :] /= np.sqrt(plan.alpha)
 
     # [Y|Q] (M) + (eta - [Y|Q] w0) e_n  ==  [Y|Q] (M - w0 e_n) + eta e_n
     e_big, e_small, e_normal = (f and f(t) for f in plan._factors)

@@ -242,6 +242,17 @@ class TestCsvAndCli:
         assert lines[0] == CSV_SCHEMA_COMMENT
         assert len(lines) == 4  # comment, header, two rows
 
+    @pytest.mark.parametrize("runner, count", [("bench", "--repeats"),
+                                               ("isometry", "--vectors")])
+    def test_cli_negative_grid_in_equals_form(self, tmp_path, runner, count):
+        out = tmp_path / "grid.csv"
+        code = main([runner, "--manifold", "stiefel", "--n", "40", "--d", "4",
+                     "--t-grid=-2,-0.5,0.5,2", count, "3", "--out", str(out)])
+        assert code == 0
+        lines = read_csv(out)
+        assert [row.split(",")[5] for row in lines[2:]] == [
+            "-2.0", "-0.5", "0.5", "2.0"]
+
     def test_cli_config_error_exit_code(self, capsys):
         code = main(["verify", "--manifold", "stiefel", "--n", "100",
                      "--d", "3", "--t-grid", "1"])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from manitrans.errors import (CapacityError, DimensionError, NumericalError,
                               ValidationError)
 from manitrans.expaction import (
-    THETA_DOUBLE, LinearOperatorHandle, chebyshev_terms,
+    THETA_DOUBLE, ChebyshevVectors, LinearOperatorHandle, chebyshev_terms,
     dense_operator_matrix, expa, matrix_exponential,
     one_norm_estimate_exhaustive, select_taylor_params)
 from manitrans.utils import asym
@@ -305,6 +305,28 @@ class TestChebyshev:
         assert np.array_equal(b, kept)
         assert np.array_equal(got, expa(op, kept, t))
         assert expa(op, np.zeros((0, 3, 4)), t).shape == (0, 3, 4)
+
+    def test_kept_vectors_serve_both_signs(self, rng):
+        # one kept sequence, made at t > 0, for every t of either sign:
+        # the same bits as without it, and applies only past it
+        _, op = self.skew_operator(rng)
+        b = rng.standard_normal((2, 3, 4))
+        kept = ChebyshevVectors(b.copy(), limit=6)
+        calls = []
+        counted = dataclasses.replace(
+            op, apply=lambda v: calls.append(1) or op.apply(v),
+            chebyshev_vectors=kept)
+        want, known = 0, 0
+        for t in (-3.0, 0.7, 50.0, -50.0, 2.0):
+            assert np.array_equal(expa(counted, kept.operand, t), expa(op, b, t))
+            want += max(chebyshev_terms(abs(t)) - known, 0)
+            known = min(max(known, chebyshev_terms(abs(t))), 6)
+            assert len(calls) == want and len(kept.vectors) == known + 1
+        assert not any(v.flags.writeable for v in kept.vectors)
+        # an equal operand that is not the kept one takes every term
+        calls.clear()
+        assert np.array_equal(expa(counted, b, -3.0), expa(op, b, -3.0))
+        assert len(calls) == chebyshev_terms(3.0)
 
     def test_rejects_unknown_class(self, rng):
         _, op = self.skew_operator(rng)

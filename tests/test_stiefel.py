@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from manitrans import oracle, stiefel
 from manitrans.errors import DimensionError, NumericalError, ValidationError
-from manitrans.expaction import (dense_operator_matrix, expa,
+from manitrans.expaction import (chebyshev_terms, dense_operator_matrix, expa,
                                  one_norm_estimate_exhaustive,
                                  select_taylor_params)
 from manitrans.flag_grassmann import (FlagSignature, flag_horizontal_project,
@@ -979,13 +979,98 @@ class TestKeptStack:
     def test_kept_arrays_are_read_only(self, rng, kind):
         y, make, etas = kept_stack_case(rng, kind)
         plan = make()
-        want = [transport_with_plan(make(), y, etas, t) for t in (0.0, 1.3)]
-        for t in (0.0, 1.3):
+        grid = (0.0, 1.3, 40.0)
+        want = [transport_with_plan(make(), y, etas, t) for t in grid]
+        for t in grid:
             transport_with_plan(plan, y, etas, t)[...] = 7.0
-        _, copy, w0 = plan.__dict__["_kept"]
+        _, copy, w0, op = plan.__dict__["_kept"]
+        kept = op.chebyshev_vectors
         assert not copy.flags.writeable and not w0.flags.writeable
-        for t, w in zip((0.0, 1.3), want):
+        assert not kept.operand.flags.writeable
+        assert not any(v.flags.writeable for v in kept.vectors)
+        # at most n // (d+k) past C_0, reached by t = 40
+        limit = y.shape[0] // plan.basis.shape[1]
+        assert kept.limit == limit and len(kept.vectors) == limit + 1
+        for t, w in zip(grid, want):
             assert np.array_equal(transport_with_plan(plan, y, etas, t), w)
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        """Applies of every plan operator's P_bal (stiefel.p_bal_operator)."""
+        calls = []
+        real = stiefel.p_bal_operator
+
+        def counted(*args):
+            op = real(*args)
+            return dataclasses.replace(
+                op, apply=lambda w: calls.append(1) or op.apply(w))
+        monkeypatch.setattr(stiefel, "p_bal_operator", counted)
+        return calls
+
+    def test_shuffled_grid_across_zero_matches_a_fresh_plan(self, rng, kind):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        for t in rng.permutation([-50.0, -3.0, -0.5, 0.0, 0.5, 3.0, 50.0]):
+            got = transport_with_plan(plan, y, etas, t)
+            assert np.array_equal(got, transport_with_plan(make(), y, etas, t))
+
+    def test_new_stacks_keep_no_vectors(self, rng, kind, applies):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        grid = (0.5, 3.0, -3.0, 50.0)
+        for i, t in enumerate(grid):
+            transport_with_plan(plan, y, (1.0 + i) * etas, t)
+        rho = plan.p_op.skew_two_norm_bound
+        assert len(applies) == sum(chebyshev_terms(abs(t) * rho) for t in grid)
+        assert plan.__dict__["_kept"][3] is None
+
+    def test_ascending_grid_applies_past_the_kept_vectors(self, rng, kind,
+                                                         applies):
+        y, make, etas = kept_stack_case(rng, kind)
+        plan = make()
+        grid = (0.1, 0.3, 0.6, 1.0, 5.0, 20.0)
+        for t in grid:
+            transport_with_plan(plan, y, etas, t)
+        rho = plan.p_op.skew_two_norm_bound
+        limit = y.shape[0] // plan.basis.shape[1]
+        terms = [chebyshev_terms(t * rho) for t in grid]
+        # the first call misses; the first hit starts from C_0
+        want, kept = terms[0], 0
+        for n_terms in terms[1:]:
+            want += max(n_terms - kept, 0)
+            kept = min(max(kept, n_terms), limit)
+        assert len(applies) == want < sum(terms)
+
+
+def test_grassmann_plan_keeps_no_vectors(rng):
+    y, _, etas = kept_stack_case(rng, "stiefel")
+    g_xi, *g_etas = (v - y @ (y.T @ v) for v in etas)
+    plan = flag_transport_plan(FlagSignature(d_list=(3,), n=12), y, g_xi)
+    for t in (0.5, 3.0, -3.0):
+        transport_with_plan(plan, y, np.stack(g_etas), t)
+    assert plan.p_op.skew_two_norm_bound == 0.0
+    assert plan.__dict__["_kept"][3] is None
+
+
+@pytest.mark.parametrize("n, d", [(60, 6), (300, 30)])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+def test_two_legs_agree_with_one(rng, n, d, alpha):
+    """Oracle-free: a reused plan's transport to t equals a transport to
+    t/2 followed by a second leg of t/2 on a fresh plan at gamma(t/2)
+    with velocity gamma'(t/2)."""
+    params = StiefelMetricParams(alpha)
+    y = random_stiefel(rng, n, d)
+    xi = random_stiefel_tangent(rng, y)
+    xi /= np.linalg.norm(xi)
+    etas = np.stack([random_stiefel_tangent(rng, y) for _ in range(2)])
+    plan = make_transport_plan(y, xi, params)
+    for t in (10.0, -100.0, 1000.0):
+        half = transport_with_plan(plan, y, etas, t / 2)
+        whole = transport_with_plan(plan, y, etas, t)
+        mid, velocity = plan.geodesic_velocity(t / 2)
+        second = make_transport_plan(mid, velocity, params)
+        two_legs = transport_with_plan(second, mid, half, t / 2)
+        assert rel_err(two_legs, whole) <= 1e-15 * max(10.0, abs(t))
 
     def test_one_t_entry_points_keep_nothing(self, rng, kind, monkeypatch):
         plans = []
