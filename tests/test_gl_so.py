@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from manitrans import oracle
 from manitrans.errors import DimensionError, ValidationError
@@ -463,6 +463,9 @@ class TestLongAndNegativeTimes:
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 6),
            alpha=st.sampled_from([1e-3, 0.8, 50.0]),
            t=st.sampled_from([-5.0, 20.0]))
+    # rho once missed sym(n), where rounding puts parts of a and the
+    # iterates: the series grew them to 1e-9 here
+    @example(seed=108, n=3, alpha=1e-3, t=20.0)
     def test_so_isometry(self, seed, n, alpha, t):
         rng = np.random.default_rng(seed)
         geom = SOGeometry(n=n, d=2, alpha=alpha)

@@ -652,6 +652,20 @@ class TestChebyshevRoute:
             <= 1e-12 * max(1.0, np.linalg.norm(mat))
         assert op.skew_two_norm_bound >= np.linalg.norm(mat, 2)
 
+    @pytest.mark.parametrize("kind", ["so", "group", "quotient", "flag"])
+    @given(n=st.integers(3, 7), par=LOG_PARAMETER, seed=st.integers(0, 10_000))
+    @example(n=3, par=1e-3, seed=0)
+    @example(n=6, par=0.1, seed=1)
+    def test_rho_dominates_the_spectrum_on_all_matrices(self, kind, n, par,
+                                                        seed):
+        # rounding puts symmetric parts in a and in the iterates, so expa
+        # meets P_a on all n x n matrices, sym(n) included
+        rng = np.random.default_rng(seed)
+        make, _, basis = chebyshev_case(kind, n, par, rng)
+        op = make(random_element(rng, basis))
+        spectrum = np.abs(np.linalg.eigvals(dense_operator_matrix(op)))
+        assert spectrum.max() <= op.skew_two_norm_bound * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("kind", ["so", "group", "quotient"])
     def test_rho_is_close_to_the_balanced_two_norm(self, kind):
         # the generic two-block bound sits near 2x at n = 12; the

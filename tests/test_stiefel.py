@@ -1041,6 +1041,23 @@ class TestKeptStack:
             kept = min(max(kept, n_terms), limit)
         assert len(applies) == want < sum(terms)
 
+    def test_one_t_entry_points_keep_nothing(self, rng, kind, monkeypatch):
+        plans = []
+        real = stiefel.one_shot_plan
+        monkeypatch.setattr(stiefel, "one_shot_plan",
+                            lambda *args: plans.append(real(*args)) or plans[-1])
+        y, _, etas = kept_stack_case(rng, kind)
+        xi = etas[0]
+        if kind == "stiefel":
+            stiefel_transport(y, xi, etas[1], StiefelMetricParams(0.8), 1.3)
+        else:
+            flag_transport_canonical(FlagSignature(d_list=(1, 2), n=12),
+                                     y, xi, etas[1], 1.3)
+            gxi, geta = (v - y @ (y.T @ v) for v in etas[:2])
+            grassmann_transport(y, gxi, geta, 1.3)
+        assert len(plans) == (1 if kind == "stiefel" else 2)
+        assert not any("_kept" in vars(p) for p in plans)
+
 
 def test_grassmann_plan_keeps_no_vectors(rng):
     y, _, etas = kept_stack_case(rng, "stiefel")
@@ -1071,23 +1088,6 @@ def test_two_legs_agree_with_one(rng, n, d, alpha):
         second = make_transport_plan(mid, velocity, params)
         two_legs = transport_with_plan(second, mid, half, t / 2)
         assert rel_err(two_legs, whole) <= 1e-15 * max(10.0, abs(t))
-
-    def test_one_t_entry_points_keep_nothing(self, rng, kind, monkeypatch):
-        plans = []
-        real = stiefel.one_shot_plan
-        monkeypatch.setattr(stiefel, "one_shot_plan",
-                            lambda *args: plans.append(real(*args)) or plans[-1])
-        y, _, etas = kept_stack_case(rng, kind)
-        xi = etas[0]
-        if kind == "stiefel":
-            stiefel_transport(y, xi, etas[1], StiefelMetricParams(0.8), 1.3)
-        else:
-            flag_transport_canonical(FlagSignature(d_list=(1, 2), n=12),
-                                     y, xi, etas[1], 1.3)
-            gxi, geta = (v - y @ (y.T @ v) for v in etas[:2])
-            grassmann_transport(y, gxi, geta, 1.3)
-        assert len(plans) == (1 if kind == "stiefel" else 2)
-        assert not any("_kept" in vars(p) for p in plans)
 
 
 class TestPOperator:
