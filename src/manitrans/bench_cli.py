@@ -220,9 +220,9 @@ def run_timing(config):
 
     Every call moves the same stack along one plan, so on a Stiefel, flag
     or Grassmann plan each one after the first reuses the kept [Y|Q]^T eta
-    and, past rho = 0, the stack's kept leading Chebyshev vectors
-    (stiefel.transport_with_plan), as a caller moving one stack to many t
-    does.
+    and, past rho = 0, the stack's kept leading Chebyshev vectors, up to
+    3 n // (d+k) past C_0 (stiefel.transport_with_plan), as a caller moving
+    one stack to many t does.
 
     Every row's residual_check must pass; a failing residual aborts with a
     verification error rather than reporting the timing.

@@ -27,8 +27,8 @@ A reused plan keeps the last stack it transported with its coefficients
 [Y|Q]^T eta, so the same stack at the next t skips that product and its
 checks (transport_with_plan).  From the stack's first return it also keeps
 the leading Chebyshev vectors of the exponential action on it, at most
-n // (d+k) past the first, so each later t applies P_AR only past those;
-a one-t plan keeps nothing.
+3 n // (d+k) past the first (three times the entries of the kept stack),
+so each later t applies P_AR only past those; a one-t plan keeps nothing.
 """
 import dataclasses
 import math
@@ -79,7 +79,8 @@ class StiefelMetricParams:
 class TangentDecomposition:
     """xi = Y A + Q R with Q^T Q = I_k, Y^T Q = 0 and A antisymmetric.
 
-    q is None in a Gram-route plan (one_shot_plan), which holds [Y|Q]
+    In a plan, q is the view basis[:, d:] of its [Y|Q] (_plan); it is
+    None in a Gram-route plan (one_shot_plan), which holds [Y|Q]
     implicitly as basis @ basis_map and never forms Q.
     """
     a: np.ndarray
@@ -158,8 +159,9 @@ class StiefelTransportPlan:
     by the next stack that differs.  When that stack comes back (its first
     hit, t != 0), the plan also keeps p_op carrying the leading Chebyshev
     vectors C_0 ... C_j of its balanced w0 (_operator,
-    expaction.ChebyshevVectors), j <= n // (d+k): at most as many entries
-    as the copy of eta past C_0.  expa extends them as larger |t| arrive.
+    expaction.ChebyshevVectors), j <= 3 n // (d+k): at most three times
+    the entries of the copy of eta past C_0.  expa extends them as larger
+    |t| arrive, and applies P_AR for every term past them on each call.
     Everything kept is freed with the plan or with the next stack.  None
     of it is a field: equality and dataclasses.fields ignore it.
     """
@@ -196,8 +198,9 @@ class StiefelTransportPlan:
         """The operator and the balanced operand w0b = [sqrt(alpha) w0_a;
         w0_r] of expa on w0.  kept is the state a hit matched: its kept
         operator and operand, or on the first hit p_op carrying w0b's
-        Chebyshev vectors, which then joins the kept state; none when
-        rho = 0."""
+        Chebyshev vectors, up to 3 n // (d+k) past C_0 (one w0b holds
+        (d+k)/n times the entries of eta), which then joins the kept state;
+        none when rho = 0."""
         if kept is not None and kept[3] is not None:
             return kept[3], kept[3].chebyshev_vectors.operand
         w0b = w0.copy()
@@ -205,7 +208,7 @@ class StiefelTransportPlan:
         op = self.p_op
         if kept is not None and op.skew_two_norm_bound:
             vectors = expaction.ChebyshevVectors(
-                w0b, self.basis.shape[0] // self.basis.shape[1])
+                w0b, 3 * self.basis.shape[0] // self.basis.shape[1])
             op = dataclasses.replace(op, chebyshev_vectors=vectors)
             object.__setattr__(self, "_kept", kept[:3] + (op,))
         return op, w0b
@@ -590,8 +593,9 @@ def _plan(kind, y, decomp, params, mask=None, basis=None, basis_map=None):
     """A plan of class kind on basis: [Y|Q] when None, or [Y|xi] with
     basis_map (the Gram route of one_shot_plan)."""
     a, r, k = decomp.a, decomp.r, decomp.k
-    if basis is None:
+    if basis is None:  # Q is held once, as a view of [Y|Q]
         basis = hcat(y, decomp.q)
+        decomp = dataclasses.replace(decomp, q=basis[:, decomp.d:])
     return kind(
         decomposition=decomp,
         big_exp_arg=np.block([[2.0 * params.alpha * a, -r.T],
@@ -641,7 +645,7 @@ def transport_with_plan(plan, y, eta, t):
     (so a NaN or a -0.0 for a 0.0 never matches), takes its kept w0: no
     finiteness or tangency check and no basis^T eta.  From its first hit
     on, the plan also keeps the stack's leading Chebyshev vectors, up to
-    n // (d+k) past C_0, so expa applies P_AR only for the terms past
+    3 n // (d+k) past C_0, so expa applies P_AR only for the terms past
     them, at either sign of t.  The result is the same as a fresh plan's,
     bit for bit.  A one-shot plan keeps nothing.
     """

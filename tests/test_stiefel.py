@@ -531,6 +531,27 @@ class TestOneShotRoutes:
         assert plan.basis_map is None and plan.decomposition.k == 0
         assert not reorth_calls
 
+    @pytest.mark.parametrize("build", ["reused", "flag", "one_shot"])
+    def test_q_is_a_view_of_the_basis(self, rng, build):
+        # one copy of Q per plan: decomposition.q is basis[:, d:]
+        y = random_stiefel(rng, 200, 20)
+        params = StiefelMetricParams(0.8)
+        if build == "reused":
+            xi = random_stiefel_tangent(rng, y)
+            plan = make_transport_plan(y, xi, params)
+        elif build == "flag":
+            sig = FlagSignature(d_list=(5, 15), n=200)
+            xi = flag_horizontal_project(sig, y, rng.standard_normal(y.shape))
+            plan = flag_transport_plan(sig, y, xi)
+        else:  # off the Gram route
+            xi = one_shot_velocity(rng, y, "deficient", 0.0)
+            plan = stiefel.one_shot_plan(y, xi, params)
+            assert plan.basis_map is None
+        dec = plan.decomposition
+        assert dec.k > 0 and np.shares_memory(dec.q, plan.basis)
+        assert np.array_equal(dec.q, plan.basis[:, 20:])
+        assert rel_err(y @ dec.a + dec.q @ dec.r, xi) <= 1e-12
+
     def test_gate_at_an_orthonormal_point(self):
         # b (b eps + 0) < GRAM_MAX_LOSS allows b up to about 95
         b = np.sqrt(stiefel.GRAM_MAX_LOSS / stiefel.EPS)
@@ -988,8 +1009,8 @@ class TestKeptStack:
         assert not copy.flags.writeable and not w0.flags.writeable
         assert not kept.operand.flags.writeable
         assert not any(v.flags.writeable for v in kept.vectors)
-        # at most n // (d+k) past C_0, reached by t = 40
-        limit = y.shape[0] // plan.basis.shape[1]
+        # at most 3 n // (d+k) past C_0, reached by t = 40
+        limit = 3 * y.shape[0] // plan.basis.shape[1]
         assert kept.limit == limit and len(kept.vectors) == limit + 1
         for t, w in zip(grid, want):
             assert np.array_equal(transport_with_plan(plan, y, etas, t), w)
@@ -1032,7 +1053,7 @@ class TestKeptStack:
         for t in grid:
             transport_with_plan(plan, y, etas, t)
         rho = plan.p_op.skew_two_norm_bound
-        limit = y.shape[0] // plan.basis.shape[1]
+        limit = 3 * y.shape[0] // plan.basis.shape[1]
         terms = [chebyshev_terms(t * rho) for t in grid]
         # the first call misses; the first hit starts from C_0
         want, kept = terms[0], 0
@@ -1040,6 +1061,28 @@ class TestKeptStack:
             want += max(n_terms - kept, 0)
             kept = min(max(kept, n_terms), limit)
         assert len(applies) == want < sum(terms)
+
+    def test_terms_past_the_budget_apply_on_every_hit(self, rng, kind,
+                                                      applies):
+        y, make, etas = kept_stack_case(rng, kind)
+        grid = (1000.0, -1000.0, 1000.0)
+        want = [transport_with_plan(make(), y, etas, t) for t in grid]
+        plan = make()
+        limit = 3 * y.shape[0] // plan.basis.shape[1]
+        n_terms = chebyshev_terms(1000.0 * plan.p_op.skew_two_norm_bound)
+        assert n_terms > 10 * limit
+        counts = []
+        for t, w in zip(grid, want):
+            applies.clear()
+            assert np.array_equal(transport_with_plan(plan, y, etas, t), w)
+            counts.append(len(applies))
+        # a miss; the first hit, which starts from C_0 and keeps C_0 ...
+        # C_limit; a hit, which applies past those
+        assert counts == [n_terms, n_terms, n_terms - limit]
+        _, copy, _, op = plan.__dict__["_kept"]
+        vectors = op.chebyshev_vectors.vectors
+        assert len(vectors) == limit + 1
+        assert sum(v.nbytes for v in vectors[1:]) <= 3 * copy.nbytes
 
     def test_one_t_entry_points_keep_nothing(self, rng, kind, monkeypatch):
         plans = []
