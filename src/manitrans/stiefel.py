@@ -1,9 +1,12 @@
 """Parallel transport on the Stiefel and flag manifolds in O(n d^2) + O(t d^3).
 
 The O(t d^3) term is the exponential action of P_AR (below).  The small
-skew exponentials add O(d^3) per t: one scipy.linalg.expm each in a
-one-shot call, and one real product each in a reused plan, after an
-orthogonal factorization made once per plan (SkewExponential).
+skew exponentials, of S = big_exp_arg and of multiples of A, add O(d^3)
+per t in a reused plan: one real product each, after an orthogonal
+factorization made once per plan (SkewExponential).  A one-shot call
+forms none of them: it takes the in-span factor and the normal one as
+two more Chebyshev actions, on the (d+k) x d coefficients and on I_d, in
+about |t| rho small products each, as P_AR's action (_SingleTimePlan).
 
 A tangent vector xi at Y splits as xi = Y A + Q R (decompose_tangent).
 Geodesics and the in-span part of transport live in the (d+k)-column
@@ -92,6 +95,12 @@ class TangentDecomposition:
     def d(self):
         return self.a.shape[0]
 
+    @cached_property
+    def norm_bounds(self):
+        """(a, r) with a >= ||A||_2 and r >= ||R||_2 (utils.two_norm_bound),
+        computed once for every rho of the plan that holds this."""
+        return two_norm_bound(self.a), two_norm_bound(self.r)
+
 
 class SkewExponential:
     """exp(s S) of one real antisymmetric m x m matrix S at any real s.
@@ -130,7 +139,7 @@ class SkewExponential:
         self._right[half:half + odd] = wt @ q[:, 1::2].T
 
     def __call__(self, s):
-        if s == 0.0:  # exactly, as expm gives it: a geodesic starts at Y
+        if s == 0.0:  # exactly, as a one-shot plan's: a geodesic starts at Y
             return np.eye(self._right.shape[1])
         c = np.cos(s * self._sigma)[:, None]
         sn = np.sin(s * self._sigma)[:, None]
@@ -148,11 +157,14 @@ class StiefelTransportPlan:
     [Y|Q] = basis @ basis_map (one_shot_plan); every n-sized product goes
     through basis (_lift and transport_with_plan).
 
-    The first use factors big_exp_arg and A, whose multiples
-    (1-2 alpha) A and (1-alpha) A are the small exponents, once each
-    (SkewExponential, O((d+k)^3) and O(d^3)); every later t then forms its
-    exponentials by one real product each instead of a scipy.linalg.expm.
-    A zero exponent is not factored and its exponential is skipped.
+    Every t takes two factors from the plan: in_span(m, t) =
+    exp(t big_exp_arg) m exp(t (1-2 alpha) A) on (d+k) x d coefficients
+    m, and normal(t) = exp(t (1-alpha) A).  The first use factors
+    big_exp_arg and A once each (SkewExponential, O((d+k)^3) and O(d^3));
+    every later t then forms each exponential by one real product.  A
+    zero exponent is not factored and its exponential is skipped.  A
+    one-shot plan (_SingleTimePlan) takes both factors as Chebyshev
+    actions instead, and factors nothing.
 
     Each transport keeps its checked stack eta (_keep): a read-only copy
     and the (d+k) x d coefficients w0 = basis^T eta per vector, replaced
@@ -180,10 +192,29 @@ class StiefelTransportPlan:
 
     @cached_property
     def _factors(self):
-        # built on first use, so building a plan costs no factorization;
-        # assigned once complete, so a concurrent first use never reads a
-        # partial factorization
-        return _exponential_maps(self, SkewExponential)
+        """Maps t -> exp(t M) for M = big_exp_arg, (1-2 alpha) A and
+        (1-alpha) A, None for a zero M.  Built on first use, so building a
+        plan costs no factorization; assigned once complete, so a
+        concurrent first use never reads a partial factorization."""
+        a = self.decomposition.a
+        big = SkewExponential(self.big_exp_arg)
+        if not a.any():
+            return big, None, None
+        exp_a = SkewExponential(a)
+        return (big, *((lambda t, c=c: exp_a(t * c)) if c else None
+                       for c in (1.0 - 2.0 * self.alpha, 1.0 - self.alpha)))
+
+    def in_span(self, m, t):
+        """exp(t big_exp_arg) m exp(t (1-2 alpha) A), for m of shape
+        (..., d+k, d) and a checked t."""
+        big, small, _ = self._factors
+        m = big(t) @ m
+        return m if small is None else m @ small(t)
+
+    def normal(self, t):
+        """exp(t (1-alpha) A) at a checked t, None when (1-alpha) A = 0."""
+        normal = self._factors[2]
+        return normal and normal(t)
 
     def _keep(self, eta, w0):
         """Keep the checked stack eta (its strides and a read-only copy)
@@ -219,52 +250,87 @@ class StiefelTransportPlan:
             m = self.basis_map @ m
         return self.basis @ m
 
-    def _geodesic_parts(self, t):
-        """exp(t big_exp_arg) and the map m -> m exp(t (1-2 alpha) A)."""
-        t = check_scalar(t, "t")
-        big, small, _ = self._factors
-        e_small = small and small(t)
-        return big(t), lambda m: m if e_small is None else m @ e_small
-
     def geodesic(self, t):
         """The geodesic at time t,
         gamma(t) = [Y|Q] exp(t big_exp_arg)[:, :d] exp(t (1-2 alpha) A)."""
-        e_big, right = self._geodesic_parts(t)
-        return self._lift(right(e_big[:, :self.decomposition.d]))
+        start = np.eye(self.big_exp_arg.shape[0], self.decomposition.d)
+        return self._lift(self.in_span(start, check_scalar(t, "t")))
 
     def geodesic_velocity(self, t):
         """(gamma(t), dgamma/dt), by the product rule:
         dgamma/dt = [Y|Q] exp(t big_exp_arg) [A; R] exp(t (1-2 alpha) A)."""
-        e_big, right = self._geodesic_parts(t)
         dec = self.decomposition
-        return (self._lift(right(e_big[:, :dec.d])),
-                self._lift(right(e_big @ np.vstack([dec.a, dec.r]))))
-
-
-def _exponential_maps(plan, factor):
-    """Maps t -> exp(t S) for S = big_exp_arg, (1-2 alpha) A and
-    (1-alpha) A, None for a zero S; factor(M) is s -> exp(s M)."""
-    a = plan.decomposition.a
-    big = factor(plan.big_exp_arg)
-    if not a.any():
-        return big, None, None
-    exp_a = factor(a)
-    small, normal = ((lambda t, c=c: exp_a(t * c)) if c else None
-                     for c in (1.0 - 2.0 * plan.alpha, 1.0 - plan.alpha))
-    return big, small, normal
+        start = np.eye(self.big_exp_arg.shape[0], dec.d)
+        parts = self.in_span(np.stack([start, np.vstack([dec.a, dec.r])]),
+                             check_scalar(t, "t"))
+        return tuple(self._lift(parts))
 
 
 class _SingleTimePlan(StiefelTransportPlan):
     """The plan of a one-shot entry point (one_shot_plan), used at one t:
-    one scipy.linalg.expm per exponential costs less there than factoring
-    its argument.  expm's error grows with |t| ||S||_2: 5.5e-12 relative
-    at |t| ||S||_2 = 264, where a reused plan stayed within 1.4e-13.  For
-    large |t|, build a plan."""
+    it factors nothing, and forms no exponential.
 
-    @property
-    def _factors(self):
-        return _exponential_maps(
-            self, lambda m: lambda s: scipy.linalg.expm(s * m))
+    Its in-span factor exp(t S) m exp(t c A), S = big_exp_arg and
+    c = 1 - 2 alpha, is the exponential action on m of
+    L: W -> S W + c W A over (d+k) x d, as the left and right products
+    commute; its normal factor exp(t (1-alpha) A) is the action of
+    M -> (1-alpha) A M on I_d.  S and A are exactly antisymmetric, so both
+    operators are Frobenius-antisymmetric and expa sums their Chebyshev
+    series (_actions), whose error stays near eps at any t, as a reused
+    plan's does.  Each costs about |t| rho products of O((d+k)^2 d),
+    linear in |t| as P_AR's action beside it: at small |t| rho less than
+    factoring S and A, which a plan reused over many t pays once.
+    """
+
+    @cached_property
+    def _actions(self):
+        """The handles of L and of M -> (1-alpha) A M, the latter None
+        when (1-alpha) A = 0.
+
+        For ||W_a||_F = u and ||W_r||_F = v, the top block of L W,
+        2 alpha A W_a - R^T W_r + c W_a A, has Frobenius norm at most
+        (2 alpha + |c|) a u + r v and the bottom one, R W_a + c W_r A, at
+        most r u + |c| a v, with (a, r) = decomposition.norm_bounds.  So
+        rho(L) is the top eigenvalue of [[(2 alpha + |c|) a, r],
+        [r, |c| a]] (utils.block_norm_bound).  The 1-norm bounds are
+        ||S||_1 + |c| ||A||_1 and |1-alpha| ||A||_1 (A^T = -A)."""
+        dec, alpha = self.decomposition, self.alpha
+        s, c = self.big_exp_arg, 1.0 - 2.0 * alpha
+        a_bound, r_bound = dec.norm_bounds
+        ca = c * dec.a if c and dec.a.any() else None
+
+        def apply(w):
+            out = s @ w
+            if ca is not None:
+                out += w @ ca
+            return out
+
+        norm1_a = float(np.max(np.sum(np.abs(dec.a), axis=1), initial=0.0))
+        in_span = expaction.LinearOperatorHandle(
+            apply=apply, apply_adjoint=None,
+            one_norm_upper_bound=float(np.max(np.sum(np.abs(s), axis=0),
+                                              initial=0.0))
+            + abs(c) * norm1_a,
+            domain_shape=(dec.d + dec.k, dec.d),
+            skew_two_norm_bound=block_norm_bound(
+                [[(2.0 * alpha + abs(c)) * a_bound, r_bound],
+                 [r_bound, abs(c) * a_bound]]))
+        if alpha == 1.0 or not dec.a.any():
+            return in_span, None
+        na = (1.0 - alpha) * dec.a
+        return in_span, expaction.LinearOperatorHandle(
+            apply=lambda m: na @ m, apply_adjoint=None,
+            one_norm_upper_bound=abs(1.0 - alpha) * norm1_a,
+            domain_shape=(dec.d, dec.d),
+            skew_two_norm_bound=block_norm_bound([[abs(1.0 - alpha) * a_bound]]))
+
+    def in_span(self, m, t):
+        return expaction.expa(self._actions[0], m, t)
+
+    def normal(self, t):
+        op = self._actions[1]
+        return None if op is None else expaction.expa(
+            op, np.eye(self.decomposition.d), t)
 
     def _keep(self, eta, w0):  # used at one t, a plan keeps no stack
         pass
@@ -567,18 +633,18 @@ def p_bal_two_norm_bound(decomp, params, mask=None):
 
     For ||w_a||_F = u and ||w_r||_F = v, the top block of P_bal w has
     Frobenius norm at most |4 alpha - 1| a u + sqrt(alpha) r v and the
-    bottom one sqrt(alpha) r u + alpha a v, with a >= ||A||_2 and
-    r >= ||R||_2.  So rho is the top eigenvalue of
+    bottom one sqrt(alpha) r u + alpha a v, with (a, r) =
+    decomp.norm_bounds.  So rho is the top eigenvalue of
     [[|4 alpha - 1| a, sqrt(alpha) r], [sqrt(alpha) r, alpha a]]
     (utils.block_norm_bound).  A full (Grassmann) mask clears u and
     the top block, leaving w_r -> alpha w_r A: rho = alpha a, 0 for the
     zero A of a Grassmann plan.  This holds on the whole stacked space.
     """
     alpha = params.alpha
-    a = two_norm_bound(decomp.a)
+    a, r = decomp.norm_bounds
     if mask is not None and mask.all():
         return block_norm_bound([[alpha * a]])
-    off = np.sqrt(alpha) * two_norm_bound(decomp.r)
+    off = np.sqrt(alpha) * r
     return block_norm_bound([[abs(4.0 * alpha - 1.0) * a, off],
                              [off, alpha * a]])
 
@@ -613,7 +679,7 @@ def make_transport_plan(y, xi, params):
 
     The plan's first use also factors its two skew exponent arguments,
     O((d+k)^3) once; each later t then costs one real product per
-    exponential (StiefelTransportPlan), no scipy.linalg.expm.
+    exponential (StiefelTransportPlan).
     """
     y = point_array(y)
     return plan_from_decomposition(y, decompose_tangent(y, xi), params)
@@ -635,10 +701,11 @@ def transport_with_plan(plan, y, eta, t):
     and its coeff through basis_map.  A d x d exponential whose argument
     is zero is skipped with its product.
 
-    The small exponentials take one real product each after the
-    factorization a plan's first use makes (StiefelTransportPlan), or
-    scipy.linalg.expm for a one-shot plan (_SingleTimePlan).  t must be a
-    real finite scalar.
+    The in-span and normal factors come from the plan (in_span and
+    normal): one real product per exponential after the factorization a
+    plan's first use makes (StiefelTransportPlan), or for a one-shot plan
+    (_SingleTimePlan) one Chebyshev action on the coefficients and one on
+    I_d, no exponential formed.  t must be a real finite scalar.
 
     A reused plan keeps the last stack it checked (StiefelTransportPlan).
     A stack of the same shape, strides and bits, compared as int64 views
@@ -674,10 +741,8 @@ def transport_with_plan(plan, y, eta, t):
     w[..., :d, :] /= np.sqrt(plan.alpha)
 
     # [Y|Q] (M) + (eta - [Y|Q] w0) e_n  ==  [Y|Q] (M - w0 e_n) + eta e_n
-    e_big, e_small, e_normal = (f and f(t) for f in plan._factors)
-    coeff = e_big @ w
-    if e_small is not None:
-        coeff = coeff @ e_small
+    coeff = plan.in_span(w, t)
+    e_normal = plan.normal(t)
     if e_normal is not None:
         coeff -= w0 @ e_normal
         out = eta @ e_normal
@@ -697,9 +762,10 @@ def transport_with_plan(plan, y, eta, t):
 def stiefel_transport(y, xi, eta, params, t):
     """Parallel transport of eta along the geodesic driven by xi, by a
     one-t plan (one_shot_plan): on the Gram route unless its gate
-    refuses, and with scipy.linalg.expm, which at one t costs less than
-    the factorization a reused plan makes but whose error grows with
-    |t| ||S||_2: for large |t|, build a plan."""
+    refuses, and with Chebyshev actions for the small exponential
+    factors (_SingleTimePlan), which at one t cost less than the
+    factorization a reused plan makes.  Their cost grows with |t|, as
+    P_AR's does: for many t, build a plan (make_transport_plan)."""
     plan = one_shot_plan(point_array(y), xi, params)
     return transport_with_plan(plan, plan.point, eta, t)
 

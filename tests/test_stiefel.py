@@ -788,16 +788,14 @@ class TestPlanGeodesic:
         rng = np.random.default_rng(seed)
         y = random_stiefel(rng, n, d)
         xi = unit_velocity(rng, y, rank)
-        # one-shot calls take expm, as the reference does.  A reused plan
-        # takes SkewExponential, which stays near eps at any t; expm's
-        # error grows with |t| ||S||_2 (to 5.5e-12 against a 40-digit
-        # evaluation at |t| ||S||_2 = 264, where the plan's was 1.4e-13)
+        # the reference takes expm, whose error grows with |t| ||S||_2
+        # (to 5.5e-12 against a 40-digit evaluation at |t| ||S||_2 = 264,
+        # TestSingleTimeAccuracy).  A reused plan takes SkewExponential
+        # and a one-shot call Chebyshev actions (_SingleTimePlan): both
+        # stay near eps at any t, so one-shot meets the reused plan within
+        # 1e-13 max(1, |t|/5), and the reference within the plan's tol
         params = StiefelMetricParams(alpha)
         gam, vel = stiefel_geodesic_reference(y, xi, alpha, t)
-        got_gam, got_vel = stiefel_geodesic_velocity(y, xi, params, t)
-        assert rel_err(got_gam, gam) <= 1e-13
-        assert rel_err(got_vel, vel) <= 1e-13
-        assert rel_err(stiefel_geodesic(y, xi, params, t), gam) <= 1e-13
         plan = make_transport_plan(y, xi, params)
         plan.geodesic(0.1)  # factored: later times take no expm
         # the reference's expm error grows with both of its exponents
@@ -808,6 +806,13 @@ class TestPlanGeodesic:
         assert rel_err(got_gam, gam) <= tol
         assert rel_err(got_vel, vel) <= tol
         assert np.array_equal(plan.geodesic(t), got_gam)
+        shot_tol = 1e-13 * max(1.0, abs(t) / 5.0)
+        one_gam, one_vel = stiefel_geodesic_velocity(y, xi, params, t)
+        assert rel_err(one_gam, got_gam) <= shot_tol
+        assert rel_err(one_vel, got_vel) <= shot_tol
+        assert rel_err(one_gam, gam) <= tol
+        assert rel_err(one_vel, vel) <= tol
+        assert rel_err(stiefel_geodesic(y, xi, params, t), got_gam) <= shot_tol
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
@@ -870,26 +875,39 @@ class TestPlanGeodesic:
         assert np.array_equal(gam, y)
         assert rel_err(vel, xi) <= 1e-14
 
-    @pytest.mark.parametrize("alpha, one_shot", [(0.8, 2), (1.0, 2), (0.5, 1)])
-    def test_expm_calls(self, rng, monkeypatch, alpha, one_shot):
-        # one-shot: exp(t big_exp_arg) and exp(t (1-2 alpha) A), the latter
-        # skipped when zero (alpha = 1/2); never the transport's third.
-        # A reused plan: none.
+    @pytest.mark.parametrize("alpha, products", [(0.8, 2), (1.0, 2), (0.5, 1)])
+    def test_expm_calls(self, rng, monkeypatch, alpha, products):
+        # one-shot: no expm and no factorization, Chebyshev actions only.
+        # A reused plan: no expm; after its first use each geodesic forms
+        # exp(t big_exp_arg) and exp(t (1-2 alpha) A), the latter skipped
+        # when zero (alpha = 1/2), by one SkewExponential product each
         calls = []
-        real = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm",
-                            lambda m: calls.append(1) or real(m))
+
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
+
+        for name in ("expm", "hessenberg", "svd"):
+            counted(scipy.linalg, name)
+        counted(np.linalg, "eigh")
         y = random_stiefel(rng, 9, 4)
         xi, eta = random_stiefel_tangent(rng, y), random_stiefel_tangent(rng, y)
         params = StiefelMetricParams(alpha)
         for fn in (stiefel_geodesic, stiefel_geodesic_velocity):
-            calls.clear()
             fn(y, xi, params, 0.7)
-            assert len(calls) == one_shot
+        assert calls == []
         plan = make_transport_plan(y, xi, params)
+        plan.geodesic(0.1)
         calls.clear()
+        formed = []
+        real_call = stiefel.SkewExponential.__call__
+        monkeypatch.setattr(stiefel.SkewExponential, "__call__",
+                            lambda self, s: formed.append(s) or real_call(self, s))
         for t in (0.5, 3.0):
+            formed.clear()
             plan.geodesic(t)
+            assert len(formed) == products
             plan.geodesic_velocity(t)
             transport_with_plan(plan, y, eta, t)
         assert calls == []
@@ -904,6 +922,53 @@ class TestPlanGeodesic:
                 transport_with_plan(plan, other, eta, 1.0)
         assert np.array_equal(transport_with_plan(plan, y.copy(), eta, 1.0),
                               transport_with_plan(plan, y, eta, 1.0))
+
+
+class TestSingleTimeAccuracy:
+    """One-shot calls where expm's error grew with |t| ||S||_2: St(24,4),
+    k = 0, alpha 5 and |t| ||big_exp_arg||_2 = 264.  Through expm the
+    one-shot velocity was 5.5e-12 from a 40-digit evaluation here, its
+    geodesic 3.9e-12 and its transport 7.2e-13; Chebyshev actions stay
+    near eps at any t, as a reused plan does."""
+
+    def case(self):
+        rng = np.random.default_rng(3)
+        y = random_stiefel(rng, 24, 4)
+        xi = y @ asym(rng.standard_normal((4, 4)))
+        eta = random_stiefel_tangent(rng, y)
+        params = StiefelMetricParams(5.0)
+        plan = make_transport_plan(y, xi, params)
+        assert plan.decomposition.k == 0
+        return y, xi, eta, params, plan, 264.0 / np.linalg.norm(plan.big_exp_arg, 2)
+
+    def test_one_shot_meets_a_reused_plan(self):
+        y, xi, eta, params, plan, t = self.case()
+        for got, want in zip(stiefel_geodesic_velocity(y, xi, params, t),
+                             plan.geodesic_velocity(t)):
+            assert rel_err(got, want) <= 2e-13
+        assert rel_err(stiefel_transport(y, xi, eta, params, t),
+                       transport_with_plan(plan, y, eta, t)) <= 2e-13
+
+    def test_one_shot_against_40_digits(self):
+        # k = 0: big_exp_arg is 2 alpha A and P_bal w = (2 alpha - 1/2)
+        # [w, A] on Skew_d, so with E(s) = exp(s A): gamma = Y E(t), its
+        # velocity Y A E(t), and the transport
+        # Y E(t/2) w0 E(t/2) + (eta - Y w0) E((1-alpha) t), w0 = Y^T eta
+        mpmath = pytest.importorskip("mpmath")
+        y, xi, eta, params, plan, t = self.case()
+        with mpmath.workdps(40):
+            ym, am, em = (mpmath.matrix(m.tolist())
+                          for m in (y, plan.decomposition.a, eta))
+            exp = lambda s: mpmath.expm(am * s)
+            w0 = ym.T * em
+            half = exp(t / 2.0)
+            want = [ym * exp(t), ym * am * exp(t),
+                    ym * half * w0 * half + (em - ym * w0) * exp(-4.0 * t)]
+            want = [np.array(m.tolist(), dtype=float) for m in want]
+        got = (*stiefel_geodesic_velocity(y, xi, params, t),
+               stiefel_transport(y, xi, eta, params, t))
+        for g, w in zip(got, want):
+            assert rel_err(g, w) <= 2e-13
 
 
 def kept_stack_case(rng, kind):
@@ -1339,6 +1404,40 @@ class TestTwoNormBound:
                 exact = np.linalg.norm(dense_operator_matrix(op), 2)
                 assert op.skew_two_norm_bound <= 1.35 * exact
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
+           d=st.integers(1, 11),
+           kind=st.sampled_from(["full", "ill", "deficient", "zero"]),
+           alpha=st.sampled_from([1e-3, 0.5, 1.0, 5.0]),
+           mask=st.sampled_from([None, "flag", "grassmann"]))
+    @example(seed=0, n=12, d=6, kind="full", alpha=5.0, mask=None)
+    @example(seed=1, n=9, d=6, kind="deficient", alpha=1e-3, mask="flag")
+    @example(seed=2, n=5, d=4, kind="zero", alpha=1.0, mask="grassmann")
+    def test_plan_bounds_dominate_dense_norms(self, seed, n, d, kind, alpha,
+                                              mask):
+        # every rho of a plan, against the dense 2-norm of its operator:
+        # P_bal's (p_bal_two_norm_bound) on one-shot and reused plans, and
+        # a one-t plan's in-span and normal actions (_SingleTimePlan)
+        d = min(d, n - 1)
+        rng = np.random.default_rng(seed)
+        y = random_stiefel(rng, n, d)
+        mask = {None: None, "flag": pair_signature(n, d).block_mask,
+                "grassmann": np.ones((d, d), dtype=bool)}[mask]
+        xi = one_shot_velocity(rng, y, kind, 8, mask)
+        params = StiefelMetricParams(alpha)
+        one_shot = stiefel.one_shot_plan(y, xi, params, mask)
+        for plan in (one_shot, plan_from_decomposition(
+                y, decompose_tangent(y, xi, mask), params, mask)):
+            rho = stiefel.p_bal_two_norm_bound(plan.decomposition, params, mask)
+            assert rho == plan.p_op.skew_two_norm_bound
+            assert rho >= np.linalg.norm(dense_operator_matrix(plan.p_op), 2)
+        for op in one_shot._actions:
+            if op is not None:
+                exact = np.linalg.norm(dense_operator_matrix(op), 2)
+                assert op.skew_two_norm_bound >= exact
+                assert one_norm_estimate_exhaustive(op) \
+                    <= op.one_norm_upper_bound + 1e-12
+
     def test_zero_decomposition(self):
         decomp = TangentDecomposition(
             a=np.zeros((3, 3)), q=np.zeros((5, 2)), r=np.zeros((2, 3)), k=2)
@@ -1604,9 +1703,9 @@ class TestTransport:
                 assert rel_err(got, transport_reference(plan, eta, t)) <= 1e-12
 
     def test_reused_plan_never_calls_expm(self, rng, monkeypatch):
-        # one-shot calls run expm and no factorization; a reused plan
+        # one-shot calls run no expm and no factorization; a reused plan
         # factors its two skew arguments once and then runs no expm
-        calls = {"eigh": 0, "hessenberg": 0, "expm": 0}
+        calls = {"eigh": 0, "hessenberg": 0, "svd": 0, "expm": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -1618,6 +1717,7 @@ class TestTransport:
 
         counted(np.linalg, "eigh")
         counted(scipy.linalg, "hessenberg")
+        counted(scipy.linalg, "svd")
         counted(scipy.linalg, "expm")
         sig = FlagSignature(d_list=(2, 1, 2), n=11)
         y = random_stiefel(rng, 11, 5)
@@ -1626,7 +1726,7 @@ class TestTransport:
         params = StiefelMetricParams(0.8)
         stiefel_transport(y, xi, eta, params, 0.7)
         flag_transport_canonical(sig, y, xi, eta, 0.7)
-        assert calls == {"eigh": 0, "hessenberg": 0, "expm": 5}
+        assert calls == {"eigh": 0, "hessenberg": 0, "svd": 0, "expm": 0}
         for plan in (make_transport_plan(y, xi, params),
                      flag_transport_plan(sig, y, xi)):
             calls.update(eigh=0, hessenberg=0, expm=0)
