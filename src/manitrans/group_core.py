@@ -23,8 +23,20 @@ a d x d exponential applied to the first d columns.
 
 On a group, [b, a] + c [a_a, b] = [b, a - c a_a] with
 c = 1+beta, so P_a applies as ([b, a - c a_a] - c [b_a, a]) / 2, with its
-1/2 and c folded into matrices made once; on so_split [b_a, a] is one
-product of d rows and one of d columns.  Operands may be batched.
+1/2 and c folded into matrices made once.  Operands may be batched.  On a
+split with an so_block d (SO(n), a GroupGeometry on so_split, and their
+Stiefel and flag quotients) the handle is P_a o proj_g instead, in skew
+form: for antisymmetric u and x, [u, x] = m - m^T with m = u x.  With
+s = b - b^T = 2 proj_g(b), it takes m = s (a - c a_a)/4, subtracts
+s[:d, :d] (c/4) a[:d] from its first d rows (b_a lives in the top
+block) and returns m - m^T: one n x n and one d x n product where the
+four-product form takes four n x n, an output that is exactly
+antisymmetric, and exactly zero on sym(n).  On a quotient m = s a/4
+loses proj_k(m), which leaves pi_m(m - m^T) as proj_k commutes with
+transposes, and c ([a_a, b] - [b_a, a]) / 2 is Z - Z^T for the d x n
+block Z = (c/4) (a_a s[:d] - s[:d, :d] a[:d]), added to m's first d rows:
+one more d x n product.  The adjoint is proj_g o the adjoint of the
+four-product form.
 
 Its 1-norm bound is analytic and costs O(n^2).  With C_x(b) = [b, x],
 P_a = (pi_m C_a - c C_{a_a} - c C_a pi_a) / 2.  C_x sends E_ij to row j
@@ -53,13 +65,17 @@ a and -r X P/2 in o; u_o to r (P Y^T - Y P^T)/2 in a, (beta A Y + Y K)/2
 in o, (P^T Y - Y^T P)/2 in q; u_q = Z to -P Z/2 in o, [Z, K]/2 in q.  So
 with al, pi, ka bounding ||A||_2, ||P||_2, ||K||_2 the matrix is
 [[|1-2c| al, r pi/sqrt2, 0], [r pi/sqrt2, (|beta| al + ka)/2, pi/sqrt2],
-[0, pi/sqrt2, ka]].  Rounding leaves eps-sized symmetric parts in a and in
-the iterates, and P_a keeps sym(n): there it is b -> [b, e] with
-e = (a - c a_a)/2, Frobenius-antisymmetric of norm ||a - c a_a||_2 <= the
-top eigenvalue of [[|beta| al, pi], [pi, ka]], and on a quotient, whose
-pi_m drops the symmetric [b, a], it is b -> c [a_a, b]/2 of norm <= |c| al.
-rho is the larger of the two bounds; below that norm the series would
-amplify those parts (by 1e6 at t = 20, alpha = 1e-3 on SO(3)).
+[0, pi/sqrt2, ka]].  rho is also at least the norm of the four-product
+P_a on sym(n), where it is b -> [b, e] with e = (a - c a_a)/2,
+Frobenius-antisymmetric of norm ||a - c a_a||_2 <= the top eigenvalue of
+[[|beta| al, pi], [pi, ka]], and on a quotient, whose pi_m drops the
+symmetric [b, a], b -> c [a_a, b]/2 of norm <= |c| al: rounding left
+eps-sized symmetric parts in a and in the iterates, and below that norm
+the series amplified them (by 1e6 at t = 20, alpha = 1e-3 on SO(3)).
+The skew form makes every iterate past the operand exactly
+antisymmetric and is zero on sym(n), so that term now bounds nothing the
+apply produces; dropping it would tighten rho, and change it, at small
+alpha.
 
 These hold on a quotient that meets the simplified condition (quotient.py)
 too.  Where the c terms vanish (c = 0 or a = 0), P_a = pi_m P_a^group on
@@ -351,44 +367,19 @@ def p_a_operator(geom, a, quotient=None):
     at, aat = a.T, aa.T
     c = 1.0 + geom.beta
     d = geom.split.so_block
-    if quotient is None:
-        proj_m, nu_m = (lambda m: m), 1.0
-        e = 0.5 * (a - c * aa)
+    proj_m, nu_m = (identity, 1.0) if quotient is None else \
+        (quotient.proj_m, quotient.proj_m_norm)
 
-        def bracket(b):  # ([b, a] + c [a_a, b]) / 2 = [b, e]
-            out = b @ e
-            out -= e @ b
-            return out
-    else:
-        proj_m, nu_m = quotient.proj_m, quotient.proj_m_norm
-        half, half_aa = 0.5 * a, (0.5 * c) * aa
-
-        def bracket(b):  # (pi_m[b, a] + c [a_a, b]) / 2
-            return proj_m(b @ half - half @ b) + lie(half_aa, b)
-
-    def apply_adjoint(b):
+    def adjoint(b):
         # adjoint of b -> proj_m([b, a]) is b -> [proj_m(b), a^T]
         return 0.5 * (lie(proj_m(b), at)
                       + c * (lie(aat, b) - proj_a(lie(b, at))))
 
     if d is None:
-        ca = (0.5 * c) * a
-
-        def apply(b):
-            out, ba = bracket(b), proj_a(b)
-            out -= ba @ ca
-            out += ca @ ba
-            return out
-    else:  # b_a is asym(b[:d, :d]) in the top block; its 1/2 goes in here
-        rows, cols = (0.25 * c) * a[:d], (0.25 * c) * a[:, :d]
-
-        def apply(b):
-            out = bracket(b)
-            top = b[..., :d, :d]
-            top = top - top.swapaxes(-1, -2)
-            out[..., :d, :] -= top @ rows
-            out[..., :, :d] += cols @ top
-            return out
+        apply, apply_adjoint = _folded_apply(a, aa, c, proj_a, quotient), adjoint
+    else:  # P_a o proj_g, so the adjoint is proj_g o adjoint
+        apply, apply_adjoint = (_skew_apply(a, aa, c, d, quotient),
+                                lambda b: asym(adjoint(b)))
 
     kappa = _bracket_norm(a)
     bound = 0.5 * (nu_m * kappa
@@ -398,6 +389,46 @@ def p_a_operator(geom, a, quotient=None):
         one_norm_upper_bound=bound, domain_shape=a.shape,
         skew_two_norm_bound=_p_a_two_norm_bound(geom, a, aa, quotient)
         if geom.definite else None)
+
+
+def _folded_apply(a, aa, c, proj_a, quotient):
+    """P_a on any split, its 1/2 and c folded into matrices made once."""
+    e, ca = 0.5 * (a - c * aa), (0.5 * c) * a
+    half, half_aa = 0.5 * a, (0.5 * c) * aa
+
+    def apply(b):
+        if quotient is None:  # ([b, a] + c [a_a, b]) / 2 = [b, e]
+            out = b @ e
+            out -= e @ b
+        else:  # (pi_m[b, a] + c [a_a, b]) / 2
+            out = quotient.proj_m(b @ half - half @ b) + lie(half_aa, b)
+        ba = proj_a(b)
+        out -= ba @ ca
+        out += ca @ ba
+        return out
+    return apply
+
+
+def _skew_apply(a, aa, c, d, quotient):
+    """P_a o proj_g on an so_block split, for a in so(n), in skew form
+    (module docstring): per operand one n x n product and one d x n
+    product (two on a quotient), the 1/2 factors folded into matrices made
+    once, and an output that is exactly antisymmetric."""
+    rows = (0.25 * c) * a[:d]
+    if quotient is None:
+        e, top, proj_k = 0.25 * (a - c * aa), None, None
+    else:
+        e, top, proj_k = 0.25 * a, (0.25 * c) * aa[:d, :d], quotient.proj_k
+
+    def apply(b):
+        s = b - b.swapaxes(-1, -2)
+        m = s @ e
+        if proj_k is not None:  # M - M^T = pi_m(m - m^T) for M = m - proj_k(m)
+            m -= proj_k(m)
+            m[..., :d, :] += top @ s[..., :d, :]
+        m[..., :d, :] -= s[..., :d, :d] @ rows
+        return m - m.swapaxes(-1, -2)
+    return apply
 
 
 def _p_a_two_norm_bound(geom, a, aa, quotient=None):

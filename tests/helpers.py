@@ -1,4 +1,5 @@
 """Shared constructions and reference implementations for the test suite."""
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -152,6 +153,29 @@ def identity_operator(domain_shape):
         apply_adjoint=lambda m: m.copy(),
         one_norm_upper_bound=1.0,
         domain_shape=tuple(domain_shape))
+
+
+def six_product_apply(a, beta, proj_a, b, proj_m=None):
+    """P_a b term by term as in the group_core docstring, by six n x n
+    products; on a quotient proj_m is its horizontal projection pi_m."""
+    aa, c = proj_a(a), 1.0 + beta
+    br = lie(b, a)
+    return 0.5 * ((br if proj_m is None else proj_m(br))
+                  + c * (lie(aa, b) - lie(proj_a(b), a)))
+
+
+def six_product_adjoint(a, beta, proj_a, b):
+    aa, c = proj_a(a), 1.0 + beta
+    return 0.5 * (lie(b, a.T) + c * (lie(aa.T, b) - proj_a(lie(b, a.T))))
+
+
+def six_product_operator(op, geom, a, quotient=None):
+    """op, a group_core.p_a_operator handle of a, with its apply swapped
+    for the six-product form: the same bounds, so expa sums the same
+    series."""
+    proj_m = None if quotient is None else quotient.proj_m
+    return dataclasses.replace(op, apply=lambda b: six_product_apply(
+        a, geom.beta, geom.split.proj_a, b, proj_m))
 
 
 # --- subspace scans of an algebra split ------------------------------------

@@ -1,7 +1,8 @@
 """scipy.integrate, and the scipy.optimize it loads, are imported only
 when the RK oracle or the quotient ODE fallback first runs, and solve_ivp
 is looked up on scipy.integrate at each call, so a wrapper set there with
-setattr (as the benchmark's tracer sets one) sees every call."""
+setattr (as the benchmark's tracer sets one) sees every call.  No closed
+form imports scipy.special."""
 import json
 import os
 import pathlib
@@ -82,17 +83,27 @@ oracle.integrate_transport(lambda p, v, w: np.zeros_like(w),
 }
 
 
-@pytest.mark.parametrize("trigger", sorted(TRIGGERS))
-def test_closed_forms_leave_integrate_unloaded(trigger):
-    # a clean interpreter: this one has loaded scipy.integrate already
+def loaded(lazy, trigger):
+    """Which `lazy` modules a clean interpreter (this one has loaded
+    scipy.integrate already) holds before and after `trigger`."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(lazy=LAZY, trigger=TRIGGERS[trigger])],
+        [sys.executable, "-c", SCRIPT.format(lazy=lazy, trigger=trigger)],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    before, after = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+def test_closed_forms_leave_integrate_unloaded(trigger):
+    before, after = loaded(LAZY, TRIGGERS[trigger])
     assert before == []
     assert after == list(LAZY)
+
+
+def test_closed_forms_leave_special_unloaded():
+    # expa's Bessel weights come from expaction.bessel_j
+    assert loaded(("scipy.special",), "") == [[], []]
 
 
 @pytest.fixture

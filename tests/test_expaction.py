@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from manitrans.errors import (CapacityError, DimensionError, NumericalError,
                               ValidationError)
 from manitrans.expaction import (
-    THETA_DOUBLE, ChebyshevVectors, LinearOperatorHandle, chebyshev_terms,
-    dense_operator_matrix, expa, matrix_exponential,
+    THETA_DOUBLE, ChebyshevVectors, LinearOperatorHandle, bessel_j,
+    chebyshev_terms, dense_operator_matrix, expa, matrix_exponential,
     one_norm_estimate_exhaustive, select_taylor_params)
 from manitrans.utils import asym
 
@@ -327,6 +327,19 @@ class TestChebyshev:
         calls.clear()
         assert np.array_equal(expa(counted, b, -3.0), expa(op, b, -3.0))
         assert len(calls) == chebyshev_terms(3.0)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-8, 1e-3, 0.7, 5.0, 13.0, 50.0,
+                                   264.0, 1000.0, 9.76102312998167])
+    def test_bessel_weights_against_mpmath(self, x):
+        # every weight expa takes at x = |t| rho, from tiny x (where a
+        # value-form recurrence overflows) to far past the benchmark's range;
+        # at the last x, a zero of J_3 to rounding, the ratio recurrence
+        # meets a zero denominator
+        mpmath = pytest.importorskip("mpmath")
+        count = chebyshev_terms(x) + 1
+        with mpmath.workdps(40):
+            want = [float(mpmath.besselj(k, x)) for k in range(count)]
+        assert np.abs(bessel_j(x, count) - want).max() <= 1e-15
 
     def test_rejects_unknown_class(self, rng):
         _, op = self.skew_operator(rng)

@@ -18,14 +18,16 @@ from manitrans.gl_so import (GLGeometry, SOGeometry, gl_geodesic, gl_metric,
                              so_metric, so_split, so_transport_operator)
 from manitrans.group_core import (
     GroupGeometry, christoffel, geodesic, geodesic_factors, geodesic_velocity,
-    metric, p_a_operator, to_algebra, transport, transport_operator)
+    make_transport_plan, metric, p_a_operator, to_algebra, transport,
+    transport_operator, transport_with_plan)
 from manitrans.quotient import (flag_quotient, horizontal_transport_operator,
                                 quotient_transport, stiefel_quotient)
-from manitrans.utils import asym, lie, sym
+from manitrans.utils import asym, identity, lie, sym
 
 from helpers import (NON_REAL, classify_metric_signature,
                      derive_split_components, poisoned, random_glp, random_so,
-                     random_so_tangent, rel_err, subspace_basis)
+                     random_so_tangent, rel_err, six_product_adjoint,
+                     six_product_apply, six_product_operator, subspace_basis)
 from test_forms import block_split
 
 
@@ -617,17 +619,6 @@ def balanced_matrix(op, geom, basis):
     return flat @ images.T
 
 
-def six_product_apply(a, beta, proj_a, b):
-    """P_a b on a group, term by term as in the group_core docstring."""
-    aa, c = proj_a(a), 1.0 + beta
-    return 0.5 * (lie(b, a) + c * (lie(aa, b) - lie(proj_a(b), a)))
-
-
-def six_product_adjoint(a, beta, proj_a, b):
-    aa, c = proj_a(a), 1.0 + beta
-    return 0.5 * (lie(b, a.T) + c * (lie(aa.T, b) - proj_a(lie(b, a.T))))
-
-
 class TestChebyshevRoute:
     @pytest.mark.parametrize(
         "kind", ["so", "gl", "quotient", "group", "flag", "generic"])
@@ -771,13 +762,77 @@ class TestChebyshevRoute:
 
     @pytest.mark.parametrize("beta", [-1.6, -1.0, 0.5, 3.0])
     def test_folded_apply_equals_six_product_form(self, rng, beta):
+        # an so_block handle is P_a o proj_g, P_a on the algebra: so its
+        # adjoint is proj_g o the six-product adjoint
         for split in (gl_split(5), so_split(5, 2), block_split(5, 2),
                       sl_split(5)):
             a = split.proj_g(rng.standard_normal((5, 5)))
             b = rng.standard_normal((5, 5))
             op = p_a_operator(
                 GroupGeometry(split=split, params=MetricParams(1.0, beta)), a)
-            for got, want in ((op.apply(b), six_product_apply),
-                              (op.apply_adjoint(b), six_product_adjoint)):
-                want = want(a, beta, split.proj_a, b)
+            on_algebra = asym if split.so_block is not None else identity
+            for got, want in (
+                    (op.apply(b),
+                     six_product_apply(a, beta, split.proj_a, on_algebra(b))),
+                    (op.apply_adjoint(b), on_algebra(
+                        six_product_adjoint(a, beta, split.proj_a, b)))):
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# --- P_a in skew form on so_block splits ------------------------------------
+
+def so_block_case(kind, n, d, alpha):
+    """(geometry, quotient or None) of an so_block P_a: SO(n) with block d,
+    the same split as a generic GroupGeometry, the Stiefel quotient, or
+    the flag quotient with blocks (1, d-1)."""
+    geom = SOGeometry(n, d, alpha)
+    if kind == "so":
+        return geom, None
+    if kind == "group":
+        return GroupGeometry(split=geom.split, params=geom.params), None
+    q = stiefel_quotient(n, d, alpha) if kind == "quotient" else \
+        flag_quotient(n, (1, d - 1), alpha)
+    return q.geom, q
+
+
+def algebra_element(rng, geom, q):
+    """A random element of so(n), horizontal on a quotient."""
+    w = asym(rng.standard_normal((geom.n, geom.n)))
+    return w if q is None else q.proj_m(w)
+
+
+class TestSkewApply:
+    """On an so_block split, P_a applies as P_a o proj_g in skew form."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.8, 50.0])
+    @pytest.mark.parametrize("kind", ["so", "group", "quotient", "flag"])
+    def test_skew_and_six_products_on_the_algebra(self, rng, kind, alpha):
+        geom, q = so_block_case(kind, 7, 3, alpha)
+        a = algebra_element(rng, geom, q)
+        op = p_a_operator(geom, a, q)
+        b = rng.standard_normal((4, 7, 7))
+        out = op.apply(b)
+        assert np.array_equal(out, -out.swapaxes(-1, -2))
+        assert not op.apply(sym(b)).any()
+        proj_m = None if q is None else q.proj_m
+        for u in asym(b):
+            want = six_product_apply(a, geom.beta, geom.split.proj_a, u, proj_m)
+            assert rel_err(op.apply(u), want) <= 1e-13
+
+    @pytest.mark.parametrize("t", [-20.0, -1.0, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("kind, alpha", [
+        *((kind, alpha) for kind in ("so", "group", "quotient")
+          for alpha in (1e-3, 0.8, 50.0)),
+        ("flag", 0.5)])  # where the flag transport has constant coefficients
+    def test_transports_match_the_six_product_handle(self, rng, kind, alpha,
+                                                     t):
+        geom, q = so_block_case(kind, 8, 3, alpha)
+        x = random_so(rng, 8)
+        a = algebra_element(rng, geom, q)
+        a /= np.sqrt(beta_form(a, a, geom.split, geom.params))  # unit speed
+        plan = make_transport_plan(geom, x, x @ a, q)
+        twin = dataclasses.replace(plan)
+        vars(twin)["p_op"] = six_product_operator(plan.p_op, geom, plan.a, q)
+        eta = x @ np.stack([algebra_element(rng, geom, q) for _ in range(3)])
+        assert rel_err(transport_with_plan(plan, x, eta, t),
+                       transport_with_plan(twin, x, eta, t)) <= 1e-13
